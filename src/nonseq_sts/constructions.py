@@ -29,7 +29,6 @@ from .designs import (
     NonseqCertificate,
     canonical_block,
     validate_sts,
-    verify_apc,
     verify_certificate,
 )
 from .differences import CyclicGroup, GroupSpec, ProductGroup, complete_base_blocks, develop, translate_apc
@@ -130,15 +129,14 @@ def base_case(n: int) -> CertifiedDesign:
         (tuple(group.index(e) for e in blk) for blk in apc_elements),
         group.index(group.zero),
     )
-    if not verify_apc(design, apc_zero):
-        raise RuntimeError(f"internal error: starter class of order {n} does not verify")
     entries = {}
     for t in group.elements():
         apc = translate_apc(apc_zero, t, group)
         entries[apc.missed] = apc
     cert = NonseqCertificate(entries)
-    if not verify_certificate(design, cert):
-        raise RuntimeError(f"internal error: starter certificate of order {n} does not verify")
+    rep = verify_certificate(design, cert)
+    if not rep:
+        raise RuntimeError(f"internal error: starter certificate of order {n} does not verify ({rep})")
     return CertifiedDesign(design, cert, f"base-case({n})")
 
 
@@ -200,8 +198,9 @@ def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] 
     rep = validate_sts(design)
     if not rep:
         raise RuntimeError(f"internal error: composed design of order {n} is invalid ({rep})")
-    if not verify_certificate(design, cert):
-        raise RuntimeError(f"internal error: composed certificate of order {n} does not verify")
+    rep = verify_certificate(design, cert)
+    if not rep:
+        raise RuntimeError(f"internal error: composed certificate of order {n} does not verify ({rep})")
     return CertifiedDesign(design, cert, f"gdd-fill(n={n}, type={group_type.key()}, seed={seed})")
 
 

@@ -6,7 +6,11 @@ constructors check nothing, so that validators can be exercised on broken
 inputs; the ``from_blocks`` classmethods merely canonicalise ordering.
 Validators re-derive every structural property from scratch (a verdict
 never depends on how an object was built or ordered) and return reports
-instead of raising, so batch pipelines can aggregate outcomes.
+instead of raising, so batch pipelines can aggregate outcomes.  The
+verifiers ``verify_apc`` and ``verify_certificate`` return the same
+``ValidationReport``: truthy when the check passes, and otherwise naming
+what failed (for a certificate, the entry count or the lowest failing
+entry).
 """
 
 from __future__ import annotations
@@ -24,11 +28,6 @@ def canonical_block(members: Iterable[int]) -> Block:
     if len(blk) != 3 or blk[0] == blk[1] or blk[1] == blk[2]:
         raise ValueError(f"a block needs 3 distinct points, got {blk!r}")
     return blk
-
-
-def _pairs(blk) -> list[tuple[int, int]]:
-    a, b, c = sorted(blk)
-    return [(a, b), (a, c), (b, c)]
 
 
 @dataclass(frozen=True)
@@ -159,58 +158,64 @@ class NonseqCertificate:
         return len(self.entries)
 
 
+def _pair_incidence(n: int, blocks, gid: list[int] | None = None) -> tuple[ValidationReport, set[int]]:
+    """The one structural pass over a block list, shared by every validator.
+
+    Checks that each block has 3 distinct integer points in 0..n-1 (``bool``
+    is not an integer here), that no block hits a group twice when ``gid``
+    maps points to group ids, and that no pair lies in two blocks.  Returns
+    the first violation found, together with the covered pairs as flat
+    indices ``a*n + b`` (a < b).  A set rather than an n*n array keeps the
+    memory linear in the number of blocks, whatever order ``n`` claims.
+    """
+    covered: set[int] = set()
+    if n < 0:
+        return ValidationReport.failed("order", f"negative order {n}"), covered
+    for blk in blocks:
+        members = tuple(blk)
+        if len(members) != 3 or len(set(members)) != 3:
+            detail = f"block {members!r} does not have 3 distinct points"
+            return ValidationReport.failed("malformed-block", detail), covered
+        a, b, c = members
+        if not (type(a) is int and type(b) is int and type(c) is int and 0 <= min(members) and max(members) < n):
+            detail = f"block {members!r} has points outside 0..{n - 1}"
+            return ValidationReport.failed("malformed-block", detail), covered
+        a, b, c = sorted(members)
+        if gid is not None and (gid[a] == gid[b] or gid[b] == gid[c] or gid[a] == gid[c]):
+            return ValidationReport.failed("within-group-pair", f"block {(a, b, c)} hits a group twice"), covered
+        for x, y in ((a, b), (a, c), (b, c)):
+            if x * n + y in covered:
+                earlier = next(tuple(sorted(e)) for e in blocks if x in e and y in e)
+                detail = f"pair {(x, y)} covered by blocks {earlier} and {(a, b, c)}"
+                return ValidationReport.failed("repeated-pair", detail), covered
+            covered.add(x * n + y)
+    return ValidationReport.passed(), covered
+
+
 def validate_psts(d: Design) -> ValidationReport:
     """Check the partial-system condition: every pair in at most one block.
 
     Also rejects malformed blocks (wrong arity, repeated or out-of-range
     members).  Duplicate blocks surface as repeated pairs.
     """
-    if d.n < 0:
-        return ValidationReport.failed("order", f"negative order {d.n}")
-    seen: dict[tuple[int, int], Block] = {}
-    for blk in d.blocks:
-        members = tuple(blk)
-        if len(members) != 3 or len(set(members)) != 3:
-            return ValidationReport.failed("malformed-block", f"block {members!r} does not have 3 distinct points")
-        if not all(isinstance(p, int) and 0 <= p < d.n for p in members):
-            return ValidationReport.failed("malformed-block", f"block {members!r} has points outside 0..{d.n - 1}")
-        for pair in _pairs(members):
-            if pair in seen:
-                return ValidationReport.failed(
-                    "repeated-pair",
-                    f"pair {pair} covered by blocks {seen[pair]} and {tuple(sorted(members))}",
-                )
-            seen[pair] = tuple(sorted(members))
-    return ValidationReport.passed()
+    return _pair_incidence(d.n, d.blocks)[0]
 
 
 def validate_sts(d: Design) -> ValidationReport:
     """Check the full Steiner condition: every pair in exactly one block."""
-    rep = validate_psts(d)
+    rep, covered = _pair_incidence(d.n, d.blocks)
     if not rep:
         return rep
-    if d.n % 6 not in (1, 3):
-        return ValidationReport.failed("order", f"no Steiner triple system of order {d.n} exists (n must be 1 or 3 mod 6)")
-    covered = 3 * len(d.blocks)
-    total = d.n * (d.n - 1) // 2
-    if covered < total:
-        uncovered = _first_uncovered_pair(d)
-        return ValidationReport.failed("uncovered-pair", f"pair {uncovered} is in no block")
-    expected = d.n * (d.n - 1) // 6
+    n = d.n
+    if n % 6 not in (1, 3):
+        return ValidationReport.failed("order", f"no Steiner triple system of order {n} exists (n must be 1 or 3 mod 6)")
+    if len(covered) < n * (n - 1) // 2:
+        pair = next((a, b) for a in range(n) for b in range(a + 1, n) if a * n + b not in covered)
+        return ValidationReport.failed("uncovered-pair", f"pair {pair} is in no block")
+    expected = n * (n - 1) // 6
     if len(d.blocks) != expected:
         return ValidationReport.failed("size", f"{len(d.blocks)} blocks, expected {expected}")
     return ValidationReport.passed()
-
-
-def _first_uncovered_pair(d: Design) -> tuple[int, int]:
-    seen = set()
-    for blk in d.blocks:
-        seen.update(_pairs(blk))
-    for a in range(d.n):
-        for b in range(a + 1, d.n):
-            if (a, b) not in seen:
-                return (a, b)
-    raise AssertionError("no uncovered pair")
 
 
 def validate_gdd(g: Gdd) -> ValidationReport:
@@ -227,55 +232,46 @@ def validate_gdd(g: Gdd) -> ValidationReport:
     for i, grp in enumerate(g.groups):
         for p in grp:
             gid[p] = i
-    seen: dict[tuple[int, int], Block] = {}
-    for blk in g.design.blocks:
-        members = tuple(blk)
-        if len(members) != 3 or len(set(members)) != 3 or not all(
-            isinstance(p, int) and 0 <= p < n for p in members
-        ):
-            return ValidationReport.failed("malformed-block", f"block {members!r} is not a transverse triple candidate")
-        if len({gid[p] for p in members}) != 3:
-            return ValidationReport.failed("within-group-pair", f"block {tuple(sorted(members))} hits a group twice")
-        for pair in _pairs(members):
-            if pair in seen:
-                return ValidationReport.failed(
-                    "repeated-pair", f"pair {pair} covered by blocks {seen[pair]} and {tuple(sorted(members))}"
-                )
-            seen[pair] = tuple(sorted(members))
+    rep, covered = _pair_incidence(n, g.design.blocks, gid)
+    if not rep:
+        return rep
     cross = g.group_type.cross_pairs()
-    if len(seen) < cross:
-        for a in range(n):
-            for b in range(a + 1, n):
-                if gid[a] != gid[b] and (a, b) not in seen:
-                    return ValidationReport.failed("uncovered-pair", f"cross pair ({a}, {b}) is in no block")
+    if len(covered) < cross:
+        pair = next(
+            (a, b) for a in range(n) for b in range(a + 1, n) if gid[a] != gid[b] and a * n + b not in covered
+        )
+        return ValidationReport.failed("uncovered-pair", f"cross pair {pair} is in no block")
     if 3 * len(g.design.blocks) != cross:
         return ValidationReport.failed("size", f"{len(g.design.blocks)} blocks, expected {cross // 3}")
     return ValidationReport.passed()
 
 
-def verify_apc(d: Design, apc: AlmostParallelClass) -> bool:
-    """True iff the blocks all belong to ``d``, are pairwise disjoint, and
-    cover exactly the points other than ``apc.missed``."""
+def verify_apc(d: Design, apc: AlmostParallelClass) -> ValidationReport:
+    """Check that the blocks all belong to ``d``, are pairwise disjoint,
+    and cover exactly the points other than ``apc.missed``."""
     if not 0 <= apc.missed < d.n:
-        return False
+        return ValidationReport.failed("apc", f"missed point {apc.missed} is outside 0..{d.n - 1}")
     block_set = d.block_set
     covered: set[int] = set()
     for blk in apc.blocks:
         key = tuple(sorted(blk))
         if key not in block_set:
-            return False
+            return ValidationReport.failed("apc", f"{key} is not a block of the design")
         if covered.intersection(key):
-            return False
+            return ValidationReport.failed("apc", f"block {key} meets another block of the class")
         covered.update(key)
-    return len(covered) == d.n - 1 and apc.missed not in covered
+    if len(covered) != d.n - 1 or apc.missed in covered:
+        return ValidationReport.failed("apc", f"the blocks do not cover exactly the points other than {apc.missed}")
+    return ValidationReport.passed()
 
 
-def verify_certificate(d: Design, cert: NonseqCertificate) -> bool:
-    """True iff the certificate has >= n-1 entries, each a valid almost
-    parallel class of ``d`` missing exactly its key point."""
+def verify_certificate(d: Design, cert: NonseqCertificate) -> ValidationReport:
+    """Check that the certificate has >= n-1 entries, each a valid almost
+    parallel class of ``d`` missing exactly its key point.  A failure's
+    detail names the entry count or the lowest failing entry."""
     if len(cert.entries) < d.n - 1:
-        return False
-    for missed, apc in cert.entries.items():
+        return ValidationReport.failed("certificate", f"{len(cert.entries)} entries, need at least {d.n - 1}")
+    for missed, apc in sorted(cert.entries.items()):
         if apc.missed != missed or not verify_apc(d, apc):
-            return False
-    return True
+            return ValidationReport.failed("certificate", f"entry {missed}")
+    return ValidationReport.passed()

@@ -66,7 +66,8 @@ class DesignDocument:
         if doc.get("schema") != SCHEMA_VERSION:
             raise DocumentError(f"unsupported schema version {doc.get('schema')!r}")
         n = doc.get("n")
-        if not isinstance(n, int) or n < 0:
+        # ``type(x) is int`` throughout: JSON true/false load as bool, an int subclass.
+        if type(n) is not int or n < 0:
             raise DocumentError(f"'n' must be a nonnegative integer, got {n!r}")
         design = Design(n, tuple(_read_block(blk, n) for blk in _read_list(doc, "blocks")))
 
@@ -81,7 +82,7 @@ class DesignDocument:
         if "certificate" in doc:
             entries = {}
             for entry in _read_list(doc, "certificate"):
-                if not isinstance(entry, dict) or not isinstance(entry.get("missed"), int):
+                if not isinstance(entry, dict) or type(entry.get("missed")) is not int:
                     raise DocumentError("certificate entries need an integer 'missed'")
                 missed = entry["missed"]
                 if not 0 <= missed < n:
@@ -117,7 +118,7 @@ def _read_list(doc: dict, key: str) -> list:
 
 
 def _read_block(blk, n: int) -> tuple[int, int, int]:
-    if not isinstance(blk, list) or len(blk) != 3 or not all(isinstance(p, int) for p in blk):
+    if not isinstance(blk, list) or len(blk) != 3 or not all(type(p) is int for p in blk):
         raise DocumentError(f"block {blk!r} must be a list of 3 integers")
     if len(set(blk)) != 3 or min(blk) < 0 or max(blk) >= n:
         raise DocumentError(f"block {blk!r} must have 3 distinct points in 0..{n - 1}")

@@ -138,9 +138,11 @@ def hill_climb_gdd(req: GddRequest, *, stall_limit: int = 20000) -> Gdd:
     Moves pick an uncovered cross pair {a, b} and a third-group point c
     with at most one of {a, c}, {b, c} already covered; adding {a, b, c}
     and removing the at most one conflicting block raises the covered-pair
-    count by 1 or 3, so progress is monotone.  After ``stall_limit``
-    consecutive failed move attempts the search gives up; restarting with
-    another seed is the caller's policy.
+    count by 0 or 3, so the count never decreases but need not grow.  The
+    search gives up after more than ``stall_limit`` consecutive draws of a
+    pair with no viable third point.  Every swap, a zero-gain one too,
+    resets that count, so ``stall_limit`` does not bound the total number
+    of moves.  Restarting with another seed is the caller's policy.
     """
     rep = necessary_conditions(req.group_type)
     if not rep:
@@ -270,9 +272,7 @@ def _cache_load(cache_dir: Path, group_type: GroupType) -> Optional[Gdd]:
         if data["key"] != group_type.key():
             return None
         groups = tuple(tuple(int(p) for p in grp) for grp in data["groups"])
-        blocks = [canonical_block(int(p) for p in blk) for blk in data["blocks"]]
-        n = group_type.total_points
-        gdd = Gdd(group_type, groups, Design.from_blocks(n, blocks))
+        gdd = Gdd(group_type, groups, Design.from_blocks(group_type.total_points, data["blocks"]))
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError):
         return None
     if not validate_gdd(gdd):

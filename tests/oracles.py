@@ -93,3 +93,25 @@ def admissible_by_enumeration(n: int, blocks, seq, all_intervals: bool = True) -
             if all_intervals or i == 0 or j == n - 1:
                 segments.append(seq[i : j + 1])
     return not any(partitionable_by_enumeration(blocks, seg) for seg in segments)
+
+
+def pair_count_verdicts(n: int, blocks, groups) -> tuple[bool, bool, bool]:
+    """(partial system, Steiner system, GDD on ``groups``) verdicts from the
+    number of blocks through each pair of points, counted pair by pair.
+
+    A block must be 3 distinct ``int`` points (``bool`` excluded) in 0..n-1.
+    A GDD covers every cross-group pair once and no within-group pair.
+    """
+    if not all(
+        len(blk) == 3 and len(set(blk)) == 3 and all(type(p) is int and 0 <= p < n for p in blk)
+        for blk in blocks
+    ):
+        return False, False, False
+    group_of = {p: i for i, grp in enumerate(groups) for p in grp}
+    counts = {
+        (a, b): sum(1 for blk in blocks if a in blk and b in blk) for a in range(n) for b in range(a + 1, n)
+    }
+    psts = all(c <= 1 for c in counts.values())
+    sts = n % 6 in (1, 3) and all(c == 1 for c in counts.values())
+    gdd = all(c == (group_of[a] != group_of[b]) for (a, b), c in counts.items())
+    return psts, sts, gdd

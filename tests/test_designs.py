@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonseq_sts import (
     AlmostParallelClass,
@@ -17,6 +19,7 @@ from nonseq_sts import (
     verify_certificate,
 )
 
+from oracles import pair_count_verdicts
 from reference_systems import BASES, STS7_BLOCKS, apc_point_blocks
 
 
@@ -60,6 +63,7 @@ class TestValidatePsts:
         assert validate_psts(Design(3, ((0, 1),))).category == "malformed-block"
         assert validate_psts(Design(3, ((0, 1, 1),))).category == "malformed-block"
         assert validate_psts(Design(3, ((0, 1, 7),))).category == "malformed-block"
+        assert validate_psts(Design(3, ((True, 0, 2),))).category == "malformed-block"
 
     def test_duplicate_block_caught_as_repeated_pair(self):
         rep = validate_psts(Design(5, ((0, 1, 2), (0, 1, 2))))
@@ -165,7 +169,9 @@ class TestVerifyCertificate:
     def test_too_few_entries_fail(self, sts13, sts13_certificate):
         entries = dict(sts13_certificate.entries)
         del entries[4], entries[9]  # n-2 entries left
-        assert not verify_certificate(sts13, NonseqCertificate(entries))
+        rep = verify_certificate(sts13, NonseqCertificate(entries))
+        assert not rep
+        assert rep.detail == "11 entries, need at least 12"
 
     def test_n_minus_one_entries_suffice(self, sts13, sts13_certificate):
         entries = dict(sts13_certificate.entries)
@@ -176,6 +182,16 @@ class TestVerifyCertificate:
         entries = dict(sts13_certificate.entries)
         entries[0] = entries[1]  # missed point 1 filed under key 0
         assert not verify_certificate(sts13, NonseqCertificate(entries))
+
+    def test_lowest_failing_entry_is_named(self, sts13, sts13_certificate):
+        entries = dict(reversed(sts13_certificate.entries.items()))  # entry 9 is checked before 3 unless sorted
+        for missed in (9, 3):
+            blocks = sorted(entries[missed].blocks)
+            blocks[0] = (0, 1, 2)  # not a design block
+            entries[missed] = AlmostParallelClass.from_blocks(blocks, missed)
+        rep = verify_certificate(sts13, NonseqCertificate(entries))
+        assert not rep
+        assert rep.detail == "entry 3"
 
 
 def test_canonicalisation_never_changes_verdicts(sts13):
@@ -206,3 +222,57 @@ def test_group_type_canonical_key():
     assert GroupType.of((12, 4), (18, 1)).cross_pairs() == (66 * 65 // 2) - 4 * 66 - 153
     with pytest.raises(ValueError):
         GroupType.of((0, 3))
+
+
+# Small valid systems (order, blocks, groups) that the differential test
+# relabels and perturbs, so that passing verdicts are drawn too.
+_SEED_SYSTEMS = (
+    (3, ((0, 1, 2),), ((0,), (1,), (2,))),
+    (6, ((0, 2, 4), (0, 3, 5), (1, 2, 5), (1, 3, 4)), ((0, 1), (2, 3), (4, 5))),
+    (7, STS7_BLOCKS, tuple((p,) for p in range(7))),
+)
+
+
+@st.composite
+def block_lists(draw):
+    """An order, raw blocks and a partition of the points into groups.
+
+    Blocks include repeats, out-of-range and boolean points, within-group
+    triples and lists of the wrong length.
+    """
+    if draw(st.booleans()):
+        n, blocks, groups = draw(st.sampled_from(_SEED_SYSTEMS))
+        perm = draw(st.permutations(range(n)))
+        blocks = [[perm[p] for p in blk] for blk in blocks]
+        groups = [[perm[p] for p in grp] for grp in groups]
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(blocks) - 1))
+            move = draw(st.sampled_from(["drop", "repeat", "repoint"]))
+            if move == "drop":
+                del blocks[i]
+            elif move == "repeat":
+                blocks.append(list(blocks[i]))
+            else:
+                blocks[i] = list(blocks[i])
+                blocks[i][draw(st.integers(0, 2))] = draw(st.integers(-1, n))
+            if not blocks:
+                break
+    else:
+        n = draw(st.integers(0, 8))
+        point = st.one_of(st.integers(-1, n), st.booleans())
+        blocks = draw(st.lists(st.lists(point, min_size=2, max_size=4), max_size=10))
+        gids = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        groups = [[p for p in range(n) if gids[p] == g] for g in sorted(set(gids))]
+    return n, [tuple(blk) for blk in blocks], [tuple(grp) for grp in groups]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(block_lists())
+def test_validators_agree_with_pair_count_oracle(case):
+    n, blocks, groups = case
+    d = Design(n, tuple(blocks))
+    gdd = Gdd(GroupType.of(*((len(grp), 1) for grp in groups)), tuple(groups), d)
+    psts, sts, gdd_ok = pair_count_verdicts(n, blocks, groups)
+    assert validate_psts(d).ok == psts
+    assert validate_sts(d).ok == sts
+    assert validate_gdd(gdd).ok == gdd_ok

@@ -53,6 +53,10 @@ def test_blocks_stored_sorted(tmp_path, doc13):
         lambda d: d.update(certificate=[{"missed": 99, "blocks": []}]),
         lambda d: d.update(certificate=[{"blocks": []}]),
         lambda d: d.pop("blocks"),
+        # JSON true loads as a bool, which Python counts as the integer 1
+        lambda d: d.update(n=True, blocks=[], certificate=[]),
+        lambda d: d["certificate"][1].update(missed=True),
+        lambda d: d["blocks"].append([True, 0, 2]),
     ],
 )
 def test_structural_errors(doc13, mutate):
