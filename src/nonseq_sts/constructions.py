@@ -28,6 +28,7 @@ from .designs import (
     GroupType,
     NonseqCertificate,
     canonical_block,
+    validate_psts,
     validate_sts,
     verify_certificate,
 )
@@ -213,14 +214,18 @@ def certified_psts(
 ) -> CertifiedDesign:
     """A nonsequenceable partial system of size n(n-1)/6 - a, obtained by
     deleting ``a`` blocks of the class missing ``x0`` and re-certifying the
-    remainder by per-point search.
+    remainder from the parent certificate.
 
     The deleted blocks are chosen deterministically to damage as few other
     certificate entries as possible (ties broken by canonical block order);
     blocks shared between classes would otherwise knock out entries that
-    the deletion did not need to touch.  If fewer than n-1 points of the
+    the deletion did not need to touch.  Parent entries that avoid the
+    deleted blocks are kept after ``verify_apc`` re-checks them; only the
+    damaged points are searched afresh.  If fewer than n-1 points of the
     reduced design admit almost parallel classes, certification fails and
-    the failure is surfaced, not hidden.
+    the failure is surfaced, not hidden.  Like ``certified_sts``, the
+    result is re-validated and its certificate re-verified before it is
+    returned.
     """
     if n % 6 != 1 or n == 7:
         raise ValueError(f"n must be 1 (mod 6) and not 7, got {n}")
@@ -230,15 +235,22 @@ def certified_psts(
         raise ValueError(f"x0 must be a point of the design, got {x0}")
     certified = certified_sts(n, seed=seed, cache_dir=cache_dir)
     provenance = f"block-removal(n={n}, a={a}, x0={x0}) from {certified.provenance}"
-    if a == 0:
-        return CertifiedDesign(certified.design, certified.certificate, provenance)
-    entries = certified.certificate.entries
+    design, cert = certified.design, certified.certificate
+    if a > 0:
+        entries = cert.entries
 
-    def damage(blk) -> int:
-        return sum(1 for missed, apc in entries.items() if missed != x0 and blk in apc.blocks)
+        def damage(blk) -> int:
+            return sum(1 for missed, apc in entries.items() if missed != x0 and blk in apc.blocks)
 
-    removal_order = sorted(entries[x0].blocks, key=lambda blk: (damage(blk), blk))
-    removed = set(removal_order[:a])
-    design = Design.from_blocks(n, (blk for blk in certified.design.blocks if blk not in removed))
-    cert = certify_nonsequenceable(design)
+        removal_order = sorted(entries[x0].blocks, key=lambda blk: (damage(blk), blk))
+        removed = set(removal_order[:a])
+        design = Design.from_blocks(n, (blk for blk in design.blocks if blk not in removed))
+        cert = certify_nonsequenceable(design, known=entries)
+
+    rep = validate_psts(design)
+    if not rep:
+        raise RuntimeError(f"internal error: reduced design of order {n} is invalid ({rep})")
+    rep = verify_certificate(design, cert)
+    if not rep:
+        raise RuntimeError(f"internal error: re-certified design of order {n} does not verify ({rep})")
     return CertifiedDesign(design, cert, provenance)

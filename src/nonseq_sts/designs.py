@@ -10,7 +10,7 @@ instead of raising, so batch pipelines can aggregate outcomes.  The
 verifiers ``verify_apc`` and ``verify_certificate`` return the same
 ``ValidationReport``: truthy when the check passes, and otherwise naming
 what failed (for a certificate, the entry count or the lowest failing
-entry).
+entry and why it fails).
 """
 
 from __future__ import annotations
@@ -268,10 +268,14 @@ def verify_apc(d: Design, apc: AlmostParallelClass) -> ValidationReport:
 def verify_certificate(d: Design, cert: NonseqCertificate) -> ValidationReport:
     """Check that the certificate has >= n-1 entries, each a valid almost
     parallel class of ``d`` missing exactly its key point.  A failure's
-    detail names the entry count or the lowest failing entry."""
+    detail names the entry count, or the lowest failing entry and why it
+    fails: ``entry k: class misses m`` or ``entry k: <verify_apc detail>``."""
     if len(cert.entries) < d.n - 1:
         return ValidationReport.failed("certificate", f"{len(cert.entries)} entries, need at least {d.n - 1}")
     for missed, apc in sorted(cert.entries.items()):
-        if apc.missed != missed or not verify_apc(d, apc):
-            return ValidationReport.failed("certificate", f"entry {missed}")
+        if apc.missed != missed:
+            return ValidationReport.failed("certificate", f"entry {missed}: class misses {apc.missed}")
+        rep = verify_apc(d, apc)
+        if not rep:
+            return ValidationReport.failed("certificate", f"entry {missed}: {rep.detail}")
     return ValidationReport.passed()

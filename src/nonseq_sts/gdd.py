@@ -10,8 +10,9 @@ point by w points and every block by a td3(w) copy.  Anything the direct
 routes do not reach (even group counts, mixed types) goes to a
 Stinson-style hill climb whose moves never decrease the number of covered
 cross pairs.  Results can be cached as JSON keyed by the canonical type
-string; cache hits are re-validated on load so a corrupted cache can not
-poison a construction.
+string, plus the requested seed on the seed-dependent hill-climb route;
+cache hits are re-validated on load so a corrupted cache can not poison a
+construction.
 """
 
 from __future__ import annotations
@@ -224,27 +225,30 @@ def build_gdd(req: GddRequest, *, cache_dir: Optional[os.PathLike | str] = None,
     Strategy: (1) a verified on-disk cache; (2) for a single part g^u with
     u >= 3 odd and 3 | g, inflate the Bose type-3^u GDD by g/3; (3) the
     hill climb, retried on consecutive seeds.  The result is re-validated
-    whatever the route, and written back to the cache when one is given.
+    whatever the route, and written back to the cache when one is given,
+    under a name that includes ``req.seed`` on the hill-climb route, so a
+    cache hit is what an uncached build with the same request returns.
     """
     group_type = req.group_type
     rep = necessary_conditions(group_type)
     if not rep:
         raise ValueError(f"group type {group_type.key()} fails necessary conditions: {rep.detail}")
     if cache_dir is not None:
-        cached = _cache_load(Path(cache_dir), group_type)
+        cached = _cache_load(_cache_path(Path(cache_dir), req), group_type)
         if cached is not None:
             return cached
 
     built: Optional[Gdd] = None
-    if len(group_type.parts) == 1:
+    seed_used = req.seed
+    if _bose_route(group_type):
         size, count = group_type.parts[0]
-        if count >= 3 and count % 2 == 1 and size % 3 == 0:
-            built = inflate(bose_gdd(count), size // 3)
-    if built is None:
+        built = inflate(bose_gdd(count), size // 3)
+    else:
         last: Optional[BudgetExceededError] = None
         for attempt in range(max(1, retries)):
+            seed_used = req.seed + attempt
             try:
-                built = hill_climb_gdd(GddRequest(group_type, req.seed + attempt))
+                built = hill_climb_gdd(GddRequest(group_type, seed_used))
                 break
             except BudgetExceededError as exc:
                 last = exc
@@ -257,16 +261,29 @@ def build_gdd(req: GddRequest, *, cache_dir: Optional[os.PathLike | str] = None,
     if built.group_type != group_type:
         raise RuntimeError(f"internal error: built type {built.group_type.key()}, wanted {group_type.key()}")
     if cache_dir is not None:
-        _cache_store(Path(cache_dir), built, req.seed)
+        _cache_store(_cache_path(Path(cache_dir), req), built, seed_used)
     return built
 
 
-def _cache_path(cache_dir: Path, group_type: GroupType) -> Path:
-    return cache_dir / (group_type.key().replace(":", "-") + ".json")
+def _bose_route(group_type: GroupType) -> bool:
+    """Whether ``build_gdd`` realises the type by inflating a Bose GDD: a
+    single part g^u with u >= 3 odd and 3 | g.  That route ignores the seed."""
+    if len(group_type.parts) != 1:
+        return False
+    size, count = group_type.parts[0]
+    return count >= 3 and count % 2 == 1 and size % 3 == 0
 
 
-def _cache_load(cache_dir: Path, group_type: GroupType) -> Optional[Gdd]:
-    path = _cache_path(cache_dir, group_type)
+def _cache_path(cache_dir: Path, req: GddRequest) -> Path:
+    """``3-12^5.json`` on the Bose route; the hill climb depends on the
+    seed, so its file names the requested seed too: ``3-12^4-seed0.json``."""
+    stem = req.group_type.key().replace(":", "-")
+    if not _bose_route(req.group_type):
+        stem += f"-seed{req.seed}"
+    return cache_dir / (stem + ".json")
+
+
+def _cache_load(path: Path, group_type: GroupType) -> Optional[Gdd]:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
         if data["key"] != group_type.key():
@@ -280,9 +297,9 @@ def _cache_load(cache_dir: Path, group_type: GroupType) -> Optional[Gdd]:
     return gdd
 
 
-def _cache_store(cache_dir: Path, gdd: Gdd, seed: int) -> None:
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = _cache_path(cache_dir, gdd.group_type)
+def _cache_store(path: Path, gdd: Gdd, seed: int) -> None:
+    """Write ``gdd`` to ``path``, recording the seed it was built with."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "key": gdd.group_type.key(),
         "seed": seed,

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .designs import AlmostParallelClass, Design, NonseqCertificate
+from .designs import AlmostParallelClass, Design, NonseqCertificate, verify_apc
 from .exact_cover import BudgetExceededError, SegmentOracle, find_apc
 
 
@@ -130,13 +130,26 @@ def find_admissible_sequence(
     return None
 
 
-def certify_nonsequenceable(d: Design) -> NonseqCertificate:
+def certify_nonsequenceable(
+    d: Design, known: Optional[Mapping[int, AlmostParallelClass]] = None
+) -> NonseqCertificate:
     """Search an almost parallel class missing each point; succeed when at
-    most one point lacks one.  Raises CertificationError otherwise."""
+    most one point lacks one.  Raises CertificationError otherwise.
+
+    ``known`` maps points to candidate classes, such as the entries of a
+    parent design's certificate.  A candidate is kept only if it misses its
+    key point and ``verify_apc`` accepts it for ``d``; every other point is
+    searched.  A valid class proves that its point has one, so the set of
+    certified points, and with it the verdict, is the same with or without
+    ``known``: only which valid class an entry holds may differ.
+    """
+    known = known or {}
     entries: dict[int, AlmostParallelClass] = {}
     missing: list[int] = []
     for point in range(d.n):
-        apc = find_apc(d, point)
+        apc = known.get(point)
+        if apc is None or apc.missed != point or not verify_apc(d, apc):
+            apc = find_apc(d, point)
         if apc is None:
             missing.append(point)
         else:

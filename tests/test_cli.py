@@ -85,7 +85,8 @@ class TestVerify:
         out.write_text(json.dumps(raw))
         code, kv = run_cli(capsys, "verify", out)
         assert code == 1
-        assert kv["CERTIFICATE"] == f"fail (entry {raw['certificate'][3]['missed']})"
+        missed = raw["certificate"][3]["missed"]
+        assert kv["CERTIFICATE"] == f"fail (entry {missed}: (0, 1, 2) is not a block of the design)"
         assert kv["VERDICT"] == "fail"
 
     def test_truncated_json_exits_2(self, capsys, tmp_path):

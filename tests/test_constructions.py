@@ -172,15 +172,18 @@ class TestCertifiedPsts:
         assert cd.design.size == 25
         assert len(cd.certificate) == 12  # every point except the anchor
 
-    @pytest.mark.parametrize("a", [2, 3, 4])
-    def test_order13_deeper_removals_surface_failure(self, a):
+    @pytest.mark.parametrize(
+        "a,missing",
+        [(2, (0, 9, 10)), (3, (0, 3, 9, 10, 12)), (4, (0, 1, 3, 4, 9, 10, 12))],
+        ids=["2", "3", "4"],
+    )
+    def test_order13_deeper_removals_surface_failure(self, a, missing):
         """The order-13 system is rigid (one class per point); deleting two
         or more of a class's blocks leaves under n-1 certifiable points, and
         the operation reports that instead of hiding it."""
         with pytest.raises(CertificationError) as exc:
             certified_psts(13, a)
-        assert 0 in exc.value.missing
-        assert len(exc.value.missing) >= 3
+        assert exc.value.missing == missing
 
 
 def test_order13_removal_is_rigid():

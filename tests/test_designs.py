@@ -181,7 +181,9 @@ class TestVerifyCertificate:
     def test_mismatched_key_fails(self, sts13, sts13_certificate):
         entries = dict(sts13_certificate.entries)
         entries[0] = entries[1]  # missed point 1 filed under key 0
-        assert not verify_certificate(sts13, NonseqCertificate(entries))
+        rep = verify_certificate(sts13, NonseqCertificate(entries))
+        assert not rep
+        assert rep.detail == "entry 0: class misses 1"
 
     def test_lowest_failing_entry_is_named(self, sts13, sts13_certificate):
         entries = dict(reversed(sts13_certificate.entries.items()))  # entry 9 is checked before 3 unless sorted
@@ -191,7 +193,7 @@ class TestVerifyCertificate:
             entries[missed] = AlmostParallelClass.from_blocks(blocks, missed)
         rep = verify_certificate(sts13, NonseqCertificate(entries))
         assert not rep
-        assert rep.detail == "entry 3"
+        assert rep.detail == "entry 3: (0, 1, 2) is not a block of the design"
 
 
 def test_canonicalisation_never_changes_verdicts(sts13):

@@ -20,7 +20,9 @@ from nonseq_sts import (
     validate_gdd,
     validate_sts,
     CyclicGroup,
+    certified_sts,
 )
+from nonseq_sts import gdd as gdd_module
 
 
 def cross_pair_count(gdd) -> int:
@@ -167,14 +169,52 @@ class TestBuildGdd:
         assert validate_gdd(g).ok
         assert 3 * g.design.size == cross_pair_count(g)
 
-    def test_cache_round_trip(self, tmp_path):
+    def test_cache_round_trip(self, tmp_path, monkeypatch):
         gt = GroupType.of((12, 4))
         first = build_gdd(GddRequest(gt, seed=5), cache_dir=tmp_path)
-        path = tmp_path / "3-12^4.json"
-        assert path.exists()
-        # a different seed hits the cache and returns the same verified object
+        assert (tmp_path / "3-12^4-seed5.json").exists()
+        real_climb = gdd_module.hill_climb_gdd
+
+        def no_climb(req, **kwargs):
+            raise AssertionError("the hill climb ran on a cache hit")
+
+        # the same seed hits the cache and returns the same verified object
+        monkeypatch.setattr(gdd_module, "hill_climb_gdd", no_climb)
+        assert build_gdd(GddRequest(gt, seed=5), cache_dir=tmp_path) == first
+        # a different seed rebuilds, as an uncached build would
+        monkeypatch.setattr(gdd_module, "hill_climb_gdd", real_climb)
         second = build_gdd(GddRequest(gt, seed=99), cache_dir=tmp_path)
-        assert first == second
+        assert (tmp_path / "3-12^4-seed99.json").exists()
+        assert second == build_gdd(GddRequest(gt, seed=99))
+        assert second != first
+
+    def test_bose_route_cache_ignores_the_seed(self, tmp_path):
+        gt = GroupType.of((12, 3))
+        first = build_gdd(GddRequest(gt, seed=5), cache_dir=tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["3-12^3.json"]
+        assert build_gdd(GddRequest(gt, seed=99), cache_dir=tmp_path) == first
+
+    def test_cache_records_the_seed_that_succeeded(self, tmp_path, monkeypatch):
+        real_climb = gdd_module.hill_climb_gdd
+
+        def climb_failing_first_seed(req, **kwargs):
+            if req.seed == 7:
+                raise BudgetExceededError("forced failure")
+            return real_climb(req, **kwargs)
+
+        monkeypatch.setattr(gdd_module, "hill_climb_gdd", climb_failing_first_seed)
+        built = build_gdd(GddRequest(GroupType.of((12, 4)), seed=7), cache_dir=tmp_path)
+        payload = json.loads((tmp_path / "3-12^4-seed7.json").read_text(encoding="utf-8"))
+        assert payload["seed"] == 8
+        assert built == real_climb(GddRequest(GroupType.of((12, 4)), seed=8))
+
+    def test_cached_certified_sts_honours_the_seed(self, tmp_path):
+        certified_sts(49, seed=0, cache_dir=tmp_path)
+        cached = certified_sts(49, seed=1, cache_dir=tmp_path)
+        fresh = certified_sts(49, seed=1)
+        assert cached.design == fresh.design
+        assert cached.certificate == fresh.certificate
+        assert cached.provenance == fresh.provenance
 
     def test_corrupted_cache_is_rebuilt(self, tmp_path):
         gt = GroupType.of((12, 3))

@@ -4,14 +4,18 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonseq_sts import (
+    AlmostParallelClass,
     BudgetExceededError,
     CertificationError,
     Design,
     SegmentPolicy,
     base_case,
     certified_psts,
+    certified_sts,
     certify_nonsequenceable,
     explain_nonsequenceable,
     find_admissible_sequence,
@@ -177,6 +181,101 @@ class TestCertify:
         cert = certify_nonsequenceable(d)
         assert len(cert) == 12
         assert verify_certificate(d, cert)
+
+
+def removal_design(n: int, a: int, x0: int = 0):
+    """The certified STS(n) and what is left of it after deleting ``a``
+    blocks of its class missing ``x0``, least damage to the other entries
+    first, as ``certified_psts`` deletes them."""
+    parent = certified_sts(n)
+    entries = parent.certificate.entries
+
+    def damage(blk) -> int:
+        return sum(1 for missed, apc in entries.items() if missed != x0 and blk in apc.blocks)
+
+    removed = set(sorted(entries[x0].blocks, key=lambda blk: (damage(blk), blk))[:a])
+    return parent, Design.from_blocks(n, (blk for blk in parent.design.blocks if blk not in removed))
+
+
+@pytest.mark.parametrize("n,a", [(13, 0), (13, 1), (19, 3), (37, 2)])
+def test_removal_design_matches_certified_psts(n, a):
+    assert removal_design(n, a)[1] == certified_psts(n, a).design
+
+
+def certified_points(d, known=None):
+    """The certified points, or the CertificationError's missing points."""
+    try:
+        return "certified", set(certify_nonsequenceable(d, known=known).entries)
+    except CertificationError as exc:
+        return "missing", exc.missing
+
+
+RECERTIFY_CASES = [(n, a) for n in (13, 19, 31, 37) for a in range((n - 1) // 3 + 1)]
+
+
+class TestRecertifyFromKnownClasses:
+    @pytest.mark.parametrize("n,a", RECERTIFY_CASES, ids=[f"n{n}-a{a}" for n, a in RECERTIFY_CASES])
+    def test_parent_certificate_changes_no_verdict(self, n, a):
+        parent, d = removal_design(n, a)
+        assert certified_points(d, known=parent.certificate.entries) == certified_points(d)
+
+    @pytest.mark.parametrize("n", [19, 31])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_random_deletions_change_no_verdict(self, n, data):
+        parent = base_case(n)
+        blocks = parent.design.blocks
+        removed = data.draw(st.sets(st.sampled_from(blocks), max_size=(n - 1) // 3 + 6))
+        d = Design.from_blocks(n, (blk for blk in blocks if blk not in removed))
+        assert certified_points(d, known=parent.certificate.entries) == certified_points(d)
+
+    def test_surviving_entries_are_kept(self):
+        parent, d = removal_design(37, 2)
+        cert = certify_nonsequenceable(d, known=parent.certificate.entries)
+        kept = {p for p, apc in parent.certificate.entries.items() if apc.blocks <= d.block_set}
+        assert len(kept) == 34
+        for p in kept:
+            assert cert.entries[p] is parent.certificate.entries[p]
+        assert verify_certificate(d, cert)
+
+    def test_invalid_known_classes_are_searched_afresh(self):
+        parent, d = removal_design(19, 1)
+        entries = parent.certificate.entries
+        # entry 0 used the deleted block; entry 3 is filed under the wrong point
+        known = dict(entries)
+        known[3] = entries[4]
+        # entry 5 has two overlapping blocks: one of its blocks swapped for
+        # another design block through the same point
+        blk = min(entries[5].blocks)
+        other = next(b for b in d.blocks if blk[0] in b and b not in entries[5].blocks)
+        known[5] = AlmostParallelClass(entries[5].blocks - {blk} | {other}, 5)
+        assert "meets another block" in verify_apc(d, known[5]).detail
+        assert not entries[0].blocks <= d.block_set
+
+        cert = certify_nonsequenceable(d, known=known)
+        assert cert.entries[0] != entries[0]
+        assert cert.entries[3] != entries[4] and cert.entries[3].missed == 3
+        assert cert.entries[5] != known[5]
+        for p in (0, 3, 5):
+            assert verify_apc(d, cert.entries[p])
+        assert verify_certificate(d, cert)
+
+    def test_known_classes_for_other_points_are_ignored(self):
+        d = base_case(13).design
+        stray = AlmostParallelClass(frozenset(), 40)
+        assert certified_points(d, known={40: stray}) == certified_points(d)
+
+
+class TestOrder13RemovalsAreSequenceable:
+    """The three order-13 removal designs that fail certification have
+    admissible sequences: they are sequenceable, not merely uncertified."""
+
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    def test_search_finds_an_admissible_sequence(self, a):
+        _, d = removal_design(13, a)
+        seq = find_admissible_sequence(d)
+        assert seq is not None
+        assert admissible_by_enumeration(13, d.blocks, seq)
 
 
 @pytest.fixture(scope="module")
