@@ -15,9 +15,9 @@ entry and why it fails).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 Block = tuple[int, int, int]
 
@@ -123,11 +123,16 @@ class GroupType:
 
 @dataclass(frozen=True)
 class Gdd:
-    """A 3-GDD: a partition of the points into groups plus a transverse design."""
+    """A 3-GDD: a partition of the points into groups plus a transverse design.
+
+    ``seed`` is the hill-climb seed that produced it, or None for a
+    seed-free construction; it is provenance and takes no part in equality.
+    """
 
     group_type: GroupType
     groups: tuple[tuple[int, ...], ...]
     design: Design
+    seed: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,18 @@ from .designs import AlmostParallelClass, Design
 
 
 class BudgetExceededError(RuntimeError):
-    """A search hit its node budget before finishing."""
+    """A search hit its budget before finishing.
+
+    ``used`` is the work spent when it gave up and ``budget`` the limit it
+    was given, in the search's own unit: nodes for the exact-cover and
+    sequence searches, moves for the GDD hill climb.  Either is None when
+    the raiser does not say.
+    """
+
+    def __init__(self, message: str, *, used: Optional[int] = None, budget: Optional[int] = None):
+        super().__init__(message)
+        self.used = used
+        self.budget = budget
 
 
 @dataclass(frozen=True)
@@ -198,7 +209,9 @@ def solve(inst: ExactCoverInstance, limit: int, *, node_budget: Optional[int] = 
             continue
         nodes += 1
         if node_budget is not None and nodes > node_budget:
-            raise BudgetExceededError(f"exact-cover search exceeded its budget of {node_budget} nodes")
+            raise BudgetExceededError(
+                f"exact-cover search exceeded its budget of {node_budget} nodes", used=node_budget, budget=node_budget
+            )
         partial.append(row)
         node = row.right
         while node is not row:

@@ -95,7 +95,9 @@ def find_admissible_sequence(
                 continue
             nodes += 1
             if nodes > node_budget:
-                raise BudgetExceededError(f"sequence search exceeded its budget of {node_budget} nodes")
+                raise BudgetExceededError(
+                    f"sequence search exceeded its budget of {node_budget} nodes", used=node_budget, budget=node_budget
+                )
             m1 = base | bit
             # segments ending at the new point, shortest first
             ok = True

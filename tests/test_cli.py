@@ -45,6 +45,27 @@ class TestBuild:
         assert code == 0
         assert kv["BLOCKS"] == "25"
 
+    def test_build_names_the_seed_used(self, capsys, tmp_path, monkeypatch):
+        from nonseq_sts import BudgetExceededError
+        from nonseq_sts import gdd as gdd_module
+
+        real_climb = gdd_module.hill_climb_gdd
+
+        def climb_failing_first_seed(req, **kwargs):
+            if req.seed == 2:
+                raise BudgetExceededError("forced failure")
+            return real_climb(req, **kwargs)
+
+        monkeypatch.setattr(gdd_module, "hill_climb_gdd", climb_failing_first_seed)
+        argv = ["--cache-dir", tmp_path / "cache", "build", 49, "--seed", 2, "--out", tmp_path / "sts-49.json"]
+        expected = "gdd-fill(n=49, type=3:12^4, seed=3 (requested 2))"
+        code, kv = run_cli(capsys, *argv)
+        assert code == 0 and kv["PROVENANCE"] == expected
+        # the second build is a cache hit and says the same
+        code, kv = run_cli(capsys, *argv)
+        assert code == 0 and kv["PROVENANCE"] == expected
+        assert json.loads((tmp_path / "sts-49.json").read_text())["provenance"] == expected
+
     def test_build_7_exits_2(self, capsys, tmp_path):
         assert main(["build", "7", "--out", str(tmp_path / "x.json")]) == 2
 

@@ -56,6 +56,10 @@ class TestSolve:
         subsets = [(0,), (1,), (0, 1)]
         with pytest.raises(BudgetExceededError):
             solve(inst(2, subsets), 10, node_budget=0)
+        with pytest.raises(BudgetExceededError) as info:
+            solve(inst(2, subsets), 10, node_budget=1)
+        assert (info.value.used, info.value.budget) == (1, 1)
+        assert str(info.value) == "exact-cover search exceeded its budget of 1 nodes"
         # no-solution instances return [], they do not raise
         assert solve(inst(3, [(0, 1), (1, 2)]), 10, node_budget=1000) == []
 

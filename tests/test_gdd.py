@@ -155,6 +155,47 @@ class TestHillClimb:
         with pytest.raises(ValueError):
             hill_climb_gdd(GddRequest(GroupType.of((6, 2))))
 
+    def test_seed_that_hung_returns_or_raises(self):
+        # 12^3 18^1 with seed 10 once ran for minutes without returning
+        try:
+            g = hill_climb_gdd(GddRequest(GroupType.of((12, 3), (18, 1)), seed=10))
+        except BudgetExceededError:
+            return
+        assert validate_gdd(g).ok
+        assert g.seed == 10
+
+    def test_move_limit_raises_with_the_moves_used(self):
+        with pytest.raises(BudgetExceededError) as info:
+            hill_climb_gdd(GddRequest(GroupType.of((12, 4)), seed=0), move_limit=50)
+        assert (info.value.used, info.value.budget) == (50, 50)
+        assert "50 moves" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "parts",
+        [((2, 4),), ((6, 3),), ((6, 4),), ((12, 4),), ((12, 3), (18, 1)), ((12, 8),)],
+        ids=lambda parts: "+".join(f"{s}^{c}" for s, c in parts),
+    )
+    def test_seed_sweep(self, parts):
+        group_type = GroupType.of(*parts)
+        budget = gdd_module.MOVES_PER_CROSS_PAIR * group_type.cross_pairs()
+        stuck = []
+        for seed in range(20):
+            req = GddRequest(group_type, seed)
+            try:
+                g = hill_climb_gdd(req)
+            except BudgetExceededError as exc:
+                assert (exc.used, exc.budget) == (budget, budget)
+                with pytest.raises(BudgetExceededError):
+                    hill_climb_gdd(req)
+                stuck.append(seed)
+                continue
+            assert validate_gdd(g).ok
+            assert 3 * g.design.size == group_type.cross_pairs() == cross_pair_count(g)
+            assert g.seed == seed
+            assert hill_climb_gdd(req) == g
+        # a seed sweep of 1000 seeds got stuck on at most 4.5% of them
+        assert len(stuck) <= 3, stuck
+
 
 class TestBuildGdd:
     @pytest.mark.parametrize("u", range(3, 9))
@@ -162,6 +203,13 @@ class TestBuildGdd:
         g = build_gdd(GddRequest(GroupType.of((12, u))), cache_dir=tmp_path)
         assert validate_gdd(g).ok
         assert g.design.size == 24 * u * (u - 1)
+
+    def test_retries_realise_every_seed(self):
+        group_type = GroupType.of((12, 3), (18, 1))
+        for seed in range(50):
+            g = build_gdd(GddRequest(group_type, seed))
+            assert validate_gdd(g).ok
+            assert seed <= g.seed < seed + 3
 
     @pytest.mark.parametrize("u", [3, 4, 5])
     def test_mixed_types(self, u):
@@ -207,14 +255,38 @@ class TestBuildGdd:
         payload = json.loads((tmp_path / "3-12^4-seed7.json").read_text(encoding="utf-8"))
         assert payload["seed"] == 8
         assert built == real_climb(GddRequest(GroupType.of((12, 4)), seed=8))
+        assert built.seed == 8
 
-    def test_cached_certified_sts_honours_the_seed(self, tmp_path):
+    def test_cached_certified_sts_honours_the_seed(self, tmp_path, monkeypatch):
         certified_sts(49, seed=0, cache_dir=tmp_path)
         cached = certified_sts(49, seed=1, cache_dir=tmp_path)
         fresh = certified_sts(49, seed=1)
         assert cached.design == fresh.design
         assert cached.certificate == fresh.certificate
-        assert cached.provenance == fresh.provenance
+        assert cached.provenance == fresh.provenance == "gdd-fill(n=49, type=3:12^4, seed=1)"
+
+        # the first seed fails: the provenance names the seed that succeeded,
+        # on the build that fills the cache and on the hit that reads it
+        real_climb = gdd_module.hill_climb_gdd
+
+        def climb_failing_first_seed(req, **kwargs):
+            if req.seed == 7:
+                raise BudgetExceededError("forced failure")
+            return real_climb(req, **kwargs)
+
+        def no_climb(req, **kwargs):
+            raise AssertionError("the hill climb ran on a cache hit")
+
+        monkeypatch.setattr(gdd_module, "hill_climb_gdd", climb_failing_first_seed)
+        fresh = certified_sts(49, seed=7)
+        built = certified_sts(49, seed=7, cache_dir=tmp_path)
+        monkeypatch.setattr(gdd_module, "hill_climb_gdd", no_climb)
+        cached = certified_sts(49, seed=7, cache_dir=tmp_path)
+        assert fresh.provenance == "gdd-fill(n=49, type=3:12^4, seed=8 (requested 7))"
+        for other in (built, cached):
+            assert other.design == fresh.design
+            assert other.certificate == fresh.certificate
+            assert other.provenance == fresh.provenance
 
     def test_corrupted_cache_is_rebuilt(self, tmp_path):
         gt = GroupType.of((12, 3))
@@ -227,6 +299,26 @@ class TestBuildGdd:
         payload["blocks"] = payload["blocks"][:-1]
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert validate_gdd(build_gdd(GddRequest(gt), cache_dir=tmp_path)).ok
+
+    @pytest.mark.parametrize("edit", [{"format": None}, {"format": 1}, {"seed": True}, {"seed": "5"}])
+    def test_stale_or_malformed_cache_is_rebuilt(self, tmp_path, monkeypatch, edit):
+        # a file of another format may hold what an older climb built from the seed
+        gt = GroupType.of((12, 4))
+        first = build_gdd(GddRequest(gt, seed=5), cache_dir=tmp_path)
+        path = tmp_path / "3-12^4-seed5.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload.update(edit)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        real_climb = gdd_module.hill_climb_gdd
+        seeds = []
+
+        def counting_climb(req, **kwargs):
+            seeds.append(req.seed)
+            return real_climb(req, **kwargs)
+
+        monkeypatch.setattr(gdd_module, "hill_climb_gdd", counting_climb)
+        assert build_gdd(GddRequest(gt, seed=5), cache_dir=tmp_path) == first
+        assert seeds == [5]
 
     def test_rejects_impossible_type(self):
         with pytest.raises(ValueError):

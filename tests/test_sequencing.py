@@ -94,8 +94,10 @@ class TestFindAdmissibleSequence:
         assert seq == (0, 1, 3, 2)
 
     def test_budget_exhaustion(self, sts7):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as info:
             find_admissible_sequence(sts7, node_budget=1)
+        assert (info.value.used, info.value.budget) == (1, 1)
+        assert str(info.value) == "sequence search exceeded its budget of 1 nodes"
 
     @pytest.mark.parametrize("policy", BOTH_POLICIES)
     def test_self_consistency(self, sts7, policy):
