@@ -300,14 +300,17 @@ class TestBuildGdd:
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert validate_gdd(build_gdd(GddRequest(gt), cache_dir=tmp_path)).ok
 
-    @pytest.mark.parametrize("edit", [{"format": None}, {"format": 1}, {"seed": True}, {"seed": "5"}])
-    def test_stale_or_malformed_cache_is_rebuilt(self, tmp_path, monkeypatch, edit):
+    @pytest.mark.parametrize("key,value", [("format", None), ("format", 1), ("seed", True), ("seed", "5")])
+    def test_stale_or_malformed_cache_is_rebuilt(self, tmp_path, monkeypatch, key, value):
         # a file of another format may hold what an older climb built from the seed
         gt = GroupType.of((12, 4))
         first = build_gdd(GddRequest(gt, seed=5), cache_dir=tmp_path)
         path = tmp_path / "3-12^4-seed5.json"
         payload = json.loads(path.read_text(encoding="utf-8"))
-        payload.update(edit)
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
         path.write_text(json.dumps(payload), encoding="utf-8")
         real_climb = gdd_module.hill_climb_gdd
         seeds = []
