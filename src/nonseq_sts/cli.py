@@ -126,7 +126,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
     except DocumentError as exc:
         return _fail(str(exc), 2)
     try:
-        cert = certify_nonsequenceable(doc.design)
+        # entries that verify are kept; only absent or invalid ones are searched
+        known = doc.certificate.entries if doc.certificate is not None else None
+        cert = certify_nonsequenceable(doc.design, known=known)
     except CertificationError as exc:
         _emit("MISSING", " ".join(str(p) for p in exc.missing))
         _emit("VERDICT", "fail")

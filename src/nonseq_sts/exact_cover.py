@@ -10,6 +10,13 @@ Determinism: the column chosen is always the one with the fewest
 remaining candidates, ties broken by lowest element index, and rows are
 tried in candidate-insertion order.  For a fixed instance the solution
 list is therefore reproducible.
+
+Two engines, one job each.  Every one-off partition question (an almost
+parallel class for ``find_apc``, one segment for ``segment_partitionable``
+and through it ``is_admissible``) builds a fresh dancing-links instance,
+so its memory is bounded by the design.  ``SegmentOracle`` memoises
+bitmask decisions and serves only the sequence search, which asks about
+the same short segments millions of times.
 """
 
 from __future__ import annotations
@@ -225,27 +232,28 @@ def exists_cover(inst: ExactCoverInstance, *, node_budget: Optional[int] = None)
     return bool(solve(inst, 1, node_budget=node_budget))
 
 
+def _first_partition(d: Design, points: set[int], node_budget: Optional[int] = None) -> Optional[frozenset]:
+    """The first set of d's blocks, in solver order, that partitions ``points``,
+    or None.  Universe: ``points`` renumbered in increasing order; candidates:
+    the blocks inside ``points``, in sorted order."""
+    position = {p: i for i, p in enumerate(sorted(points))}
+    candidates = []
+    for blk in sorted(d.block_set):
+        if points.issuperset(blk):
+            candidates.append((blk, tuple(position[p] for p in blk)))
+    found = solve(ExactCoverInstance.build(len(points), candidates), 1, node_budget=node_budget)
+    return found[0].chosen if found else None
+
+
 def find_apc(d: Design, missed: int) -> Optional[AlmostParallelClass]:
     """Search d's blocks for an almost parallel class avoiding ``missed``.
 
-    Universe: the points other than ``missed``; candidates: the blocks not
-    containing it.  Returns None iff no such class exists.
+    Returns None iff no such class exists.
     """
     if not 0 <= missed < d.n:
         raise ValueError(f"missed point {missed} outside 0..{d.n - 1}")
-
-    def squeeze(p: int) -> int:
-        return p if p < missed else p - 1
-
-    candidates = []
-    for blk in sorted(d.block_set):
-        if missed not in blk:
-            candidates.append((blk, tuple(squeeze(p) for p in blk)))
-    inst = ExactCoverInstance.build(d.n - 1, candidates)
-    found = solve(inst, 1)
-    if not found:
-        return None
-    return AlmostParallelClass(frozenset(found[0].chosen), missed)
+    chosen = _first_partition(d, set(range(d.n)) - {missed})
+    return None if chosen is None else AlmostParallelClass(chosen, missed)
 
 
 def segment_partitionable(d: Design, segment: Iterable[int], *, node_budget: Optional[int] = None) -> bool:
@@ -256,25 +264,19 @@ def segment_partitionable(d: Design, segment: Iterable[int], *, node_budget: Opt
     seg = set(segment)
     if len(seg) % 3:
         return False
-    if not seg:
-        return True
     if len(seg) == 3:
         return tuple(sorted(seg)) in d.block_set
-    position = {p: i for i, p in enumerate(sorted(seg))}
-    candidates = []
-    for blk in sorted(d.block_set):
-        if seg.issuperset(blk):
-            candidates.append((blk, tuple(position[p] for p in blk)))
-    inst = ExactCoverInstance.build(len(seg), candidates)
-    return exists_cover(inst, node_budget=node_budget)
+    return _first_partition(d, seg, node_budget) is not None
 
 
 class SegmentOracle:
-    """Memoized segment-partition decisions for one fixed design.
+    """Memoized segment-partition decisions for one fixed design, for the
+    sequence search.
 
     Point sets recur constantly while a sequence search backtracks, so
     decisions are cached by the set itself (as a bitmask), which never
-    needs invalidating.  Agrees with ``segment_partitionable`` everywhere.
+    needs invalidating.  The memo is unbounded, so one-off questions go to
+    ``segment_partitionable`` instead.  Agrees with it everywhere.
     """
 
     def __init__(self, d: Design):
@@ -285,16 +287,6 @@ class SegmentOracle:
             by_point[blk[0]].append(mask)  # filed under the lowest point
         self._blocks_at = by_point
         self._memo: dict[int, bool] = {0: True}
-
-    def partitionable(self, points: Iterable[int]) -> bool:
-        mask = 0
-        count = 0
-        for p in points:
-            mask |= 1 << p
-            count += 1
-        if count % 3:
-            return False
-        return self.mask_partitionable(mask)
 
     def mask_partitionable(self, mask: int) -> bool:
         """Partition decision for a point set given as a bitmask whose

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Mapping, Optional, Sequence
 
 from .designs import AlmostParallelClass, Design, NonseqCertificate, verify_apc
-from .exact_cover import BudgetExceededError, SegmentOracle, find_apc
+from .exact_cover import BudgetExceededError, SegmentOracle, find_apc, segment_partitionable
 
 
 class SegmentPolicy(Enum):
@@ -43,11 +43,12 @@ def is_admissible(d: Design, seq: Sequence[int], policy: SegmentPolicy = Segment
     """Whether no proper segment of the sequence is partitionable into blocks.
 
     Segments are scanned longest first: on certified designs the length
-    n-1 suffix or prefix is partitionable, so rejection is immediate.
+    n-1 suffix or prefix is partitionable, so rejection is immediate.  Each
+    segment is one ``segment_partitionable`` call, a fresh dancing-links
+    search, so no memo grows with the design.
     """
     order = _check_permutation(d, seq)
     n = d.n
-    oracle = SegmentOracle(d)
     for length in range(n - 1, 0, -1):
         if length % 3:
             continue
@@ -56,7 +57,7 @@ def is_admissible(d: Design, seq: Sequence[int], policy: SegmentPolicy = Segment
         else:
             starts = range(n - length + 1)
         for i in starts:
-            if oracle.partitionable(order[i : i + length]):
+            if segment_partitionable(d, order[i : i + length]):
                 return False
     return True
 

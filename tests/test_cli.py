@@ -180,6 +180,38 @@ class TestCertify:
         assert kv["ENTRIES"] == "31"
         assert len(json.loads(out.read_text())["certificate"]) == 31
 
+    @pytest.mark.parametrize(
+        "damage,searched",
+        [("intact", []), ("corrupt entry", [3]), ("stripped", list(range(13)))],
+    )
+    def test_keeps_the_documents_own_entries(self, capsys, tmp_path, monkeypatch, damage, searched):
+        from nonseq_sts import sequencing
+
+        out = tmp_path / "sts-13.json"
+        assert main(["build", "13", "--out", str(out)]) == 0
+        capsys.readouterr()
+        raw = json.loads(out.read_text())
+        if damage == "stripped":
+            del raw["certificate"]
+        elif damage == "corrupt entry":
+            entry = next(e for e in raw["certificate"] if e["missed"] == 3)
+            entry["blocks"][0] = [0, 1, 2]  # not a design block
+        out.write_text(json.dumps(raw))
+
+        real_find_apc = sequencing.find_apc
+        calls = []
+
+        def spy(d, point):
+            calls.append(point)
+            return real_find_apc(d, point)
+
+        monkeypatch.setattr(sequencing, "find_apc", spy)
+        code, kv = run_cli(capsys, "certify", out)
+        assert code == 0 and kv["ENTRIES"] == "13"
+        assert calls == searched
+        code, kv = run_cli(capsys, "verify", out)
+        assert code == 0 and kv["CERTIFICATE"] == "ok"
+
     def test_order7_lists_all_points(self, capsys, sts7_file):
         code, kv = run_cli(capsys, "certify", sts7_file, "--out", str(sts7_file) + ".out")
         assert code == 1

@@ -165,22 +165,29 @@ class TestSegmentPartitionable:
 
 
 def test_segment_oracle_agrees_with_segment_partitionable():
-    """The memoized per-design oracle and the dancing-links path must be
-    interchangeable on arbitrary point sets."""
+    """The memoized bitmask oracle of the sequence search and the
+    dancing-links path must be interchangeable on arbitrary point sets; on
+    the order-7 and order-13 systems the subset-enumeration oracle agrees
+    too, on every proper subset of the points (the whole set of 13 points
+    would mean enumerating 2^26 block subsets)."""
     from nonseq_sts import SegmentOracle
 
     rng = random.Random(3)
     designs = [
-        Design.from_blocks(7, STS7_BLOCKS),
-        develop_cyclic(13, BASES[13]),
-        Design.from_blocks(9, [(0, 1, 2), (3, 4, 5), (0, 3, 6), (1, 4, 7)]),
+        (Design.from_blocks(7, STS7_BLOCKS), True),
+        (develop_cyclic(13, BASES[13]), True),
+        (Design.from_blocks(9, [(0, 1, 2), (3, 4, 5), (0, 3, 6), (1, 4, 7)]), False),
     ]
-    for d in designs:
+    for d, enumerate_too in designs:
         oracle = SegmentOracle(d)
         for _ in range(300):
             size = rng.randint(0, d.n)
             points = rng.sample(range(d.n), size)
-            assert oracle.partitionable(points) == segment_partitionable(d, points), points
+            mask = sum(1 << p for p in points)
+            expected = segment_partitionable(d, points)
+            assert (size % 3 == 0 and oracle.mask_partitionable(mask)) == expected, points
+            if enumerate_too and size < d.n:
+                assert partitionable_by_enumeration(d.blocks, points) == expected, points
 
 
 def test_find_apc_matches_brute_force_on_reduced_designs():

@@ -57,14 +57,27 @@ class TestIsAdmissible:
 
     @pytest.mark.parametrize("policy", BOTH_POLICIES)
     def test_agrees_with_enumeration_oracle(self, sts7, policy):
+        """Random orderings of the STS(7) and of the sequenceable order-13
+        removal design.  On the latter, the sequence the search finds and
+        two adjacent transpositions of it add orderings of all 13 points that
+        are admissible or are refuted only by a long segment."""
+        all_intervals = policy is SegmentPolicy.ALL_INTERVALS
         rng = random.Random(11)
-        for _ in range(40):
-            seq = list(range(7))
-            rng.shuffle(seq)
-            expected = admissible_by_enumeration(
-                7, STS7_BLOCKS, seq, all_intervals=policy is SegmentPolicy.ALL_INTERVALS
-            )
-            assert is_admissible(sts7, seq, policy) == expected, seq
+        _, d13 = removal_design(13, 2)
+        found = list(find_admissible_sequence(d13, policy))
+        swapped = [found[:i] + [found[i + 1], found[i]] + found[i + 2 :] for i in (4, 8)]
+        admissible13 = 0
+        for d, shuffles, extra in ((sts7, 40, []), (d13, 10, [found] + swapped)):
+            seqs = []
+            for _ in range(shuffles):
+                seq = list(range(d.n))
+                rng.shuffle(seq)
+                seqs.append(seq)
+            for seq in seqs + extra:
+                expected = admissible_by_enumeration(d.n, d.blocks, seq, all_intervals=all_intervals)
+                assert is_admissible(d, seq, policy) == expected, seq
+                admissible13 += expected and d is d13
+        assert admissible13
 
     def test_policy_monotonicity(self, sts7):
         """Admissible under all intervals implies admissible under
@@ -77,6 +90,16 @@ class TestIsAdmissible:
                 rng.shuffle(seq)
                 if is_admissible(d, seq, SegmentPolicy.ALL_INTERVALS):
                     assert is_admissible(d, seq, SegmentPolicy.PREFIXES_AND_SUFFIXES)
+
+
+    @pytest.mark.parametrize("last", [2, 108])
+    def test_order109_refuted_by_its_prefix(self, last):
+        """On the certified STS(109) the n-1 prefix is partitionable.  A
+        memoised bitmask search over that 108-point segment exhausted 1 GB;
+        one dancing-links search decides it in milliseconds."""
+        d = certified_sts(109).design
+        seq = [p for p in range(109) if p != last] + [last]
+        assert not is_admissible(d, seq)
 
 
 class TestFindAdmissibleSequence:
