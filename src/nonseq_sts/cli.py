@@ -125,6 +125,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
         doc = _load(args.file)
     except DocumentError as exc:
         return _fail(str(exc), 2)
+    psts = validate_psts(doc.design)
+    if not psts:
+        _emit("PSTS", psts)
+        _emit("VERDICT", "fail")
+        return 1
     try:
         # entries that verify are kept; only absent or invalid ones are searched
         known = doc.certificate.entries if doc.certificate is not None else None

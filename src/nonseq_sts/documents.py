@@ -5,7 +5,7 @@ Schema (version 1):
     {
       "schema": 1,
       "n": 13,
-      "blocks": [[0, 1, 4], ...],          # sorted, diff-friendly
+      "blocks": [[0, 1, 4], ...],          # sorted, diff-friendly, repeats kept
       "labels": ["a", "b", ...],           # optional, one per point
       "certificate": [                     # optional
         {"missed": 0, "blocks": [[1, 6, 12], ...]},
@@ -47,7 +47,7 @@ class DesignDocument:
         doc: dict = {
             "schema": SCHEMA_VERSION,
             "n": self.design.n,
-            "blocks": [list(blk) for blk in sorted(self.design.block_set)],
+            "blocks": sorted(sorted(blk) for blk in self.design.blocks),
         }
         if self.labels is not None:
             doc["labels"] = list(self.labels)
@@ -99,7 +99,13 @@ class DesignDocument:
         return cls(design, labels, certificate, provenance)
 
     def save(self, path: os.PathLike | str) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1) + "\n", encoding="utf-8")
+        """Stream the JSON into a file beside ``path``, then replace ``path``
+        with it: the text is never whole in memory, and a rewrite is atomic."""
+        tmp = Path(path).with_suffix(f".tmp{os.getpid()}")
+        with tmp.open("w", encoding="utf-8") as fh:
+            json.dump(self.to_dict(), fh, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: os.PathLike | str) -> "DesignDocument":

@@ -11,10 +11,10 @@ routes do not reach (even group counts, mixed types) goes to Stinson's
 live-point hill climb: each move costs O(1) and adds 0 or 3 covered cross
 pairs, and a hard cap on total moves turns a stuck seed into a
 BudgetExceededError, on which ``build_gdd`` retries the next seed.
-Results can be cached as JSON keyed by the canonical type string, plus
-the requested seed on the seed-dependent hill-climb route; the file
-records the seed that succeeded, and cache hits are re-validated on load
-so a corrupted cache can not poison a construction.
+Only climbed GDDs are cached, as JSON keyed by the type and the requested
+seed; the file records the seed that succeeded, and cache hits are
+re-validated on load so a corrupted cache can not poison a construction.
+The closed-form Bose route is rebuilt every time.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ from .exact_cover import BudgetExceededError
 
 # Default cap on hill-climb moves, per cross pair of the requested type.
 MOVES_PER_CROSS_PAIR = 10
+
+# Consecutive seeds ``build_gdd`` gives the hill climb before it gives up.
+CLIMB_ATTEMPTS = 3
 
 # Cache files of another format are rebuilt.  Format 2 came with the
 # live-point hill climb, which realises a given seed differently.
@@ -285,80 +288,62 @@ def hill_climb_gdd(req: GddRequest, *, move_limit: Optional[int] = None) -> Gdd:
     return Gdd(group_type, groups, Design.from_blocks(n, blocks), seed=req.seed)
 
 
-def build_gdd(req: GddRequest, *, cache_dir: Optional[os.PathLike | str] = None, retries: int = 3) -> Gdd:
+def build_gdd(req: GddRequest, *, cache_dir: Optional[os.PathLike | str] = None) -> Gdd:
     """Realise the requested group type, verified, via the cheapest route.
 
-    Strategy: (1) a verified on-disk cache; (2) for a single part g^u with
-    u >= 3 odd and 3 | g, inflate the Bose type-3^u GDD by g/3; (3) the
-    hill climb, retried on consecutive seeds.  The result is re-validated
-    whatever the route, and written back to the cache when one is given,
-    under a name that includes ``req.seed`` on the hill-climb route, so a
-    cache hit is what an uncached build with the same request returns.  On
-    that route the returned GDD's ``seed`` is the seed that succeeded, from
-    the cache too.
+    A single part g^u with u >= 3 odd and 3 | g is the Bose type-3^u GDD
+    inflated by g/3, built afresh every time.  Any other type comes from
+    the hill climb, tried on CLIMB_ATTEMPTS consecutive seeds from
+    ``req.seed``; the returned GDD's ``seed`` is the seed that succeeded.
+    Given ``cache_dir``, the climb is cached there under the type and
+    ``req.seed``, so a cache hit is what an uncached build returns.  The
+    result is re-validated whatever the route.
     """
     group_type = req.group_type
     rep = necessary_conditions(group_type)
     if not rep:
         raise ValueError(f"group type {group_type.key()} fails necessary conditions: {rep.detail}")
-    if cache_dir is not None:
-        cached = _cache_load(_cache_path(Path(cache_dir), req), group_type)
-        if cached is not None:
-            return cached
-
-    built: Optional[Gdd] = None
-    if _bose_route(group_type):
-        size, count = group_type.parts[0]
+    size, count = group_type.parts[0]
+    path: Optional[Path] = None
+    if len(group_type.parts) == 1 and count >= 3 and count % 2 == 1 and size % 3 == 0:
         built = inflate(bose_gdd(count), size // 3)
     else:
-        last: Optional[BudgetExceededError] = None
-        for attempt in range(max(1, retries)):
+        if cache_dir is not None:
+            path = _cache_path(Path(cache_dir), req)
+            cached = _cache_load(path, group_type)
+            if cached is not None:
+                return cached
+        for attempt in range(CLIMB_ATTEMPTS):
             try:
                 built = hill_climb_gdd(GddRequest(group_type, req.seed + attempt))
                 break
             except BudgetExceededError as exc:
                 last = exc
-        if built is None:
-            raise BudgetExceededError(f"could not realise {group_type.key()} in {retries} attempts: {last}")
+        else:
+            raise BudgetExceededError(f"could not realise {group_type.key()} in {CLIMB_ATTEMPTS} attempts: {last}")
 
     rep = validate_gdd(built)
     if not rep:
         raise RuntimeError(f"internal error: constructed GDD for {group_type.key()} is invalid ({rep})")
     if built.group_type != group_type:
         raise RuntimeError(f"internal error: built type {built.group_type.key()}, wanted {group_type.key()}")
-    if cache_dir is not None:
-        _cache_store(_cache_path(Path(cache_dir), req), built)
+    if path is not None:
+        _cache_store(path, built)
     return built
 
 
-def _bose_route(group_type: GroupType) -> bool:
-    """Whether ``build_gdd`` realises the type by inflating a Bose GDD: a
-    single part g^u with u >= 3 odd and 3 | g.  That route ignores the seed."""
-    if len(group_type.parts) != 1:
-        return False
-    size, count = group_type.parts[0]
-    return count >= 3 and count % 2 == 1 and size % 3 == 0
-
-
 def _cache_path(cache_dir: Path, req: GddRequest) -> Path:
-    """``3-12^5.json`` on the Bose route; the hill climb depends on the
-    seed, so its file names the requested seed too: ``3-12^4-seed0.json``."""
+    """``3-12^4-seed0.json``: the climb depends on the seed, so the name does too."""
     stem = req.group_type.key().replace(":", "-")
-    if not _bose_route(req.group_type):
-        stem += f"-seed{req.seed}"
-    return cache_dir / (stem + ".json")
+    return cache_dir / f"{stem}-seed{req.seed}.json"
 
 
 def _cache_load(path: Path, group_type: GroupType) -> Optional[Gdd]:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-        if data["key"] != group_type.key() or data.get("format") != _CACHE_FORMAT:
+        seed = data["seed"]
+        if data["key"] != group_type.key() or data.get("format") != _CACHE_FORMAT or type(seed) is not int:
             return None
-        seed = None
-        if not _bose_route(group_type):
-            seed = data["seed"]
-            if type(seed) is not int:
-                return None
         groups = tuple(tuple(int(p) for p in grp) for grp in data["groups"])
         gdd = Gdd(group_type, groups, Design.from_blocks(group_type.total_points, data["blocks"]), seed=seed)
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError):

@@ -1,11 +1,14 @@
 """End-to-end CLI behaviour: commands, exit codes, machine-parseable output."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nonseq_sts
 from nonseq_sts.cli import main
 from nonseq_sts.documents import DesignDocument
 from nonseq_sts.designs import Design
@@ -212,6 +215,20 @@ class TestCertify:
         code, kv = run_cli(capsys, "verify", out)
         assert code == 0 and kv["CERTIFICATE"] == "ok"
 
+    def test_broken_design_is_not_rewritten(self, capsys, tmp_path):
+        out = tmp_path / "sts-13.json"
+        assert main(["build", "13", "--out", str(out)]) == 0
+        capsys.readouterr()
+        raw = json.loads(out.read_text())
+        raw["blocks"].append(raw["blocks"][0])
+        out.write_text(json.dumps(raw, indent=1))
+        before = out.read_bytes()
+        code, kv = run_cli(capsys, "certify", out)
+        assert code == 1
+        assert kv["PSTS"].startswith("repeated-pair") and kv["VERDICT"] == "fail"
+        assert "OUT" not in kv
+        assert out.read_bytes() == before
+
     def test_order7_lists_all_points(self, capsys, sts7_file):
         code, kv = run_cli(capsys, "certify", sts7_file, "--out", str(sts7_file) + ".out")
         assert code == 1
@@ -244,12 +261,16 @@ class TestCatalog:
 
 
 def test_console_entry_point_smoke(tmp_path):
-    """The installed module is runnable as a subprocess."""
+    """The module is runnable as a subprocess, from a checkout too: the
+    subprocess imports the package from where this process found it."""
+    src = str(Path(nonseq_sts.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = tmp_path / "sts-13.json"
     proc = subprocess.run(
         [sys.executable, "-m", "nonseq_sts.cli", "build", "13", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "BLOCKS: 26" in proc.stdout
@@ -257,6 +278,7 @@ def test_console_entry_point_smoke(tmp_path):
         [sys.executable, "-m", "nonseq_sts.cli", "verify", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "VERDICT: pass" in proc.stdout

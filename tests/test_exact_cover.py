@@ -4,6 +4,8 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonseq_sts import (
     AlmostParallelClass,
@@ -164,30 +166,49 @@ class TestSegmentPartitionable:
                     ), (perm, seg)
 
 
-def test_segment_oracle_agrees_with_segment_partitionable():
+# Full systems of orders 7 and 13, and a 9-point partial system that is
+# not maximal: every design below is one of these minus drawn blocks.
+ORACLE_BASES = (
+    Design.from_blocks(7, STS7_BLOCKS),
+    develop_cyclic(13, BASES[13]),
+    Design.from_blocks(9, [(0, 1, 2), (3, 4, 5), (0, 3, 6), (1, 4, 7)]),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_segment_oracle_agrees_with_segment_partitionable(data):
     """The memoized bitmask oracle of the sequence search and the
-    dancing-links path must be interchangeable on arbitrary point sets; on
-    the order-7 and order-13 systems the subset-enumeration oracle agrees
-    too, on every proper subset of the points (the whole set of 13 points
-    would mean enumerating 2^26 block subsets)."""
+    dancing-links path must be interchangeable on arbitrary point sets of
+    a PSTS, the whole point set included, and the subset-enumeration
+    oracle agrees on every proper subset of the points (the whole set of
+    13 points would mean enumerating 2^26 block subsets).  Each example
+    asks each base system and a drawn subsystem of it the same questions,
+    through one oracle per design: a drawn point set, then every segment
+    of a drawn ordering whose size is a multiple of 3, as the sequence
+    search would, so most questions meet a warm memo."""
     from nonseq_sts import SegmentOracle
 
-    rng = random.Random(3)
-    designs = [
-        (Design.from_blocks(7, STS7_BLOCKS), True),
-        (develop_cyclic(13, BASES[13]), True),
-        (Design.from_blocks(9, [(0, 1, 2), (3, 4, 5), (0, 3, 6), (1, 4, 7)]), False),
-    ]
-    for d, enumerate_too in designs:
-        oracle = SegmentOracle(d)
-        for _ in range(300):
-            size = rng.randint(0, d.n)
-            points = rng.sample(range(d.n), size)
-            mask = sum(1 << p for p in points)
-            expected = segment_partitionable(d, points)
-            assert (size % 3 == 0 and oracle.mask_partitionable(mask)) == expected, points
-            if enumerate_too and size < d.n:
-                assert partitionable_by_enumeration(d.blocks, points) == expected, points
+    for base in ORACLE_BASES:
+        n = base.n
+        removed = data.draw(st.sets(st.sampled_from(base.blocks)))
+        reduced = Design.from_blocks(n, (blk for blk in base.blocks if blk not in removed))
+        oracles = [(d, SegmentOracle(d)) for d in (base, reduced)]
+        for _ in range(data.draw(st.integers(1, 3))):
+            size = data.draw(st.integers(0, n))
+            order = data.draw(st.permutations(range(n)))
+            points = order[:size]
+            for d, oracle in oracles:
+                expected = segment_partitionable(d, points)
+                mask = sum(1 << p for p in points)
+                assert (size % 3 == 0 and oracle.mask_partitionable(mask)) == expected, points
+                if size < n:
+                    assert partitionable_by_enumeration(d.blocks, points) == expected, points
+                for i in range(n):
+                    for j in range(i + 3, n + 1, 3):
+                        seg = order[i:j]
+                        mask = sum(1 << p for p in seg)
+                        assert oracle.mask_partitionable(mask) == segment_partitionable(d, seg), seg
 
 
 def test_find_apc_matches_brute_force_on_reduced_designs():

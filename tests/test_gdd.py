@@ -236,11 +236,20 @@ class TestBuildGdd:
         assert second == build_gdd(GddRequest(gt, seed=99))
         assert second != first
 
-    def test_bose_route_cache_ignores_the_seed(self, tmp_path):
+    def test_bose_route_leaves_the_cache_alone(self, tmp_path):
+        # the closed form is rebuilt: it writes no file and reads none,
+        # not even a corrupted one under the type's name
         gt = GroupType.of((12, 3))
-        first = build_gdd(GddRequest(gt, seed=5), cache_dir=tmp_path)
+        uncached = build_gdd(GddRequest(gt, seed=5))
+        assert build_gdd(GddRequest(gt, seed=5), cache_dir=tmp_path) == uncached
+        assert list(tmp_path.iterdir()) == []
+        planted = tmp_path / "3-12^3.json"
+        payload = {"format": 2, "key": gt.key(), "seed": 5, "groups": [list(grp) for grp in uncached.groups]}
+        payload["blocks"] = [list(blk) for blk in uncached.design.blocks][:-1]
+        planted.write_text(json.dumps(payload), encoding="utf-8")
+        assert build_gdd(GddRequest(gt, seed=99), cache_dir=tmp_path) == uncached
         assert [p.name for p in tmp_path.iterdir()] == ["3-12^3.json"]
-        assert build_gdd(GddRequest(gt, seed=99), cache_dir=tmp_path) == first
+        assert json.loads(planted.read_text(encoding="utf-8")) == payload
 
     def test_cache_records_the_seed_that_succeeded(self, tmp_path, monkeypatch):
         real_climb = gdd_module.hill_climb_gdd
@@ -289,9 +298,9 @@ class TestBuildGdd:
             assert other.provenance == fresh.provenance
 
     def test_corrupted_cache_is_rebuilt(self, tmp_path):
-        gt = GroupType.of((12, 3))
+        gt = GroupType.of((12, 4))
         build_gdd(GddRequest(gt), cache_dir=tmp_path)
-        path = tmp_path / "3-12^3.json"
+        path = tmp_path / "3-12^4-seed0.json"
         path.write_text("{ not json", encoding="utf-8")
         assert validate_gdd(build_gdd(GddRequest(gt), cache_dir=tmp_path)).ok
         # invalid-but-parseable payloads are also ignored
