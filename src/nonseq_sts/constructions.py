@@ -32,7 +32,7 @@ from .designs import (
     validate_sts,
     verify_certificate,
 )
-from .differences import CyclicGroup, GroupSpec, ProductGroup, complete_base_blocks, develop, translate_apc
+from .differences import AbelianGroup, CyclicGroup, ProductGroup, complete_base_blocks, develop, translate_apc
 from .gdd import GddRequest, build_gdd
 from .sequencing import certify_nonsequenceable
 
@@ -47,7 +47,7 @@ class CertifiedDesign:
 
 
 # Starter systems: (group, base blocks, almost parallel class missing zero).
-_STARTERS: dict[int, tuple[GroupSpec, tuple, tuple]] = {
+_STARTERS: dict[int, tuple[AbelianGroup, tuple, tuple]] = {
     13: (
         CyclicGroup(13),
         ((0, 2, 7), (0, 1, 4)),
@@ -126,10 +126,7 @@ def base_case(n: int) -> CertifiedDesign:
     base = list(base)
     base.extend(complete_base_blocks(base, group))
     design = develop(base, group)
-    apc_zero = AlmostParallelClass.from_blocks(
-        (tuple(group.index(e) for e in blk) for blk in apc_elements),
-        group.index(group.zero),
-    )
+    apc_zero = AlmostParallelClass.from_blocks((tuple(group.index(e) for e in blk) for blk in apc_elements), 0)
     entries = {}
     for t in group.elements():
         apc = translate_apc(apc_zero, t, group)

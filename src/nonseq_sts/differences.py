@@ -1,4 +1,4 @@
-"""Base-block development over cyclic groups and two-factor products.
+"""Base-block development over finite abelian groups Z_m1 x ... x Z_mk.
 
 A list of starter blocks is developed by translating it through the whole
 group; the result is a Steiner triple system exactly when the 6 signed
@@ -8,8 +8,8 @@ multiset, ``residual_differences`` the uncovered part, and
 ``complete_base_blocks`` searches for canonical starters realising the
 residual when a published list is arithmetically short.
 
-Point indexing is fixed: cyclic elements are their own index, product
-elements map (x, y) -> m2*x + y.
+Every function reads its group elements into point indices once, computes
+on ints, and writes back only what it returns.
 """
 
 from __future__ import annotations
@@ -17,106 +17,81 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
+from math import prod
 from typing import Iterable, Sequence, Union
 
 from .designs import AlmostParallelClass, Design, canonical_block
 
-GroupElement = Union[int, tuple[int, int]]
+GroupElement = Union[int, tuple[int, ...]]
 BaseBlock = tuple[GroupElement, GroupElement, GroupElement]
 
 
 @dataclass(frozen=True)
-class CyclicGroup:
-    """Integers modulo n under addition."""
+class AbelianGroup:
+    """Z_m1 x ... x Z_mk under addition, with arithmetic on point indices.
 
-    n: int
+    The element (x1, ..., xk) is point x1*m2*...*mk + ... + xk, so Z_n is
+    the identity labelling.  ``index`` (element to point) and ``element``
+    (point to element: an int when k = 1, a k-tuple otherwise) are the only
+    places where element notation is read or written.
+    """
+
+    moduli: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("cyclic group needs order >= 3")
+        if not self.moduli or min(self.moduli) < 2 or prod(self.moduli) < 3:
+            raise ValueError(f"group needs moduli >= 2 and order >= 3, got {self.moduli}")
 
     @property
     def order(self) -> int:
-        return self.n
+        return prod(self.moduli)
 
-    @property
-    def zero(self) -> int:
-        return 0
+    def elements(self) -> Iterable[GroupElement]:
+        return map(self.element, range(self.order))
 
-    def elements(self) -> Iterable[int]:
-        return range(self.n)
-
-    def canon(self, e: int) -> int:
-        return e % self.n
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.n
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.n
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.n
-
-    def index(self, e: int) -> int:
-        return e % self.n
-
-    def element(self, i: int) -> int:
+    def index(self, e: GroupElement) -> int:
+        coords = (e,) if len(self.moduli) == 1 else e
+        i = 0
+        for x, m in zip(coords, self.moduli, strict=True):
+            i = i * m + x % m
         return i
 
+    def element(self, i: int) -> GroupElement:
+        coords = []
+        for m in reversed(self.moduli):
+            i, x = divmod(i, m)
+            coords.append(x)
+        return coords[0] if len(coords) == 1 else tuple(reversed(coords))
 
-@dataclass(frozen=True)
-class ProductGroup:
-    """Direct product of two cyclic groups; elements are coordinate pairs."""
-
-    m1: int
-    m2: int
-
-    def __post_init__(self):
-        if self.m1 < 2 or self.m2 < 2:
-            raise ValueError("product group needs both factors >= 2")
-
-    @property
-    def order(self) -> int:
-        return self.m1 * self.m2
-
-    @property
-    def zero(self) -> tuple[int, int]:
-        return (0, 0)
-
-    def elements(self) -> Iterable[tuple[int, int]]:
-        return ((x, y) for x in range(self.m1) for y in range(self.m2))
-
-    def canon(self, e: tuple[int, int]) -> tuple[int, int]:
-        return (e[0] % self.m1, e[1] % self.m2)
-
-    def add(self, a, b) -> tuple[int, int]:
-        return ((a[0] + b[0]) % self.m1, (a[1] + b[1]) % self.m2)
-
-    def sub(self, a, b) -> tuple[int, int]:
-        return ((a[0] - b[0]) % self.m1, (a[1] - b[1]) % self.m2)
-
-    def neg(self, a) -> tuple[int, int]:
-        return ((-a[0]) % self.m1, (-a[1]) % self.m2)
-
-    def index(self, e: tuple[int, int]) -> int:
-        return (e[0] % self.m1) * self.m2 + e[1] % self.m2
-
-    def element(self, i: int) -> tuple[int, int]:
-        return divmod(i, self.m2)
+    def add(self, i: int, j: int, sign: int = 1) -> int:
+        """The point of element(i) + sign * element(j)."""
+        out, weight = 0, 1
+        for m in reversed(self.moduli):
+            i, x = divmod(i, m)
+            j, y = divmod(j, m)
+            out += (x + sign * y) % m * weight
+            weight *= m
+        return out
 
 
-GroupSpec = Union[CyclicGroup, ProductGroup]
+def CyclicGroup(n: int) -> AbelianGroup:
+    """Z_n; its elements are ints."""
+    return AbelianGroup((n,))
 
 
-def _canon_members(base_block, group: GroupSpec) -> tuple:
-    members = tuple(group.canon(e) for e in base_block)
+def ProductGroup(m1: int, m2: int) -> AbelianGroup:
+    """Z_m1 x Z_m2; its elements are pairs (x, y), point m2*x + y."""
+    return AbelianGroup((m1, m2))
+
+
+def _members(base_block, group: AbelianGroup) -> tuple[int, int, int]:
+    members = tuple(group.index(e) for e in base_block)
     if len(members) != 3 or len(set(members)) != 3:
         raise ValueError(f"base block {base_block!r} must have 3 distinct group elements")
     return members
 
 
-def develop(base: Sequence[BaseBlock], group: GroupSpec) -> Design:
+def develop(base: Sequence[BaseBlock], group: AbelianGroup) -> Design:
     """Translate every starter block through the whole group.
 
     Starters whose orbit is shorter than the group order are rejected
@@ -124,50 +99,59 @@ def develop(base: Sequence[BaseBlock], group: GroupSpec) -> Design:
     """
     blocks = []
     for bb in base:
-        members = _canon_members(bb, group)
-        orbit = set()
-        for t in group.elements():
-            blk = canonical_block(group.index(group.add(m, t)) for m in members)
-            orbit.add(blk)
-            blocks.append(blk)
-        if len(orbit) < group.order:
-            raise ValueError(f"base block {bb!r} has a short orbit ({len(orbit)} of {group.order} translates)")
+        members = _members(bb, group)
+        orbit = [canonical_block(group.add(m, t) for m in members) for t in range(group.order)]
+        distinct = len(set(orbit))
+        if distinct < group.order:
+            raise ValueError(f"base block {bb!r} has a short orbit ({distinct} of {group.order} translates)")
+        blocks.extend(orbit)
     return Design.from_blocks(group.order, blocks)
 
 
-def difference_coverage(base: Sequence[BaseBlock], group: GroupSpec) -> Counter:
+def _coverage(base: Sequence[BaseBlock], group: AbelianGroup) -> Counter:
+    """The signed differences of ``difference_coverage``, as points."""
+    coverage: Counter = Counter()
+    for bb in base:
+        for a, b in permutations(_members(bb, group), 2):
+            coverage[group.add(a, b, -1)] += 1
+    return coverage
+
+
+def difference_coverage(base: Sequence[BaseBlock], group: AbelianGroup) -> Counter:
     """Multiset of all 6*len(base) signed pairwise differences.
 
     Development yields a Steiner triple system iff this hits every nonzero
     group element exactly once.
     """
-    coverage: Counter = Counter()
-    for bb in base:
-        members = _canon_members(bb, group)
-        for a, b in permutations(members, 2):
-            coverage[group.sub(a, b)] += 1
-    return coverage
+    return Counter({group.element(d): c for d, c in _coverage(base, group).items()})
 
 
-def coverage_is_exact(base: Sequence[BaseBlock], group: GroupSpec) -> bool:
+def coverage_is_exact(base: Sequence[BaseBlock], group: AbelianGroup) -> bool:
     """Whether the signed differences cover each nonzero element exactly once."""
-    coverage = difference_coverage(base, group)
+    coverage = _coverage(base, group)
     return len(coverage) == group.order - 1 and all(c == 1 for c in coverage.values())
 
 
-def residual_differences(base: Sequence[BaseBlock], group: GroupSpec) -> set:
+def _residual(base: Sequence[BaseBlock], group: AbelianGroup) -> set[int]:
+    """The points of ``residual_differences``."""
+    coverage = _coverage(base, group)
+    repeated = [d for d, c in coverage.items() if c > 1]
+    if repeated:
+        raise ValueError(
+            f"difference {group.element(min(repeated))!r} is covered more than once; coverage must be simple"
+        )
+    return set(range(1, group.order)) - coverage.keys()
+
+
+def residual_differences(base: Sequence[BaseBlock], group: AbelianGroup) -> set:
     """Nonzero group elements not covered by the starters' differences.
 
     Requires simple coverage (no element hit twice).
     """
-    coverage = difference_coverage(base, group)
-    repeated = sorted((e for e, c in coverage.items() if c > 1), key=group.index)
-    if repeated:
-        raise ValueError(f"difference {repeated[0]!r} is covered more than once; coverage must be simple")
-    return {e for e in group.elements() if e != group.zero and e not in coverage}
+    return {group.element(d) for d in _residual(base, group)}
 
 
-def complete_base_blocks(base: Sequence[BaseBlock], group: GroupSpec) -> list[BaseBlock]:
+def complete_base_blocks(base: Sequence[BaseBlock], group: AbelianGroup) -> list[BaseBlock]:
     """Starter blocks whose differences realise exactly the residual coverage.
 
     Candidates are blocks {0, d1, d1+d2}; each difference triple is reported
@@ -175,7 +159,7 @@ def complete_base_blocks(base: Sequence[BaseBlock], group: GroupSpec) -> list[Ba
     translates are never reported as distinct.  Returns [] when the given
     starters already cover everything; raises when no completion exists.
     """
-    residual = residual_differences(base, group)
+    residual = _residual(base, group)
     if not residual:
         return []
     if len(residual) % 6:
@@ -186,11 +170,11 @@ def complete_base_blocks(base: Sequence[BaseBlock], group: GroupSpec) -> list[Ba
             if d3 == d1:
                 continue
             diff_set = frozenset(
-                {d1, group.neg(d1), d3, group.neg(d3), group.sub(d3, d1), group.sub(d1, d3)}
+                {d1, group.add(0, d1, -1), d3, group.add(0, d3, -1), group.add(d3, d1, -1), group.add(d1, d3, -1)}
             )
             if len(diff_set) != 6 or not diff_set <= residual:
                 continue
-            rep = tuple(sorted((group.index(group.zero), group.index(d1), group.index(d3))))
+            rep = tuple(sorted((0, d1, d3)))
             if diff_set not in reps or rep < reps[diff_set]:
                 reps[diff_set] = rep
     candidates = sorted(reps.items(), key=lambda kv: kv[1])
@@ -198,7 +182,7 @@ def complete_base_blocks(base: Sequence[BaseBlock], group: GroupSpec) -> list[Ba
     def search(remaining: frozenset) -> list | None:
         if not remaining:
             return []
-        target = min(remaining, key=group.index)
+        target = min(remaining)
         for diff_set, rep in candidates:
             if target in diff_set and diff_set <= remaining:
                 rest = search(remaining - diff_set)
@@ -212,12 +196,8 @@ def complete_base_blocks(base: Sequence[BaseBlock], group: GroupSpec) -> list[Ba
     return [tuple(group.element(i) for i in rep) for rep in sorted(found)]
 
 
-def translate_apc(apc: AlmostParallelClass, t: GroupElement, group: GroupSpec) -> AlmostParallelClass:
+def translate_apc(apc: AlmostParallelClass, t: GroupElement, group: AbelianGroup) -> AlmostParallelClass:
     """Shift every block and the missed point by the group element t."""
-    t = group.canon(t)
-
-    def shift(idx: int) -> int:
-        return group.index(group.add(group.element(idx), t))
-
-    blocks = frozenset(canonical_block(shift(p) for p in blk) for blk in apc.blocks)
-    return AlmostParallelClass(blocks, shift(apc.missed))
+    t = group.index(t)
+    blocks = frozenset(canonical_block(group.add(p, t) for p in blk) for blk in apc.blocks)
+    return AlmostParallelClass(blocks, group.add(apc.missed, t))

@@ -111,7 +111,7 @@ class DesignDocument:
     def load(cls, path: os.PathLike | str) -> "DesignDocument":
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, nesting too deep
             raise DocumentError(f"not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
 

@@ -232,7 +232,7 @@ def exists_cover(inst: ExactCoverInstance, *, node_budget: Optional[int] = None)
     return bool(solve(inst, 1, node_budget=node_budget))
 
 
-def _first_partition(d: Design, points: set[int], node_budget: Optional[int] = None) -> Optional[frozenset]:
+def _first_partition(d: Design, points: set[int]) -> Optional[frozenset]:
     """The first set of d's blocks, in solver order, that partitions ``points``,
     or None.  Universe: ``points`` renumbered in increasing order; candidates:
     the blocks inside ``points``, in sorted order."""
@@ -241,7 +241,7 @@ def _first_partition(d: Design, points: set[int], node_budget: Optional[int] = N
     for blk in sorted(d.block_set):
         if points.issuperset(blk):
             candidates.append((blk, tuple(position[p] for p in blk)))
-    found = solve(ExactCoverInstance.build(len(points), candidates), 1, node_budget=node_budget)
+    found = solve(ExactCoverInstance.build(len(points), candidates), 1)
     return found[0].chosen if found else None
 
 
@@ -256,7 +256,7 @@ def find_apc(d: Design, missed: int) -> Optional[AlmostParallelClass]:
     return None if chosen is None else AlmostParallelClass(chosen, missed)
 
 
-def segment_partitionable(d: Design, segment: Iterable[int], *, node_budget: Optional[int] = None) -> bool:
+def segment_partitionable(d: Design, segment: Iterable[int]) -> bool:
     """Whether some set of d's blocks, each inside ``segment``, partitions it.
 
     Always False when the segment size is not a multiple of 3.
@@ -266,7 +266,7 @@ def segment_partitionable(d: Design, segment: Iterable[int], *, node_budget: Opt
         return False
     if len(seg) == 3:
         return tuple(sorted(seg)) in d.block_set
-    return _first_partition(d, seg, node_budget) is not None
+    return _first_partition(d, seg) is not None
 
 
 class SegmentOracle:

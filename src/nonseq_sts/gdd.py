@@ -3,11 +3,12 @@
 Every path constructs a triangle decomposition of a complete multipartite
 graph and is re-validated before it is returned; nothing is trusted.
 
-Direct ingredients: a transversal design from the cyclic Latin square
-z = x + y (td3), the Bose triples over an idempotent commutative
+Direct ingredients: the Bose triples over an idempotent commutative
 quasigroup (type 3^u, odd u), and Wilson-style inflation replacing every
-point by w points and every block by a td3(w) copy.  Anything the direct
-routes do not reach (even group counts, mixed types) goes to Stinson's
+point by w points and every block by the w^2 blocks of the cyclic Latin
+square z = x + y mod w; td3(w) is a single block inflated by w.
+Anything the direct routes do not reach (even group counts, mixed
+types) goes to Stinson's
 live-point hill climb: each move costs O(1) and adds 0 or 3 covered cross
 pairs, and a hard cap on total moves turns a stuck seed into a
 BudgetExceededError, on which ``build_gdd`` retries the next seed.
@@ -83,12 +84,9 @@ def necessary_conditions(group_type: GroupType) -> ValidationReport:
 
 
 def td3(m: int) -> Gdd:
-    """Transversal design of type m^3 from the Latin square z = x + y mod m."""
-    if m < 1:
-        raise ValueError("td3 needs m >= 1")
-    blocks = [canonical_block((x, m + y, 2 * m + (x + y) % m)) for x in range(m) for y in range(m)]
-    groups = tuple(tuple(range(i * m, (i + 1) * m)) for i in range(3))
-    return Gdd(GroupType.of((m, 3)), groups, Design.from_blocks(3 * m, blocks))
+    """Transversal design of type m^3: the one-block GDD of type 1^3
+    inflated by m, so its blocks are the Latin square z = x + y mod m."""
+    return inflate(Gdd(GroupType.of((1, 3)), ((0,), (1,), (2,)), Design(3, ((0, 1, 2),))), m)
 
 
 def bose_gdd(u: int) -> Gdd:
@@ -133,7 +131,8 @@ def sts_as_gdd(d: Design) -> Gdd:
 
 def inflate(g: Gdd, w: int) -> Gdd:
     """Wilson weighting: point p becomes points p*w..p*w+w-1, and every
-    block becomes a td3(w) copy aligned on its three point groups."""
+    block {a, b, c} becomes the w^2 blocks (a*w + x, b*w + y, c*w + z) of
+    the Latin square z = x + y mod w."""
     if w < 1:
         raise ValueError("inflate needs w >= 1")
     blocks = []
@@ -346,7 +345,7 @@ def _cache_load(path: Path, group_type: GroupType) -> Optional[Gdd]:
             return None
         groups = tuple(tuple(int(p) for p in grp) for grp in data["groups"])
         gdd = Gdd(group_type, groups, Design.from_blocks(group_type.total_points, data["blocks"]), seed=seed)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError):
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return None
     if not validate_gdd(gdd):
         return None

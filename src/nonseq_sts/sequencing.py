@@ -137,7 +137,13 @@ def certify_nonsequenceable(
     d: Design, known: Optional[Mapping[int, AlmostParallelClass]] = None
 ) -> NonseqCertificate:
     """Search an almost parallel class missing each point; succeed when at
-    most one point lacks one.  Raises CertificationError otherwise.
+    most one point lacks one.  Raises CertificationError otherwise, naming
+    every point that lacks one.
+
+    A class missing x covers every other point.  So when n - 1 is not a
+    multiple of 3, or two points lie in no block, no point has one and
+    nothing is searched; when exactly one point lies in no block, only
+    that point is searched.
 
     ``known`` maps points to candidate classes, such as the entries of a
     parent design's certificate.  A candidate is kept only if it misses its
@@ -147,18 +153,21 @@ def certify_nonsequenceable(
     ``known``: only which valid class an entry holds may differ.
     """
     known = known or {}
+    blocked = {p for blk in d.blocks for p in blk}
+    unblocked = [p for p in range(d.n) if p not in blocked]
+    if (d.n - 1) % 3 or len(unblocked) > 1:
+        candidates = []
+    else:
+        candidates = unblocked or range(d.n)
     entries: dict[int, AlmostParallelClass] = {}
-    missing: list[int] = []
-    for point in range(d.n):
+    for point in candidates:
         apc = known.get(point)
         if apc is None or apc.missed != point or not verify_apc(d, apc):
             apc = find_apc(d, point)
-        if apc is None:
-            missing.append(point)
-        else:
+        if apc is not None:
             entries[point] = apc
     if len(entries) < d.n - 1:
-        raise CertificationError(missing)
+        raise CertificationError(p for p in range(d.n) if p not in entries)
     return NonseqCertificate(entries)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -113,13 +114,24 @@ class TestVerify:
         assert kv["CERTIFICATE"] == f"fail (entry {missed}: (0, 1, 2) is not a block of the design)"
         assert kv["VERDICT"] == "fail"
 
-    def test_truncated_json_exits_2(self, capsys, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": 1, "n": 13, "blo')
-        assert main(["verify", str(bad)]) == 2
-
     def test_missing_file_exits_2(self, capsys, tmp_path):
         assert main(["verify", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "certify", "sequence"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"schema": 1, "n": 13, "blo',
+            b"\xff\xfe" + '{"schema": 1}'.encode("utf-16-le"),
+            b"[" * 100000 + b"]" * 100000,
+        ],
+        ids=["truncated", "undecodable", "deeply-nested"],
+    )
+    def test_malformed_json_exits_2(self, capsys, tmp_path, command, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main([command, str(bad)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
 
     def test_broken_design_fails(self, capsys, tmp_path):
         doc = DesignDocument(Design.from_blocks(4, [(0, 1, 2), (0, 1, 3)]))
@@ -228,6 +240,22 @@ class TestCertify:
         assert kv["PSTS"].startswith("repeated-pair") and kv["VERDICT"] == "fail"
         assert "OUT" not in kv
         assert out.read_bytes() == before
+
+    def test_sparse_design_fails_without_a_search(self, capsys, tmp_path, monkeypatch):
+        # 99997 of the 100000 points lie in no block, so no point can have
+        # an almost parallel class, and none is searched for
+        from nonseq_sts import sequencing
+
+        calls = []
+        monkeypatch.setattr(sequencing, "find_apc", lambda d, point: calls.append(point))
+        path = tmp_path / "sparse.json"
+        path.write_text('{"schema": 1, "n": 100000, "blocks": [[0, 1, 2]]}')
+        started = time.perf_counter()
+        code, kv = run_cli(capsys, "certify", path)
+        assert time.perf_counter() - started < 10
+        assert code == 1 and kv["VERDICT"] == "fail"
+        assert kv["MISSING"] == " ".join(str(p) for p in range(100000))
+        assert calls == []
 
     def test_order7_lists_all_points(self, capsys, sts7_file):
         code, kv = run_cli(capsys, "certify", sts7_file, "--out", str(sts7_file) + ".out")

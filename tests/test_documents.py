@@ -124,8 +124,88 @@ def test_duplicate_certificate_entries_rejected(doc13):
         DesignDocument.from_dict(raw)
 
 
-def test_not_json(tmp_path):
+MALFORMED_FILES = {
+    "truncated": b'{"schema": 1, "n": 13',
+    # a UTF-16 byte order mark: the bytes are not UTF-8
+    "undecodable": b"\xff\xfe" + '{"schema": 1}'.encode("utf-16-le"),
+    # nested past the JSON decoder's recursion limit
+    "deeply nested": b"[" * 100000 + b"]" * 100000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_malformed_file_is_a_document_error(tmp_path, name):
     path = tmp_path / "broken.json"
-    path.write_text('{"schema": 1, "n": 13')
-    with pytest.raises(DocumentError):
+    path.write_bytes(MALFORMED_FILES[name])
+    with pytest.raises(DocumentError, match="not valid JSON"):
         DesignDocument.load(path)
+
+
+def fano_document() -> dict:
+    """A small valid document that uses every field."""
+    blocks = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (0, 4, 5), (1, 5, 6), (0, 2, 6)]
+    certificate = NonseqCertificate({0: AlmostParallelClass.from_blocks([(1, 2, 4), (3, 5, 6)], 0)})
+    doc = DesignDocument(Design.from_blocks(7, blocks), tuple("abcdefg"), certificate, "fano")
+    return doc.to_dict()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def containers(value):
+    if isinstance(value, (dict, list)):
+        yield value
+        for child in value.values() if isinstance(value, dict) else value:
+            yield from containers(child)
+
+
+@st.composite
+def mutated_documents(draw):
+    """The Fano document after one to four drawn edits, each deleting,
+    replacing or adding one entry of one of its objects or lists."""
+    doc = fano_document()
+    for _ in range(draw(st.integers(1, 4))):
+        nodes = list(containers(doc))
+        node = nodes[draw(st.integers(0, len(nodes) - 1))]
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        action = draw(st.sampled_from(["delete", "replace", "add"] if keys else ["add"]))
+        if action == "add":
+            if isinstance(node, dict):
+                field = st.sampled_from(["schema", "n", "blocks", "labels", "certificate", "missed", "provenance"])
+                node[draw(field | st.text(max_size=4))] = draw(json_values)
+            else:
+                node.append(draw(json_values))
+        else:
+            key = draw(st.sampled_from(keys))
+            if action == "delete":
+                del node[key]
+            else:
+                node[key] = draw(json_values)
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_documents())
+def test_mutated_dicts_load_or_raise_document_error(raw):
+    try:
+        DesignDocument.from_dict(raw)
+    except DocumentError:
+        pass
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutated_documents(), st.data())
+def test_mutated_files_load_or_raise_document_error(tmp_path_factory, raw, data):
+    text = json.dumps(raw).encode("utf-8")
+    start = data.draw(st.integers(0, len(text)))
+    stop = data.draw(st.integers(start, len(text)))
+    path = tmp_path_factory.mktemp("docs") / "mutated.json"
+    path.write_bytes(text[:start] + data.draw(st.binary(max_size=4)) + text[stop:])
+    try:
+        DesignDocument.load(path)
+    except DocumentError:
+        pass

@@ -40,6 +40,12 @@ class TestTd3:
         assert validate_gdd(g).ok
         assert 3 * g.design.size == cross_pair_count(g)
 
+    @pytest.mark.parametrize("m", [1, 2, 5, 12])
+    def test_is_the_latin_square_z_equals_x_plus_y(self, m):
+        g = td3(m)
+        assert set(g.design.blocks) == {(x, m + y, 2 * m + (x + y) % m) for x in range(m) for y in range(m)}
+        assert g.groups == tuple(tuple(range(i * m, (i + 1) * m)) for i in range(3))
+
     def test_m_zero_rejected(self):
         with pytest.raises(ValueError):
             td3(0)
@@ -301,8 +307,9 @@ class TestBuildGdd:
         gt = GroupType.of((12, 4))
         build_gdd(GddRequest(gt), cache_dir=tmp_path)
         path = tmp_path / "3-12^4-seed0.json"
-        path.write_text("{ not json", encoding="utf-8")
-        assert validate_gdd(build_gdd(GddRequest(gt), cache_dir=tmp_path)).ok
+        for text in ("{ not json", "[" * 100000 + "]" * 100000):
+            path.write_text(text, encoding="utf-8")
+            assert validate_gdd(build_gdd(GddRequest(gt), cache_dir=tmp_path)).ok
         # invalid-but-parseable payloads are also ignored
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["blocks"] = payload["blocks"][:-1]

@@ -14,11 +14,13 @@ from nonseq_sts import (
     Design,
     SegmentPolicy,
     base_case,
+    bose_sts,
     certified_psts,
     certified_sts,
     certify_nonsequenceable,
     explain_nonsequenceable,
     find_admissible_sequence,
+    find_apc,
     is_admissible,
     segment_partitionable,
     verify_apc,
@@ -206,6 +208,52 @@ class TestCertify:
         cert = certify_nonsequenceable(d)
         assert len(cert) == 12
         assert verify_certificate(d, cert)
+
+    def test_bose_order9_lists_every_point(self):
+        with pytest.raises(CertificationError) as exc:
+            certify_nonsequenceable(bose_sts(9))
+        assert exc.value.missing == tuple(range(9))
+
+    def test_one_point_in_no_block_is_the_only_one_searched(self, monkeypatch):
+        from nonseq_sts import sequencing
+
+        calls = []
+
+        def spy(d, point):
+            calls.append(point)
+            return find_apc(d, point)
+
+        monkeypatch.setattr(sequencing, "find_apc", spy)
+        with pytest.raises(CertificationError) as exc:
+            certify_nonsequenceable(Design.from_blocks(7, [(0, 1, 2), (3, 4, 5)]))
+        assert calls == [6]
+        assert exc.value.missing == (0, 1, 2, 3, 4, 5)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_agrees_with_a_search_for_every_point(self, data):
+        """Drawn partial systems: subsets of the order-13 starter system, or
+        greedy ones on up to 13 points."""
+        if data.draw(st.booleans()):
+            n = 13
+            blocks = data.draw(st.lists(st.sampled_from(base_case(13).design.blocks), unique=True))
+        else:
+            n = data.draw(st.integers(0, 13))
+            blocks, pairs = [], set()
+            triple = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True).map(sorted)
+            for blk in data.draw(st.lists(triple, max_size=30)) if n >= 3 else []:
+                bp = {(blk[0], blk[1]), (blk[0], blk[2]), (blk[1], blk[2])}
+                if not pairs & bp:
+                    pairs |= bp
+                    blocks.append(blk)
+        d = Design.from_blocks(n, blocks)
+        missing = tuple(x for x in range(n) if find_apc(d, x) is None)
+        if len(missing) <= 1:
+            assert set(certify_nonsequenceable(d).entries) == set(range(n)) - set(missing)
+        else:
+            with pytest.raises(CertificationError) as exc:
+                certify_nonsequenceable(d)
+            assert exc.value.missing == missing
 
 
 def removal_design(n: int, a: int, x0: int = 0):
