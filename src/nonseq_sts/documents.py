@@ -63,10 +63,12 @@ class DesignDocument:
     def from_dict(cls, doc: dict) -> "DesignDocument":
         if not isinstance(doc, dict):
             raise DocumentError("document must be a JSON object")
-        if doc.get("schema") != SCHEMA_VERSION:
-            raise DocumentError(f"unsupported schema version {doc.get('schema')!r}")
+        # ``type(x) is int`` throughout: JSON true/false load as bool, an int
+        # subclass, and 1.0 compares equal to 1.
+        schema = doc.get("schema")
+        if type(schema) is not int or schema != SCHEMA_VERSION:
+            raise DocumentError(f"unsupported schema version {schema!r}")
         n = doc.get("n")
-        # ``type(x) is int`` throughout: JSON true/false load as bool, an int subclass.
         if type(n) is not int or n < 0:
             raise DocumentError(f"'n' must be a nonnegative integer, got {n!r}")
         design = Design(n, tuple(_read_block(blk, n) for blk in _read_list(doc, "blocks")))

@@ -13,7 +13,8 @@ list is therefore reproducible.
 
 Two engines, one job each.  Every one-off partition question (an almost
 parallel class for ``find_apc``, one segment for ``segment_partitionable``
-and through it ``is_admissible``) builds a fresh dancing-links instance,
+and through it ``is_admissible``, a point's complement for the sequence
+search's endpoint filter) builds a fresh dancing-links instance,
 so its memory is bounded by the design.  ``SegmentOracle`` memoises
 bitmask decisions and serves only the sequence search, which asks about
 the same short segments millions of times.
@@ -176,6 +177,11 @@ def solve(inst: ExactCoverInstance, limit: int, *, node_budget: Optional[int] = 
     BudgetExceededError if more than ``node_budget`` rows are applied
     before the search finishes.
     """
+    return _solve(inst, limit, node_budget)[0]
+
+
+def _solve(inst: ExactCoverInstance, limit: int, node_budget: Optional[int]) -> tuple[list[ExactCoverSolution], int]:
+    """``solve``, also returning the number of rows it applied."""
     if limit < 1:
         raise ValueError("limit must be at least 1")
     matrix = _Matrix(inst)
@@ -190,7 +196,7 @@ def solve(inst: ExactCoverInstance, limit: int, *, node_budget: Optional[int] = 
             if header.right is header:
                 solutions.append(ExactCoverSolution(frozenset(nd.row_id for nd in partial)))
                 if len(solutions) >= limit or not stack:
-                    return solutions
+                    return solutions, nodes
                 backtracking = True
                 continue
             column = matrix.choose_column()
@@ -199,7 +205,7 @@ def solve(inst: ExactCoverInstance, limit: int, *, node_budget: Optional[int] = 
             backtracking = True
             continue
         if not stack:
-            return solutions
+            return solutions, nodes
         frame = stack[-1]
         column, row = frame
         if row is not column:
@@ -232,17 +238,20 @@ def exists_cover(inst: ExactCoverInstance, *, node_budget: Optional[int] = None)
     return bool(solve(inst, 1, node_budget=node_budget))
 
 
-def _first_partition(d: Design, points: set[int]) -> Optional[frozenset]:
+def _first_partition(
+    d: Design, points: set[int], node_budget: Optional[int] = None
+) -> tuple[Optional[frozenset], int]:
     """The first set of d's blocks, in solver order, that partitions ``points``,
-    or None.  Universe: ``points`` renumbered in increasing order; candidates:
-    the blocks inside ``points``, in sorted order."""
+    or None; and the rows the search applied.  Universe: ``points`` renumbered
+    in increasing order; candidates: the blocks inside ``points``, in sorted
+    order.  Raises BudgetExceededError past ``node_budget`` rows."""
     position = {p: i for i, p in enumerate(sorted(points))}
     candidates = []
     for blk in sorted(d.block_set):
         if points.issuperset(blk):
             candidates.append((blk, tuple(position[p] for p in blk)))
-    found = solve(ExactCoverInstance.build(len(points), candidates), 1)
-    return found[0].chosen if found else None
+    found, nodes = _solve(ExactCoverInstance.build(len(points), candidates), 1, node_budget)
+    return (found[0].chosen if found else None), nodes
 
 
 def find_apc(d: Design, missed: int) -> Optional[AlmostParallelClass]:
@@ -252,7 +261,7 @@ def find_apc(d: Design, missed: int) -> Optional[AlmostParallelClass]:
     """
     if not 0 <= missed < d.n:
         raise ValueError(f"missed point {missed} outside 0..{d.n - 1}")
-    chosen = _first_partition(d, set(range(d.n)) - {missed})
+    chosen, _ = _first_partition(d, set(range(d.n)) - {missed})
     return None if chosen is None else AlmostParallelClass(chosen, missed)
 
 
@@ -266,7 +275,7 @@ def segment_partitionable(d: Design, segment: Iterable[int]) -> bool:
         return False
     if len(seg) == 3:
         return tuple(sorted(seg)) in d.block_set
-    return _first_partition(d, seg) is not None
+    return _first_partition(d, seg)[0] is not None
 
 
 class SegmentOracle:

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Mapping, Optional, Sequence
 
 from .designs import AlmostParallelClass, Design, NonseqCertificate, verify_apc
-from .exact_cover import BudgetExceededError, SegmentOracle, find_apc, segment_partitionable
+from .exact_cover import BudgetExceededError, SegmentOracle, _first_partition, find_apc, segment_partitionable
 
 
 class SegmentPolicy(Enum):
@@ -71,55 +71,88 @@ def find_admissible_sequence(
 
     A prefix is pruned as soon as some segment ending at its last point is
     partitionable; that segment stays a proper segment in every
-    completion.  Returns None only after the whole tree is exhausted;
-    raises BudgetExceededError after ``node_budget`` prefix extensions.
+    completion.  Three more prunings hold under both policies, because each
+    asks only about a proper prefix or a proper suffix:
+
+    - endpoint filter: when 3 divides n - 1, a point whose complement is
+      partitionable can be neither first nor last.  These n one-off
+      questions go to dancing links, as ``find_apc`` does;
+    - complement lookahead: once t >= 2 points are placed and 3 divides
+      n - t, the unplaced points are a proper suffix of every completion,
+      so the prefix is pruned if they are partitionable;
+    - reversal symmetry: both policies are closed under reversal, so only
+      sequences whose first point is below their last are searched.
+
+    Together they ask every proper suffix before a sequence is complete,
+    so the last point needs no check.  Returns None only after the whole
+    tree is exhausted; raises BudgetExceededError after ``node_budget``
+    nodes, counting prefix extensions and dancing-links rows alike.
 
     Segment contents are tracked as prefix bitmasks, so each check is one
     subtraction plus a memoized partition decision.
     """
     n = d.n
+    if n <= 1:
+        return tuple(range(n))
+    nodes = 0
+
+    def over_budget() -> BudgetExceededError:
+        return BudgetExceededError(
+            f"sequence search exceeded its budget of {node_budget} nodes", used=node_budget, budget=node_budget
+        )
+
+    full = (1 << n) - 1
+    ends = full  # points that may be first or last
+    if (n - 1) % 3 == 0:
+        points = set(range(n))
+        for x in range(n):
+            try:
+                chosen, used = _first_partition(d, points - {x}, node_budget - nodes)
+            except BudgetExceededError:
+                raise over_budget() from None
+            nodes += used
+            if chosen is not None:
+                ends &= ~(1 << x)
     oracle = SegmentOracle(d)
     solve = oracle.mask_partitionable
     all_intervals = policy is SegmentPolicy.ALL_INTERVALS
     prefix: list[int] = []
     pmask: list[int] = [0]  # pmask[j] = bitmask of prefix[:j]
-    nodes = 0
+    lasts = 0  # once the first point is placed: the endpoints above it
 
     def extend() -> bool:
-        nonlocal nodes
+        nonlocal nodes, lasts
         t1 = len(prefix) + 1
-        done = t1 == n
         base = pmask[-1]
         for p in range(n):
             bit = 1 << p
             if base & bit:
                 continue
+            m1 = base | bit
+            if t1 == 1:
+                lasts = ends & -(bit << 1)  # -(bit << 1) masks the points above p
+                if not ends & bit or not lasts:
+                    continue
+            elif t1 < n and not lasts & ~m1:
+                continue  # the last place needs a free endpoint above the first
             nodes += 1
             if nodes > node_budget:
-                raise BudgetExceededError(
-                    f"sequence search exceeded its budget of {node_budget} nodes", used=node_budget, budget=node_budget
-                )
-            m1 = base | bit
+                raise over_budget()
+            if t1 == n:  # p is in lasts, and every proper suffix has been asked
+                prefix.append(p)
+                return True
             # segments ending at the new point, shortest first
             ok = True
             if all_intervals:
                 for i in range(t1 - 3, -1, -3):
-                    if i == 0 and done:
-                        continue  # the whole sequence is not a proper segment
                     if solve(m1 - pmask[i]):
                         ok = False
                         break
-            elif not done:
-                ok = t1 % 3 != 0 or not solve(m1)  # proper prefix
-            else:
-                for i in range(t1 - 3, 0, -3):  # proper suffixes, at completion
-                    if solve(m1 - pmask[i]):
-                        ok = False
-                        break
+            elif t1 % 3 == 0:
+                ok = not solve(m1)  # proper prefix
+            if ok and t1 > 1 and (n - t1) % 3 == 0:
+                ok = not solve(full - m1)  # proper suffix of every completion
             if ok:
-                if done:
-                    prefix.append(p)
-                    return True
                 prefix.append(p)
                 pmask.append(m1)
                 if extend():
@@ -128,7 +161,7 @@ def find_admissible_sequence(
                 pmask.pop()
         return False
 
-    if n == 0 or extend():
+    if extend():
         return tuple(prefix)
     return None
 

@@ -82,17 +82,53 @@ def brute_force_apcs(n: int, blocks, missed: int) -> list[tuple]:
     return found
 
 
-def admissible_by_enumeration(n: int, blocks, seq, all_intervals: bool = True) -> bool:
-    """Admissibility via the subset-enumeration partition oracle."""
+def admissible_by_enumeration(n: int, blocks, seq, all_intervals: bool = True, memo=None) -> bool:
+    """Admissibility via the subset-enumeration partition oracle.  ``memo``,
+    a dict kept across calls on the same blocks, holds each point set's
+    verdict, so trying every permutation enumerates each set once."""
+    memo = {} if memo is None else memo
     seq = list(seq)
-    segments = []
     for i in range(n):
         for j in range(i, n):
-            if j - i + 1 == n:
+            if j - i + 1 == n or not (all_intervals or i == 0 or j == n - 1):
                 continue
-            if all_intervals or i == 0 or j == n - 1:
-                segments.append(seq[i : j + 1])
-    return not any(partitionable_by_enumeration(blocks, seg) for seg in segments)
+            if _partitionable_memoised(blocks, seq[i : j + 1], memo):
+                return False
+    return True
+
+
+def _partitionable_memoised(blocks, segment, memo: dict) -> bool:
+    key = frozenset(segment)
+    if key not in memo:
+        memo[key] = partitionable_by_enumeration(blocks, key)
+    return memo[key]
+
+
+def plain_sequence_search(n: int, blocks, all_intervals: bool = True):
+    """The first admissible sequence in lexicographic order, or None, by
+    plain backtracking: extend a prefix one point at a time, drop it when a
+    proper segment ending at the new point is partitionable, and check the
+    proper suffixes once the sequence is complete.  No endpoint filter,
+    lookahead or symmetry."""
+    memo: dict = {}
+    seq: list[int] = []
+
+    def extend() -> bool:
+        t = len(seq)
+        if t == n:
+            return not any(_partitionable_memoised(blocks, seq[i:], memo) for i in range(1, n))
+        for p in range(n):
+            if p in seq:
+                continue
+            seq.append(p)
+            starts = range(t + 1) if all_intervals else (0,)
+            proper = (i for i in starts if t + 1 - i < n)
+            if not any(_partitionable_memoised(blocks, seq[i:], memo) for i in proper) and extend():
+                return True
+            seq.pop()
+        return False
+
+    return tuple(seq) if extend() else None
 
 
 def pair_count_verdicts(n: int, blocks, groups) -> tuple[bool, bool, bool]:

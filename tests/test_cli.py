@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import nonseq_sts
+from nonseq_sts import SegmentPolicy, base_case
 from nonseq_sts.cli import main
 from nonseq_sts.documents import DesignDocument
 from nonseq_sts.designs import Design
@@ -133,6 +134,14 @@ class TestVerify:
         assert main([command, str(bad)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "certify", "sequence"])
+    @pytest.mark.parametrize("schema", [True, 1.0], ids=["true", "float"])
+    def test_schema_that_is_not_the_integer_1_exits_2(self, capsys, tmp_path, command, schema):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema": schema, "n": 3, "blocks": [[0, 1, 2]]}))
+        assert main([command, str(bad)]) == 2
+        assert "unsupported schema version" in capsys.readouterr().err
+
     def test_broken_design_fails(self, capsys, tmp_path):
         doc = DesignDocument(Design.from_blocks(4, [(0, 1, 2), (0, 1, 3)]))
         path = tmp_path / "broken.json"
@@ -174,6 +183,15 @@ class TestSequence:
         blocks = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
         DesignDocument(Design.from_blocks(4, blocks)).save(path)
         code, kv = run_cli(capsys, "sequence", path)
+        assert code == 3
+        assert kv["RESULT"] == "NONE (exhausted)"
+
+    @pytest.mark.parametrize("policy", [pol.value for pol in SegmentPolicy])
+    def test_certified_design_is_exhausted(self, capsys, tmp_path, policy):
+        path = tmp_path / "base-13.json"
+        built = base_case(13)
+        DesignDocument(built.design, certificate=built.certificate).save(path)
+        code, kv = run_cli(capsys, "sequence", path, "--policy", policy)
         assert code == 3
         assert kv["RESULT"] == "NONE (exhausted)"
 

@@ -108,6 +108,8 @@ def test_blocks_stored_sorted(tmp_path, doc13):
         lambda d: d.update(n=True, blocks=[], certificate=[]),
         lambda d: d["certificate"][1].update(missed=True),
         lambda d: d["blocks"].append([True, 0, 2]),
+        lambda d: d.update(schema=True),
+        lambda d: d.update(schema=1.0),
     ],
 )
 def test_structural_errors(doc13, mutate):

@@ -1,10 +1,11 @@
 """Admissibility, exhaustive sequencing, certification, explanations."""
 
 import random
-from itertools import permutations
+import time
+from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonseq_sts import (
@@ -27,7 +28,8 @@ from nonseq_sts import (
     verify_certificate,
 )
 
-from oracles import admissible_by_enumeration
+from nonseq_sts.exact_cover import _first_partition
+from oracles import admissible_by_enumeration, plain_sequence_search
 from reference_systems import STS7_BLOCKS
 
 BOTH_POLICIES = (SegmentPolicy.ALL_INTERVALS, SegmentPolicy.PREFIXES_AND_SUFFIXES)
@@ -104,6 +106,28 @@ class TestIsAdmissible:
         assert not is_admissible(d, seq)
 
 
+@st.composite
+def small_designs(draw, max_n: int = 8):
+    """(n, blocks) on up to ``max_n`` points: a greedy partial system, or a
+    sparse or dense set of distinct triples (the dense ones give most of
+    the designs with no admissible sequence)."""
+    n = draw(st.integers(0, max_n))
+    triples = list(combinations(range(n), 3))
+    drawn = draw(st.lists(st.sampled_from(triples), unique=True)) if triples else []
+    kind = draw(st.sampled_from(["partial", "sparse", "dense"]))
+    if kind == "sparse":
+        return n, drawn
+    if kind == "dense":
+        return n, [blk for blk in triples if blk not in drawn]
+    blocks, pairs = [], set()
+    for blk in drawn:
+        bp = set(combinations(blk, 2))
+        if not pairs & bp:
+            pairs |= bp
+            blocks.append(blk)
+    return n, blocks
+
+
 class TestFindAdmissibleSequence:
     def test_order7_has_a_sequence(self, sts7):
         seq = find_admissible_sequence(sts7)
@@ -129,41 +153,58 @@ class TestFindAdmissibleSequence:
         seq = find_admissible_sequence(sts7, policy)
         assert is_admissible(sts7, seq, policy)
 
-    def test_agrees_with_factorial_brute_force(self):
-        """On tiny designs the searcher matches trying every permutation
-        against the subset-enumeration oracle."""
-        rng = random.Random(4242)
-        cases = []
-        for _ in range(8):
-            n = rng.randint(5, 7)
-            blocks = []
-            pairs = set()
-            for _ in range(rng.randint(1, 6)):
-                blk = tuple(sorted(rng.sample(range(n), 3)))
-                bp = {(blk[0], blk[1]), (blk[0], blk[2]), (blk[1], blk[2])}
-                if pairs & bp:
-                    continue
-                pairs |= bp
-                blocks.append(blk)
-            cases.append((n, blocks))
-        # fixed larger designs, up to 9 points and 6 blocks
-        cases.append((8, [(0, 1, 2), (3, 4, 5), (0, 3, 6), (1, 4, 7), (2, 5, 6)]))
-        cases.append((9, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8)]))
-        for n, blocks in cases:
-            d = Design.from_blocks(n, blocks)
-            got = find_admissible_sequence(d)
-            oracle_hit = None
-            for perm in permutations(range(n)):
-                if admissible_by_enumeration(n, blocks, perm):
-                    oracle_hit = perm
-                    break
-            assert (got is not None) == (oracle_hit is not None)
-            if got is not None:
-                assert admissible_by_enumeration(n, blocks, got)
+    @pytest.mark.parametrize("policy", BOTH_POLICIES)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(design=small_designs())
+    @example(design=(8, [(0, 1, 2), (3, 4, 5), (0, 3, 6), (1, 4, 7), (2, 5, 6)]))
+    @example(design=(9, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8)]))
+    def test_agrees_with_every_permutation_and_the_plain_search(self, policy, design):
+        """The pruned search finds a sequence exactly when some permutation
+        is admissible, and exactly when the plain backtracking search does;
+        what it returns is admissible and starts below its end."""
+        n, blocks = design
+        all_intervals = policy is SegmentPolicy.ALL_INTERVALS
+        d = Design.from_blocks(n, blocks)
+        got = find_admissible_sequence(d, policy)
+        memo: dict = {}
+        exists = any(admissible_by_enumeration(n, d.blocks, perm, all_intervals, memo) for perm in permutations(range(n)))
+        assert (got is not None) == exists
+        assert (plain_sequence_search(n, d.blocks, all_intervals) is not None) == exists
+        if got is not None:
+            assert admissible_by_enumeration(n, d.blocks, got, all_intervals)
+            assert is_admissible(d, got, policy)
+            assert n < 2 or got[0] < got[-1]
 
     def test_all_triples_on_four_points_is_exhausted(self):
         d = Design.from_blocks(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
         assert find_admissible_sequence(d) is None
+
+    @pytest.mark.parametrize("policy", BOTH_POLICIES)
+    @pytest.mark.parametrize("n", [13, 19, 25])
+    def test_certified_starter_systems_are_decided(self, n, policy):
+        """Every point's complement is partitionable, so the endpoint filter
+        leaves no first point.  Without the prunings, the search used up 3
+        million nodes on order 13 without a verdict."""
+        assert find_admissible_sequence(base_case(n).design, policy, node_budget=2000) is None
+
+    def test_endpoint_filter_rows_count_against_the_budget(self):
+        d = base_case(13).design
+        rows = sum(_first_partition(d, set(range(13)) - {x})[1] for x in range(13))
+        assert find_admissible_sequence(d, node_budget=rows) is None
+        with pytest.raises(BudgetExceededError) as info:
+            find_admissible_sequence(d, node_budget=rows - 1)
+        assert (info.value.used, info.value.budget) == (rows - 1, rows - 1)
+
+    def test_order109_is_bounded(self):
+        """A few endpoint questions on the certified STS(109) take
+        dancing links tens of seconds each; the budget cuts them short."""
+        d = certified_sts(109).design
+        start = time.monotonic()
+        try:
+            assert find_admissible_sequence(d, node_budget=50_000) is None
+        except BudgetExceededError as exc:
+            assert (exc.used, exc.budget) == (50_000, 50_000)
+        assert time.monotonic() - start < 60
 
 
 def test_no_certifiable_design_below_order_13():
