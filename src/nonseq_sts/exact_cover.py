@@ -14,18 +14,26 @@ list is therefore reproducible.
 Two engines, one job each.  Every one-off partition question (an almost
 parallel class for ``find_apc``, one segment for ``segment_partitionable``
 and through it ``is_admissible``, a point's complement for the sequence
-search's endpoint filter) builds a fresh dancing-links instance,
-so its memory is bounded by the design.  ``SegmentOracle`` memoises
-bitmask decisions and serves only the sequence search, which asks about
-the same short segments millions of times.
+search's endpoint filter) runs on one dancing-links matrix per design:
+columns 0..n-1, one row per block in sorted order, linked on the first
+question and freed with the design.  A question covers every column
+outside its point set, which removes exactly the blocks that leave it,
+searches, and uncovers those columns in reverse; the search unwinds its
+own levels on every exit, so the matrix is always left as it was found.
+Each question holds the matrix's lock, so concurrent questions on one
+design wait for each other.  Memory stays bounded by the design.
+``SegmentOracle`` memoises bitmask decisions and serves only the sequence
+search, which asks about the same short segments millions of times.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, Optional
 
-from .designs import AlmostParallelClass, Design
+from .designs import AlmostParallelClass, Design, canonical_block
 
 
 class BudgetExceededError(RuntimeError):
@@ -98,23 +106,25 @@ class _Column(_Node):
 
 
 class _Matrix:
-    """Sparse 0/1 matrix as circular doubly-linked lists."""
+    """Sparse 0/1 matrix as circular doubly-linked lists: columns
+    0..universe_size-1, then one row per candidate, in the given order."""
 
-    def __init__(self, inst: ExactCoverInstance):
+    def __init__(self, universe_size: int, candidates: Iterable[tuple[Hashable, Iterable[int]]]):
         self.header = _Column(-1)
         self.columns = []
+        self.lock = threading.Lock()  # held by each question on a shared matrix
         prev: _Node = self.header
-        for i in range(inst.universe_size):
+        for i in range(universe_size):
             col = _Column(i)
             col.left, col.right = prev, self.header
             prev.right = col
             self.header.left = col
             self.columns.append(col)
             prev = col
-        for cand_id, subset in inst.candidates:
+        for cand_id, subset in candidates:
             self._add_row(cand_id, subset)
 
-    def _add_row(self, row_id: Hashable, subset: tuple[int, ...]) -> None:
+    def _add_row(self, row_id: Hashable, subset: Iterable[int]) -> None:
         first = None
         for e in subset:
             col = self.columns[e]
@@ -169,6 +179,66 @@ class _Matrix:
         col.right.left = col
         col.left.right = col
 
+    def search(self, limit: int, node_budget: Optional[int]) -> tuple[list[frozenset], int]:
+        """Algorithm X over the uncovered columns: up to ``limit`` covers, as
+        sets of row ids in search order, and the number of rows applied.
+
+        Raises BudgetExceededError past ``node_budget`` rows.  On every
+        exit, by return or by exception, the levels still open are unwound,
+        so the matrix is left as it was found.
+        """
+        header = self.header
+        solutions: list[frozenset] = []
+        columns: list[_Column] = []  # the column covered at each open level
+        rows: list[_Node] = []  # the row applied at each level that has one
+        nodes = 0
+        try:
+            while True:
+                if header.right is header:
+                    solutions.append(frozenset(row.row_id for row in rows))
+                    if len(solutions) >= limit:
+                        return solutions, nodes
+                else:
+                    column = self.choose_column()
+                    self.cover(column)
+                    columns.append(column)
+                while True:  # the deepest open level moves to its next row
+                    if not columns:
+                        return solutions, nodes
+                    column = columns[-1]
+                    row = rows.pop() if len(rows) == len(columns) else column
+                    if row is not column:
+                        self._withdraw(row)
+                    row = row.down
+                    if row is not column:
+                        break
+                    self.uncover(column)
+                    columns.pop()
+                nodes += 1
+                if node_budget is not None and nodes > node_budget:
+                    raise BudgetExceededError(
+                        f"exact-cover search exceeded its budget of {node_budget} nodes",
+                        used=node_budget,
+                        budget=node_budget,
+                    )
+                rows.append(row)
+                node = row.right
+                while node is not row:
+                    self.cover(node.column)
+                    node = node.right
+        finally:
+            while columns:
+                if len(rows) == len(columns):
+                    self._withdraw(rows.pop())
+                self.uncover(columns.pop())
+
+    def _withdraw(self, row: _Node) -> None:
+        """Undo applying ``row``: uncover its other columns in reverse."""
+        node = row.left
+        while node is not row:
+            self.uncover(node.column)
+            node = node.left
+
 
 def solve(inst: ExactCoverInstance, limit: int, *, node_budget: Optional[int] = None) -> list[ExactCoverSolution]:
     """Find up to ``limit`` exact covers, in deterministic search order.
@@ -177,60 +247,10 @@ def solve(inst: ExactCoverInstance, limit: int, *, node_budget: Optional[int] = 
     BudgetExceededError if more than ``node_budget`` rows are applied
     before the search finishes.
     """
-    return _solve(inst, limit, node_budget)[0]
-
-
-def _solve(inst: ExactCoverInstance, limit: int, node_budget: Optional[int]) -> tuple[list[ExactCoverSolution], int]:
-    """``solve``, also returning the number of rows it applied."""
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    matrix = _Matrix(inst)
-    header = matrix.header
-    solutions: list[ExactCoverSolution] = []
-    partial: list[_Node] = []
-    stack: list[list] = []  # frames [column, row]; row == column means "before first row"
-    nodes = 0
-    backtracking = False
-    while True:
-        if not backtracking:
-            if header.right is header:
-                solutions.append(ExactCoverSolution(frozenset(nd.row_id for nd in partial)))
-                if len(solutions) >= limit or not stack:
-                    return solutions, nodes
-                backtracking = True
-                continue
-            column = matrix.choose_column()
-            matrix.cover(column)
-            stack.append([column, column])
-            backtracking = True
-            continue
-        if not stack:
-            return solutions, nodes
-        frame = stack[-1]
-        column, row = frame
-        if row is not column:
-            node = row.left
-            while node is not row:
-                matrix.uncover(node.column)
-                node = node.left
-            partial.pop()
-        row = row.down
-        frame[1] = row
-        if row is column:
-            matrix.uncover(column)
-            stack.pop()
-            continue
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise BudgetExceededError(
-                f"exact-cover search exceeded its budget of {node_budget} nodes", used=node_budget, budget=node_budget
-            )
-        partial.append(row)
-        node = row.right
-        while node is not row:
-            matrix.cover(node.column)
-            node = node.right
-        backtracking = False
+    found, _ = _Matrix(inst.universe_size, inst.candidates).search(limit, node_budget)
+    return [ExactCoverSolution(chosen) for chosen in found]
 
 
 def exists_cover(inst: ExactCoverInstance, *, node_budget: Optional[int] = None) -> bool:
@@ -238,20 +258,48 @@ def exists_cover(inst: ExactCoverInstance, *, node_budget: Optional[int] = None)
     return bool(solve(inst, 1, node_budget=node_budget))
 
 
+# One linked matrix per live design: columns 0..n-1, rows sorted(block_set).
+_design_matrices: "weakref.WeakKeyDictionary[Design, _Matrix]" = weakref.WeakKeyDictionary()
+
+
+def _design_matrix(d: Design) -> _Matrix:
+    matrix = _design_matrices.get(d)
+    if matrix is None:
+        n = d.n
+        rows = []
+        for blk in sorted(d.block_set):
+            if 0 <= blk[0] and blk[-1] < n:  # no question can use a block outside the points
+                blk = canonical_block(blk)
+                rows.append((blk, blk))
+        matrix = _design_matrices.setdefault(d, _Matrix(n, rows))
+    return matrix
+
+
 def _first_partition(
     d: Design, points: set[int], node_budget: Optional[int] = None
 ) -> tuple[Optional[frozenset], int]:
     """The first set of d's blocks, in solver order, that partitions ``points``,
-    or None; and the rows the search applied.  Universe: ``points`` renumbered
-    in increasing order; candidates: the blocks inside ``points``, in sorted
-    order.  Raises BudgetExceededError past ``node_budget`` rows."""
-    position = {p: i for i, p in enumerate(sorted(points))}
-    candidates = []
-    for blk in sorted(d.block_set):
-        if points.issuperset(blk):
-            candidates.append((blk, tuple(position[p] for p in blk)))
-    found, nodes = _solve(ExactCoverInstance.build(len(points), candidates), 1, node_budget)
-    return (found[0].chosen if found else None), nodes
+    or None; and the rows the search applied.  Raises BudgetExceededError
+    past ``node_budget`` rows.
+
+    The question runs on the design's shared matrix with every column
+    outside ``points`` covered.  That removes exactly the blocks that leave
+    ``points`` and keeps the order of the rest, so the search is the one a
+    fresh instance of ``points`` and the blocks inside it would run."""
+    n = d.n
+    if any(not 0 <= p < n for p in points):
+        return None, 0  # no block covers the stray point
+    matrix = _design_matrix(d)
+    outside = [col for col in matrix.columns if col.index not in points]
+    with matrix.lock:
+        for col in outside:
+            matrix.cover(col)
+        try:
+            found, rows = matrix.search(1, node_budget)
+        finally:
+            for col in reversed(outside):
+                matrix.uncover(col)
+    return (found[0] if found else None), rows
 
 
 def find_apc(d: Design, missed: int) -> Optional[AlmostParallelClass]:
@@ -284,11 +332,14 @@ class SegmentOracle:
 
     Point sets recur constantly while a sequence search backtracks, so
     decisions are cached by the set itself (as a bitmask), which never
-    needs invalidating.  The memo is unbounded, so one-off questions go to
-    ``segment_partitionable`` instead.  Agrees with it everywhere.
+    needs invalidating.  Each memo miss, a decision computed rather than
+    looked up, first calls ``on_miss``; the sequence search passes a
+    callback that counts it as a node against its budget, which bounds the
+    memo too.  One-off questions go to ``segment_partitionable`` instead.
+    Agrees with it everywhere.
     """
 
-    def __init__(self, d: Design):
+    def __init__(self, d: Design, on_miss: Optional[Callable[[], None]] = None):
         self.design = d
         by_point: list[list[int]] = [[] for _ in range(d.n)]
         for blk in sorted(d.block_set):
@@ -296,6 +347,7 @@ class SegmentOracle:
             by_point[blk[0]].append(mask)  # filed under the lowest point
         self._blocks_at = by_point
         self._memo: dict[int, bool] = {0: True}
+        self._on_miss = on_miss
 
     def mask_partitionable(self, mask: int) -> bool:
         """Partition decision for a point set given as a bitmask whose
@@ -304,6 +356,8 @@ class SegmentOracle:
         hit = memo.get(mask)
         if hit is not None:
             return hit
+        if self._on_miss is not None:
+            self._on_miss()
         pivot = (mask & -mask).bit_length() - 1  # lowest point must be covered
         result = False
         for bmask in self._blocks_at[pivot]:

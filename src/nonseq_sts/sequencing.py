@@ -44,8 +44,9 @@ def is_admissible(d: Design, seq: Sequence[int], policy: SegmentPolicy = Segment
 
     Segments are scanned longest first: on certified designs the length
     n-1 suffix or prefix is partitionable, so rejection is immediate.  Each
-    segment is one ``segment_partitionable`` call, a fresh dancing-links
-    search, so no memo grows with the design.
+    segment is one ``segment_partitionable`` call, a dancing-links search
+    on the design's shared matrix with the points outside the segment
+    covered, so no memo grows with the design.
     """
     order = _check_permutation(d, seq)
     n = d.n
@@ -86,7 +87,8 @@ def find_admissible_sequence(
     Together they ask every proper suffix before a sequence is complete,
     so the last point needs no check.  Returns None only after the whole
     tree is exhausted; raises BudgetExceededError after ``node_budget``
-    nodes, counting prefix extensions and dancing-links rows alike.
+    nodes, counting prefix extensions, dancing-links rows and memo misses
+    of the segment oracle alike.
 
     Segment contents are tracked as prefix bitmasks, so each check is one
     subtraction plus a memoized partition decision.
@@ -101,6 +103,12 @@ def find_admissible_sequence(
             f"sequence search exceeded its budget of {node_budget} nodes", used=node_budget, budget=node_budget
         )
 
+    def spend() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise over_budget()
+
     full = (1 << n) - 1
     ends = full  # points that may be first or last
     if (n - 1) % 3 == 0:
@@ -113,7 +121,7 @@ def find_admissible_sequence(
             nodes += used
             if chosen is not None:
                 ends &= ~(1 << x)
-    oracle = SegmentOracle(d)
+    oracle = SegmentOracle(d, on_miss=spend)
     solve = oracle.mask_partitionable
     all_intervals = policy is SegmentPolicy.ALL_INTERVALS
     prefix: list[int] = []
@@ -121,7 +129,7 @@ def find_admissible_sequence(
     lasts = 0  # once the first point is placed: the endpoints above it
 
     def extend() -> bool:
-        nonlocal nodes, lasts
+        nonlocal lasts
         t1 = len(prefix) + 1
         base = pmask[-1]
         for p in range(n):
@@ -135,9 +143,7 @@ def find_admissible_sequence(
                     continue
             elif t1 < n and not lasts & ~m1:
                 continue  # the last place needs a free endpoint above the first
-            nodes += 1
-            if nodes > node_budget:
-                raise over_budget()
+            spend()
             if t1 == n:  # p is in lasts, and every proper suffix has been asked
                 prefix.append(p)
                 return True

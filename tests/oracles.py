@@ -1,12 +1,15 @@
 """Independent brute-force oracles the tests check the package against.
 
 Everything here enumerates exhaustively and shares no code with the
-package's search paths.
+package's search paths, except ``fresh_first_partition``: the reference
+for the shared per-design matrix, which links a fresh matrix per question.
 """
 
 from itertools import combinations
 
 import numpy as np
+
+from nonseq_sts.exact_cover import ExactCoverInstance, _Matrix
 
 
 def exhaustive_cover_sets(universe_size: int, subsets) -> set[frozenset[int]]:
@@ -49,6 +52,20 @@ def partitionable_by_enumeration(blocks, segment) -> bool:
             if ok and pts == seg:
                 return True
     return False
+
+
+def fresh_first_partition(d, points: set[int], node_budget=None):
+    """``exact_cover._first_partition`` as it was before the shared matrix:
+    sort and filter the blocks, validate them into a fresh instance on
+    ``points`` renumbered in increasing order, link it and search it once."""
+    position = {p: i for i, p in enumerate(sorted(points))}
+    candidates = []
+    for blk in sorted(d.block_set):
+        if points.issuperset(blk):
+            candidates.append((blk, tuple(position[p] for p in blk)))
+    inst = ExactCoverInstance.build(len(points), candidates)
+    found, nodes = _Matrix(inst.universe_size, inst.candidates).search(1, node_budget)
+    return (found[0] if found else None), nodes
 
 
 def pairs_covered_exactly_once(n: int, blocks) -> bool:

@@ -1,7 +1,10 @@
 """Solver correctness against exhaustive enumeration, plus the design searches."""
 
 import random
-from itertools import permutations
+import sys
+import threading
+import time
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,9 @@ from nonseq_sts import (
     verify_apc,
 )
 
-from oracles import brute_force_apcs, exhaustive_cover_sets, partitionable_by_enumeration
+from nonseq_sts import exact_cover
+from nonseq_sts.exact_cover import _first_partition
+from oracles import brute_force_apcs, exhaustive_cover_sets, fresh_first_partition, partitionable_by_enumeration
 from reference_systems import BASES, STS7_BLOCKS
 
 from test_designs import develop_cyclic
@@ -225,3 +230,146 @@ def test_find_apc_matches_brute_force_on_reduced_designs():
             assert (got is not None) == bool(expected)
             if got is not None:
                 assert verify_apc(reduced, got)
+
+
+# The order-13 and order-19 starter systems; drawn blocks are deleted.
+STARTERS = (develop_cyclic(13, BASES[13]), develop_cyclic(19, BASES[19]))
+
+
+@st.composite
+def shared_matrix_designs(draw):
+    """A greedy partial system on up to 13 points, or a starter system with
+    drawn blocks deleted."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 13))
+        triples = list(combinations(range(n), 3))
+        drawn = draw(st.lists(st.sampled_from(triples), unique=True, max_size=60)) if triples else []
+        blocks, pairs = [], set()
+        for blk in drawn:
+            bp = set(combinations(blk, 2))
+            if not pairs & bp:
+                pairs |= bp
+                blocks.append(blk)
+        return Design.from_blocks(n, blocks)
+    base = draw(st.sampled_from(STARTERS))
+    removed = draw(st.sets(st.sampled_from(base.blocks), max_size=12))
+    return Design.from_blocks(base.n, (blk for blk in base.blocks if blk not in removed))
+
+
+@st.composite
+def partition_questions(draw, n: int):
+    """A point set and a node budget.  The point sets are drawn subsets,
+    complements of one point (the question of ``find_apc``), the empty and
+    the full set, and sets with a point outside 0..n-1; one budget in three
+    is small enough to trip."""
+    kind = draw(st.sampled_from(["subset", "complement", "empty", "full", "stray"]))
+    if kind == "subset" or (kind == "complement" and n == 0):
+        points = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    elif kind == "complement":
+        points = set(range(n)) - {draw(st.integers(0, n - 1))}
+    elif kind == "empty":
+        points = set()
+    elif kind == "full":
+        points = set(range(n))
+    else:
+        points = draw(st.sets(st.integers(0, n - 1))) if n else set()
+        points.add(draw(st.sampled_from([-1, n, n + 4])))
+    budget = draw(st.one_of(st.none(), st.none(), st.integers(0, 6)))
+    return points, budget
+
+
+def partition_answer(first_partition, d, points, budget):
+    """(chosen, rows), or the budget error's (used, budget)."""
+    try:
+        return first_partition(d, points, budget)
+    except BudgetExceededError as exc:
+        return "budget", exc.used, exc.budget
+
+
+def linked_now(d):
+    """The shared matrix of d as its links stand: per column, left to
+    right, its index, size and row ids top to bottom and bottom to top.
+    Walks at most one lap more than an intact matrix has, so a damaged
+    one cannot loop forever."""
+    matrix = exact_cover._design_matrices[d]
+    laps = len(d.blocks) + 2
+    walked = []
+    col = matrix.header.right
+    while col is not matrix.header and len(walked) <= d.n:
+        down, up = [], []
+        node = col.down
+        while node is not col and len(down) < laps:
+            down.append(node.row_id)
+            node = node.down
+        node = col.up
+        while node is not col and len(up) < laps:
+            up.append(node.row_id)
+            node = node.up
+        walked.append((col.index, col.size, down, up[::-1]))
+        col = col.right
+    return walked
+
+
+def intact(d):
+    blocks = sorted(d.block_set)
+    return [
+        (i, len(through), through, through)
+        for i in range(d.n)
+        for through in [[blk for blk in blocks if i in blk]]
+    ]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_shared_matrix_agrees_with_a_fresh_instance(data):
+    """A drawn series of questions on one design object gets, answer for
+    answer, the first partition and row count of a freshly linked instance,
+    or the same budget error.  After every question the shared matrix is
+    linked as it was before the first one, whether the question found a
+    partition, exhausted its search or tripped its budget."""
+    d = data.draw(shared_matrix_designs())
+    try:
+        for _ in range(data.draw(st.integers(1, 10))):
+            points, budget = data.draw(partition_questions(d.n))
+            got = partition_answer(_first_partition, d, points, budget)
+            assert got == partition_answer(fresh_first_partition, d, points, budget), (sorted(points), budget)
+            if d in exact_cover._design_matrices:  # a stray point links nothing
+                assert linked_now(d) == intact(d), (sorted(points), budget)
+    finally:
+        # Equal designs share a matrix, and the starters live on; a matrix
+        # damaged here must not hang the examples replayed after a failure.
+        exact_cover._design_matrices.pop(d, None)
+
+
+def test_shared_matrix_under_four_threads():
+    """Four threads, more than the cores of a small host, interleave
+    questions on one design; each gets the answers of a fresh instance."""
+    d = develop_cyclic(31, BASES[31])
+    questions = [(set(range(31)) - {x}, None) for x in range(31)]
+    questions += [(set(range(31)) - {x, (x + 5) % 31, (x + 11) % 31, (x + 17) % 31}, 40) for x in range(31)]
+    expected = [partition_answer(fresh_first_partition, d, pts, budget) for pts, budget in questions]
+    forward = list(range(len(questions)))
+    orders = [forward, forward[::-1], forward[20:] + forward[:20], forward[45:] + forward[:45]]
+    start = threading.Barrier(len(orders))
+    answers: dict[int, list] = {}
+
+    def ask(k: int) -> None:
+        start.wait()
+        answers[k] = [(i, partition_answer(_first_partition, d, *questions[i])) for i in orders[k] * 3]
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=ask, args=(k,), daemon=True) for k in range(len(orders))]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 60  # a corrupted matrix can loop forever
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(answers) == len(orders)
+    for got in answers.values():
+        for i, answer in got:
+            assert answer == expected[i], sorted(questions[i][0])

@@ -13,6 +13,7 @@ from nonseq_sts import (
     BudgetExceededError,
     CertificationError,
     Design,
+    SegmentOracle,
     SegmentPolicy,
     base_case,
     bose_sts,
@@ -194,6 +195,31 @@ class TestFindAdmissibleSequence:
         with pytest.raises(BudgetExceededError) as info:
             find_admissible_sequence(d, node_budget=rows - 1)
         assert (info.value.used, info.value.budget) == (rows - 1, rows - 1)
+
+    def test_oracle_misses_count_against_the_budget(self):
+        """On a sparse order-55 design the segment oracle's recursion, not
+        the prefix extensions, does most of the work.  Uncounted, it grew
+        its memo to 341 MB under a budget of 2 million nodes; counted, the
+        budget bounds the memo and the time."""
+        d = Design.from_blocks(55, certified_sts(55).design.blocks[::4])
+        start = time.monotonic()
+        try:
+            seq = find_admissible_sequence(d, node_budget=200_000)
+            assert seq is not None and is_admissible(d, seq)
+        except BudgetExceededError as exc:
+            assert (exc.used, exc.budget) == (200_000, 200_000)
+        assert time.monotonic() - start < 30
+
+    def test_oracle_counts_each_memo_miss_once(self):
+        d = Design.from_blocks(13, base_case(13).design.blocks[::2])
+        misses = []
+        oracle = SegmentOracle(d, on_miss=lambda: misses.append(1))
+        rng = random.Random(5)
+        for _ in range(40):
+            points = rng.sample(range(13), 3 * rng.randint(1, 4))
+            mask = sum(1 << p for p in points)
+            assert oracle.mask_partitionable(mask) == segment_partitionable(d, points)
+        assert len(misses) == len(oracle._memo) - 1  # the empty set is seeded
 
     def test_order109_is_bounded(self):
         """A few endpoint questions on the certified STS(109) take
