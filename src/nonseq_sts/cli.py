@@ -2,8 +2,8 @@
 
 stdout is machine-parseable, one ``KEY: value`` per line; human-facing
 errors go to stderr.  Exit codes are stable: 0 success, 1 a check failed,
-2 malformed input or invalid arguments, 3 no admissible sequence exists,
-4 search budget exhausted.
+2 malformed input, invalid arguments or an unusable path (decided in
+``main`` alone), 3 no admissible sequence exists, 4 search budget exhausted.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional
 
 from .constructions import certified_psts, certified_sts
 from .designs import validate_psts, validate_sts, verify_certificate
-from .documents import DesignDocument, DocumentError
+from .documents import DesignDocument
 from .exact_cover import BudgetExceededError
 from .sequencing import (
     CertificationError,
@@ -29,10 +29,7 @@ CACHE_ENV = "NONSEQ_STS_CACHE"
 
 
 def _default_cache_dir() -> Path:
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "nonseq-sts"
+    return Path(os.environ.get(CACHE_ENV) or Path.home() / ".cache" / "nonseq-sts")
 
 
 def _emit(key: str, value) -> None:
@@ -44,21 +41,12 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load(path: str) -> DesignDocument:
-    try:
-        return DesignDocument.load(path)
-    except (OSError, DocumentError) as exc:
-        raise DocumentError(str(exc)) from exc
-
-
 def cmd_build(args: argparse.Namespace) -> int:
     try:
         if args.a is None:
             built = certified_sts(args.n, seed=args.seed, cache_dir=args.cache_dir)
         else:
             built = certified_psts(args.n, args.a, x0=args.x0, seed=args.seed, cache_dir=args.cache_dir)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
     except (BudgetExceededError, CertificationError) as exc:
         return _fail(str(exc), 1)
     out = args.out
@@ -75,10 +63,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        doc = _load(args.file)
-    except DocumentError as exc:
-        return _fail(str(exc), 2)
+    doc = DesignDocument.load(args.file)
     design = doc.design
     _emit("ORDER", design.n)
     _emit("BLOCKS", design.size)
@@ -100,10 +85,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
-    try:
-        doc = _load(args.file)
-    except DocumentError as exc:
-        return _fail(str(exc), 2)
+    doc = DesignDocument.load(args.file)
     policy = SegmentPolicy(args.policy)
     try:
         seq = find_admissible_sequence(doc.design, policy, node_budget=args.budget)
@@ -121,10 +103,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    try:
-        doc = _load(args.file)
-    except DocumentError as exc:
-        return _fail(str(exc), 2)
+    doc = DesignDocument.load(args.file)
     psts = validate_psts(doc.design)
     if not psts:
         _emit("PSTS", psts)
@@ -219,7 +198,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.cache_dir is None:
         args.cache_dir = _default_cache_dir()
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # DocumentError is a ValueError
+        return _fail(str(exc), 2)
 
 
 if __name__ == "__main__":

@@ -16,16 +16,18 @@ Schema (version 1):
 
 Loading performs structural validation only (shapes, ranges, types);
 semantic validation is the verifiers' job so that a broken design can be
-loaded and then reported on.
+loaded and then reported on.  Every JSON file, GDD cache files too, is
+read by ``read_json`` and written by ``replace_file``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from .designs import AlmostParallelClass, Design, NonseqCertificate
 
@@ -101,21 +103,36 @@ class DesignDocument:
         return cls(design, labels, certificate, provenance)
 
     def save(self, path: os.PathLike | str) -> None:
-        """Stream the JSON into a file beside ``path``, then replace ``path``
-        with it: the text is never whole in memory, and a rewrite is atomic."""
-        tmp = Path(path).with_suffix(f".tmp{os.getpid()}")
-        with tmp.open("w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
-        os.replace(tmp, path)
+        """Stream the JSON through ``replace_file``: the text is never whole
+        in memory, and a rewrite is atomic."""
+        chunks = json.JSONEncoder(indent=1).iterencode(self.to_dict())  # what json.dump writes
+        replace_file(path, itertools.chain(chunks, "\n"))
 
     @classmethod
     def load(cls, path: os.PathLike | str) -> "DesignDocument":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, nesting too deep
-            raise DocumentError(f"not valid JSON: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json(path))
+
+
+def read_json(path: os.PathLike | str):
+    """The JSON value in the file at ``path``.  A file that is not UTF-8,
+    not JSON, or nested too deeply to decode is a DocumentError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise DocumentError(f"not valid JSON: {exc}") from exc
+
+
+def replace_file(path: os.PathLike | str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` into a file beside ``path``, then replace ``path`` with
+    it.  On any failure that file is removed and ``path`` is untouched."""
+    tmp = Path(path).with_suffix(f".tmp{os.getpid()}")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_list(doc: dict, key: str) -> list:

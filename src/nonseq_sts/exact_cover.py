@@ -258,20 +258,20 @@ def exists_cover(inst: ExactCoverInstance, *, node_budget: Optional[int] = None)
     return bool(solve(inst, 1, node_budget=node_budget))
 
 
-# One linked matrix per live design: columns 0..n-1, rows sorted(block_set).
+def _rows(d: Design) -> list[tuple[int, ...]]:
+    """Both engines' rows: d's distinct blocks inside 0..n-1, sorted; no question can use the rest."""
+    return [blk for blk in sorted(d.block_set) if 0 <= blk[0] and blk[-1] < d.n]
+
+
+# One linked matrix per live design: columns 0..n-1, rows ``_rows(d)``.
 _design_matrices: "weakref.WeakKeyDictionary[Design, _Matrix]" = weakref.WeakKeyDictionary()
 
 
 def _design_matrix(d: Design) -> _Matrix:
     matrix = _design_matrices.get(d)
     if matrix is None:
-        n = d.n
-        rows = []
-        for blk in sorted(d.block_set):
-            if 0 <= blk[0] and blk[-1] < n:  # no question can use a block outside the points
-                blk = canonical_block(blk)
-                rows.append((blk, blk))
-        matrix = _design_matrices.setdefault(d, _Matrix(n, rows))
+        rows = [(blk, blk) for blk in map(canonical_block, _rows(d))]
+        matrix = _design_matrices.setdefault(d, _Matrix(d.n, rows))
     return matrix
 
 
@@ -336,13 +336,13 @@ class SegmentOracle:
     looked up, first calls ``on_miss``; the sequence search passes a
     callback that counts it as a node against its budget, which bounds the
     memo too.  One-off questions go to ``segment_partitionable`` instead.
-    Agrees with it everywhere.
+    Agrees with it everywhere: both take their blocks from ``_rows(d)``.
     """
 
     def __init__(self, d: Design, on_miss: Optional[Callable[[], None]] = None):
         self.design = d
         by_point: list[list[int]] = [[] for _ in range(d.n)]
-        for blk in sorted(d.block_set):
+        for blk in _rows(d):
             mask = (1 << blk[0]) | (1 << blk[1]) | (1 << blk[2])
             by_point[blk[0]].append(mask)  # filed under the lowest point
         self._blocks_at = by_point

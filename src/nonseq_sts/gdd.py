@@ -36,6 +36,7 @@ from .designs import (
     validate_gdd,
     validate_sts,
 )
+from .documents import read_json, replace_file
 from .exact_cover import BudgetExceededError
 
 
@@ -293,7 +294,8 @@ def build_gdd(req: GddRequest, *, cache_dir: Optional[os.PathLike | str] = None)
     A single part g^u with u >= 3 odd and 3 | g is the Bose type-3^u GDD
     inflated by g/3, built afresh every time.  Any other type comes from
     the hill climb, tried on CLIMB_ATTEMPTS consecutive seeds from
-    ``req.seed``; the returned GDD's ``seed`` is the seed that succeeded.
+    ``req.seed``; the returned GDD's ``seed`` is the seed that succeeded,
+    and if none does, the BudgetExceededError sums ``used`` and ``budget``.
     Given ``cache_dir``, the climb is cached there under the type and
     ``req.seed``, so a cache hit is what an uncached build returns.  The
     result is re-validated whatever the route.
@@ -312,14 +314,16 @@ def build_gdd(req: GddRequest, *, cache_dir: Optional[os.PathLike | str] = None)
             cached = _cache_load(path, group_type)
             if cached is not None:
                 return cached
+        failed = []
         for attempt in range(CLIMB_ATTEMPTS):
             try:
                 built = hill_climb_gdd(GddRequest(group_type, req.seed + attempt))
                 break
             except BudgetExceededError as exc:
-                last = exc
+                failed.append(exc)
         else:
-            raise BudgetExceededError(f"could not realise {group_type.key()} in {CLIMB_ATTEMPTS} attempts: {last}")
+            message = f"could not realise {group_type.key()} in {CLIMB_ATTEMPTS} attempts: {failed[-1]}"
+            raise BudgetExceededError(message, used=sum(e.used for e in failed), budget=sum(e.budget for e in failed))
 
     rep = validate_gdd(built)
     if not rep:
@@ -339,17 +343,15 @@ def _cache_path(cache_dir: Path, req: GddRequest) -> Path:
 
 def _cache_load(path: Path, group_type: GroupType) -> Optional[Gdd]:
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = read_json(path)
         seed = data["seed"]
         if data["key"] != group_type.key() or data.get("format") != _CACHE_FORMAT or type(seed) is not int:
             return None
         groups = tuple(tuple(int(p) for p in grp) for grp in data["groups"])
         gdd = Gdd(group_type, groups, Design.from_blocks(group_type.total_points, data["blocks"]), seed=seed)
-    except (OSError, ValueError, KeyError, TypeError, RecursionError):
+    except (OSError, ValueError, KeyError, TypeError):  # DocumentError is a ValueError
         return None
-    if not validate_gdd(gdd):
-        return None
-    return gdd
+    return gdd if validate_gdd(gdd) else None
 
 
 def _cache_store(path: Path, gdd: Gdd) -> None:
@@ -362,6 +364,4 @@ def _cache_store(path: Path, gdd: Gdd) -> None:
         "groups": [list(grp) for grp in gdd.groups],
         "blocks": [list(blk) for blk in gdd.design.blocks],
     }
-    tmp = path.with_suffix(f".tmp{os.getpid()}")
-    tmp.write_text(json.dumps(payload), encoding="utf-8")
-    os.replace(tmp, path)
+    replace_file(path, [json.dumps(payload)])  # one shot: several times faster than streaming

@@ -63,6 +63,17 @@ def is_admissible(d: Design, seq: Sequence[int], policy: SegmentPolicy = Segment
     return True
 
 
+def _class_candidates(d: Design) -> Sequence[int]:
+    """The points an almost parallel class of d can miss.  A class missing
+    x covers every other point: so none if 3 does not divide n - 1 or two
+    points lie in no block, and only that point if exactly one does."""
+    blocked = {p for blk in d.blocks for p in blk}
+    unblocked = [p for p in range(d.n) if p not in blocked]
+    if (d.n - 1) % 3 or len(unblocked) > 1:
+        return ()
+    return unblocked or range(d.n)
+
+
 def find_admissible_sequence(
     d: Design,
     policy: SegmentPolicy = SegmentPolicy.ALL_INTERVALS,
@@ -75,9 +86,9 @@ def find_admissible_sequence(
     completion.  Three more prunings hold under both policies, because each
     asks only about a proper prefix or a proper suffix:
 
-    - endpoint filter: when 3 divides n - 1, a point whose complement is
-      partitionable can be neither first nor last.  These n one-off
-      questions go to dancing links, as ``find_apc`` does;
+    - endpoint filter: a point whose complement is partitionable can be
+      neither first nor last.  Only the points ``_class_candidates`` allows
+      are asked, each a one-off question to dancing links, as in ``find_apc``;
     - complement lookahead: once t >= 2 points are placed and 3 divides
       n - t, the unplaced points are a proper suffix of every completion,
       so the prefix is pruned if they are partitionable;
@@ -111,16 +122,14 @@ def find_admissible_sequence(
 
     full = (1 << n) - 1
     ends = full  # points that may be first or last
-    if (n - 1) % 3 == 0:
-        points = set(range(n))
-        for x in range(n):
-            try:
-                chosen, used = _first_partition(d, points - {x}, node_budget - nodes)
-            except BudgetExceededError:
-                raise over_budget() from None
-            nodes += used
-            if chosen is not None:
-                ends &= ~(1 << x)
+    for x in _class_candidates(d):
+        try:
+            chosen, used = _first_partition(d, set(range(n)) - {x}, node_budget - nodes)
+        except BudgetExceededError:
+            raise over_budget() from None
+        nodes += used
+        if chosen is not None:
+            ends &= ~(1 << x)
     oracle = SegmentOracle(d, on_miss=spend)
     solve = oracle.mask_partitionable
     all_intervals = policy is SegmentPolicy.ALL_INTERVALS
@@ -179,10 +188,7 @@ def certify_nonsequenceable(
     most one point lacks one.  Raises CertificationError otherwise, naming
     every point that lacks one.
 
-    A class missing x covers every other point.  So when n - 1 is not a
-    multiple of 3, or two points lie in no block, no point has one and
-    nothing is searched; when exactly one point lies in no block, only
-    that point is searched.
+    Only the points that ``_class_candidates`` allows are searched.
 
     ``known`` maps points to candidate classes, such as the entries of a
     parent design's certificate.  A candidate is kept only if it misses its
@@ -192,14 +198,8 @@ def certify_nonsequenceable(
     ``known``: only which valid class an entry holds may differ.
     """
     known = known or {}
-    blocked = {p for blk in d.blocks for p in blk}
-    unblocked = [p for p in range(d.n) if p not in blocked]
-    if (d.n - 1) % 3 or len(unblocked) > 1:
-        candidates = []
-    else:
-        candidates = unblocked or range(d.n)
     entries: dict[int, AlmostParallelClass] = {}
-    for point in candidates:
+    for point in _class_candidates(d):
         apc = known.get(point)
         if apc is None or apc.missed != point or not verify_apc(d, apc):
             apc = find_apc(d, point)

@@ -151,6 +151,35 @@ class TestVerify:
         assert kv["PSTS"].startswith("repeated-pair")
 
 
+class TestUnusablePaths:
+    """A path that cannot be read or written is bad input: exit 2 with one
+    ``error:`` line and no traceback, and no file left beside the target."""
+
+    def check(self, capsys, tmp_path, argv, files):
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+    def test_build_onto_a_directory(self, capsys, tmp_path):
+        (tmp_path / "out").mkdir()
+        self.check(capsys, tmp_path, ["build", 13, "--out", tmp_path / "out"], ["out"])
+
+    def test_build_into_a_missing_directory(self, capsys, tmp_path):
+        self.check(capsys, tmp_path, ["build", 13, "--out", tmp_path / "missing" / "x.json"], [])
+
+    def test_certify_into_a_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        DesignDocument(base_case(13).design).save(path)
+        before = path.read_bytes()
+        self.check(capsys, tmp_path, ["certify", path, "--out", tmp_path / "missing" / "y.json"], ["f.json"])
+        assert path.read_bytes() == before
+
+    def test_catalog_into_a_file(self, capsys, tmp_path):
+        (tmp_path / "f").write_text("")
+        self.check(capsys, tmp_path, ["catalog", "--max", 13, "--dir", tmp_path / "f"], ["f"])
+
+
 class TestSequence:
     def test_order7_prints_a_sequence(self, capsys, sts7_file):
         code, kv = run_cli(capsys, "sequence", sts7_file)

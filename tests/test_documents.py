@@ -55,6 +55,33 @@ def test_save_replaces_the_target(tmp_path, doc13):
     assert [p.name for p in tmp_path.iterdir()] == ["sts-13.json"]
 
 
+def test_save_onto_a_directory_leaves_nothing_behind(tmp_path, doc13):
+    target = tmp_path / "out"
+    target.mkdir()
+    with pytest.raises(OSError):
+        doc13.save(target)
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        DesignDocument(Design(3, ((0, 1, None),))),  # None cannot be sorted into a block
+        DesignDocument(Design(3, ((0, 1, 2),)), provenance=object()),  # fails after the blocks are written
+    ],
+    ids=["unsortable-block", "unencodable-provenance"],
+)
+def test_failed_save_keeps_the_target(tmp_path, doc13, bad):
+    path = tmp_path / "sts-13.json"
+    doc13.save(path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        bad.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sts-13.json"]
+
+
 @st.composite
 def documents(draw):
     """Small documents, not necessarily valid designs: any triples,

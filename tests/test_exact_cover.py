@@ -177,6 +177,9 @@ ORACLE_BASES = (
     Design.from_blocks(7, STS7_BLOCKS),
     develop_cyclic(13, BASES[13]),
     Design.from_blocks(9, [(0, 1, 2), (3, 4, 5), (0, 3, 6), (1, 4, 7)]),
+    # blocks with a point outside 0..n-1, which neither engine can use
+    Design.from_blocks(7, [(-1, 0, 1), (2, 3, 4)]),
+    Design.from_blocks(7, [(0, 1, 2), (3, 4, 5), (4, 6, 7), (7, 8, 9)]),
 )
 
 

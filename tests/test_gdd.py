@@ -339,6 +339,26 @@ class TestBuildGdd:
         assert build_gdd(GddRequest(gt, seed=5), cache_dir=tmp_path) == first
         assert seeds == [5]
 
+    def test_cache_store_onto_a_directory_leaves_nothing_behind(self, tmp_path):
+        g = build_gdd(GddRequest(GroupType.of((6, 4))))
+        target = tmp_path / "3-6^4-seed0.json"
+        target.mkdir()
+        with pytest.raises(OSError):
+            gdd_module._cache_store(target, g)
+        assert [p.name for p in tmp_path.iterdir()] == [target.name]
+        assert list(target.iterdir()) == []
+
+    def test_give_up_error_sums_the_attempts(self, monkeypatch):
+        def stuck_climb(req, **kwargs):
+            raise BudgetExceededError(f"seed {req.seed} stuck", used=7, budget=10)
+
+        monkeypatch.setattr(gdd_module, "hill_climb_gdd", stuck_climb)
+        attempts = gdd_module.CLIMB_ATTEMPTS
+        with pytest.raises(BudgetExceededError) as info:
+            build_gdd(GddRequest(GroupType.of((12, 4)), seed=4))
+        assert (info.value.used, info.value.budget) == (7 * attempts, 10 * attempts)
+        assert str(info.value) == f"could not realise 3:12^4 in {attempts} attempts: seed {4 + attempts - 1} stuck"
+
     def test_rejects_impossible_type(self):
         with pytest.raises(ValueError):
             build_gdd(GddRequest(GroupType.of((6, 2))))

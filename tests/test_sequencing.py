@@ -196,6 +196,44 @@ class TestFindAdmissibleSequence:
             find_admissible_sequence(d, node_budget=rows - 1)
         assert (info.value.used, info.value.budget) == (rows - 1, rows - 1)
 
+    @pytest.mark.parametrize(
+        "n,blocks,asked",
+        [
+            (7, [(0, 1, 2), (2, 3, 4)], []),  # 5 and 6 lie in no block
+            (7, [(0, 1, 2), (3, 4, 5)], [6]),  # only 6 lies in no block
+            (1003, [(0, 1, 2)], []),
+        ],
+        ids=["two-uncovered", "one-uncovered", "one-block-1003"],
+    )
+    def test_endpoint_filter_asks_only_points_that_can_carry_a_class(self, monkeypatch, n, blocks, asked):
+        """A class missing x covers every other point, so only these points
+        can have a partitionable complement, and a one-block design of any
+        order asks nothing before its budget is first checked."""
+        from nonseq_sts import sequencing
+
+        calls = []
+
+        def spy(d, points, node_budget=None):
+            calls.extend(set(range(d.n)) - points)
+            return _first_partition(d, points, node_budget)
+
+        monkeypatch.setattr(sequencing, "_first_partition", spy)
+        d = Design.from_blocks(n, blocks)
+        try:
+            seq = find_admissible_sequence(d, node_budget=1000)
+            assert seq is not None and is_admissible(d, seq)
+        except BudgetExceededError as exc:
+            assert n == 1003 and (exc.used, exc.budget) == (1000, 1000)
+        assert calls == asked
+
+    @pytest.mark.parametrize("policy", BOTH_POLICIES)
+    def test_blocks_outside_the_points_are_never_used(self, policy):
+        """No segment can contain a block with a point outside 0..n-1, so the
+        search answers as if the block were not there."""
+        for blocks, stray in (([(2, 3, 4)], (-1, 0, 1)), ([(0, 1, 2), (3, 4, 5)], (5, 6, 7))):
+            expected = find_admissible_sequence(Design.from_blocks(7, blocks), policy)
+            assert find_admissible_sequence(Design.from_blocks(7, blocks + [stray]), policy) == expected
+
     def test_oracle_misses_count_against_the_budget(self):
         """On a sparse order-55 design the segment oracle's recursion, not
         the prefix extensions, does most of the work.  Uncounted, it grew
