@@ -14,6 +14,10 @@ Schema (version 1):
       "provenance": "base-case(13)"
     }
 
+A saved file holds one line per scalar field and one per element of each
+list field (block, label, certificate entry), each encoded by
+``json.dumps``; indented files from older versions load the same.
+
 Loading performs structural validation only (shapes, ranges, types);
 semantic validation is the verifiers' job so that a broken design can be
 loaded and then reported on.  Every JSON file, GDD cache files too, is
@@ -22,12 +26,11 @@ read by ``read_json`` and written by ``replace_file``.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .designs import AlmostParallelClass, Design, NonseqCertificate
 
@@ -103,10 +106,11 @@ class DesignDocument:
         return cls(design, labels, certificate, provenance)
 
     def save(self, path: os.PathLike | str) -> None:
-        """Stream the JSON through ``replace_file``: the text is never whole
-        in memory, and a rewrite is atomic."""
-        chunks = json.JSONEncoder(indent=1).iterencode(self.to_dict())  # what json.dump writes
-        replace_file(path, itertools.chain(chunks, "\n"))
+        """Write ``to_dict()`` as JSON, one line per scalar field and per
+        block, label and certificate entry, each line encoded on its own and
+        streamed through ``replace_file``: the text is never whole in
+        memory, and a rewrite is atomic."""
+        replace_file(path, _document_lines(self.to_dict()))
 
     @classmethod
     def load(cls, path: os.PathLike | str) -> "DesignDocument":
@@ -124,15 +128,37 @@ def read_json(path: os.PathLike | str):
 
 def replace_file(path: os.PathLike | str, chunks: Iterable[str]) -> None:
     """Write ``chunks`` into a file beside ``path``, then replace ``path`` with
-    it.  On any failure that file is removed and ``path`` is untouched."""
+    it.  On any failure that file is removed and ``path`` is untouched; an
+    ``OSError`` is re-raised naming ``path``, the file the caller knows."""
     tmp = Path(path).with_suffix(f".tmp{os.getpid()}")
     try:
         with tmp.open("w", encoding="utf-8") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
+
+
+def _document_lines(doc: dict) -> Iterator[str]:
+    """The JSON text of ``doc``, a line at a time: one per scalar field and
+    one per element of a list field, each encoded by ``json.dumps``."""
+    sep = "{\n"
+    for key, value in doc.items():
+        head = f"{sep}{json.dumps(key)}: "
+        if isinstance(value, list) and value:
+            yield head + "["
+            item_sep = "\n"
+            for item in value:
+                yield item_sep + json.dumps(item)
+                item_sep = ",\n"
+            yield "\n]"
+        else:
+            yield head + json.dumps(value)
+        sep = ",\n"
+    yield "\n}\n"
 
 
 def _read_list(doc: dict, key: str) -> list:
@@ -143,8 +169,16 @@ def _read_list(doc: dict, key: str) -> list:
 
 
 def _read_block(blk, n: int) -> tuple[int, int, int]:
-    if not isinstance(blk, list) or len(blk) != 3 or not all(type(p) is int for p in blk):
+    # Runs once per block of every loaded file: unpack and sort by compares.
+    a, b, c = blk if isinstance(blk, list) and len(blk) == 3 else (None, None, None)
+    if type(a) is not int or type(b) is not int or type(c) is not int:
         raise DocumentError(f"block {blk!r} must be a list of 3 integers")
-    if len(set(blk)) != 3 or min(blk) < 0 or max(blk) >= n:
+    if a > b:
+        a, b = b, a
+    if b > c:
+        b, c = c, b
+    if a > b:
+        a, b = b, a
+    if a == b or b == c or a < 0 or c >= n:
         raise DocumentError(f"block {blk!r} must have 3 distinct points in 0..{n - 1}")
-    return tuple(sorted(blk))
+    return a, b, c

@@ -322,7 +322,8 @@ def segment_partitionable(d: Design, segment: Iterable[int]) -> bool:
     if len(seg) % 3:
         return False
     if len(seg) == 3:
-        return tuple(sorted(seg)) in d.block_set
+        blk = tuple(sorted(seg))
+        return blk in d.block_set and 0 <= blk[0] and blk[-1] < d.n  # in range, as in ``_rows``
     return _first_partition(d, seg)[0] is not None
 
 

@@ -3,12 +3,14 @@
 Everything here enumerates exhaustively and shares no code with the
 package's search paths, except ``fresh_first_partition``: the reference
 for the shared per-design matrix, which links a fresh matrix per question.
+``read_block_plainly`` is the reference for the documents' block reader.
 """
 
 from itertools import combinations
 
 import numpy as np
 
+from nonseq_sts.documents import DocumentError
 from nonseq_sts.exact_cover import ExactCoverInstance, _Matrix
 
 
@@ -168,3 +170,13 @@ def pair_count_verdicts(n: int, blocks, groups) -> tuple[bool, bool, bool]:
     sts = n % 6 in (1, 3) and all(c == 1 for c in counts.values())
     gdd = all(c == (group_of[a] != group_of[b]) for (a, b), c in counts.items())
     return psts, sts, gdd
+
+
+def read_block_plainly(blk, n: int) -> tuple[int, int, int]:
+    """``documents._read_block`` as a set, ``min``, ``max`` and ``sorted``
+    over the whole block: the same result or the same DocumentError."""
+    if not isinstance(blk, list) or len(blk) != 3 or not all(type(p) is int for p in blk):
+        raise DocumentError(f"block {blk!r} must be a list of 3 integers")
+    if len(set(blk)) != 3 or min(blk) < 0 or max(blk) >= n:
+        raise DocumentError(f"block {blk!r} must have 3 distinct points in 0..{n - 1}")
+    return tuple(sorted(blk))

@@ -160,13 +160,17 @@ class TestUnusablePaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == files
+        return err
 
     def test_build_onto_a_directory(self, capsys, tmp_path):
         (tmp_path / "out").mkdir()
-        self.check(capsys, tmp_path, ["build", 13, "--out", tmp_path / "out"], ["out"])
+        err = self.check(capsys, tmp_path, ["build", 13, "--out", tmp_path / "out"], ["out"])
+        assert f"'{tmp_path / 'out'}'" in err and ".tmp" not in err
 
     def test_build_into_a_missing_directory(self, capsys, tmp_path):
-        self.check(capsys, tmp_path, ["build", 13, "--out", tmp_path / "missing" / "x.json"], [])
+        # the error names the path given, not the temporary file beside it
+        err = self.check(capsys, tmp_path, ["build", 13, "--out", tmp_path / "missing" / "x.json"], [])
+        assert "missing/x.json" in err and ".tmp" not in err
 
     def test_certify_into_a_missing_directory(self, capsys, tmp_path):
         path = tmp_path / "f.json"

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from nonseq_sts import DesignDocument, DocumentError, base_case
 from nonseq_sts.designs import AlmostParallelClass, Design, NonseqCertificate
+from nonseq_sts.documents import _read_block
+
+from oracles import read_block_plainly
 
 
 @pytest.fixture()
@@ -105,10 +108,35 @@ def documents(draw):
 def test_save_load_round_trip(tmp_path_factory, doc):
     tmp = tmp_path_factory.mktemp("docs")
     doc.save(tmp / "a.json")
+    assert json.loads((tmp / "a.json").read_text()) == doc.to_dict()
     loaded = DesignDocument.load(tmp / "a.json")
     assert loaded == doc
     loaded.save(tmp / "b.json")
     assert (tmp / "a.json").read_bytes() == (tmp / "b.json").read_bytes()
+    # older versions wrote what json.dump writes at indent 1, plus a newline
+    indented = "".join(json.JSONEncoder(indent=1).iterencode(doc.to_dict())) + "\n"
+    (tmp / "c.json").write_text(indented)
+    assert DesignDocument.load(tmp / "c.json") == doc
+
+
+def test_one_line_per_block_and_certificate_entry(tmp_path, doc13):
+    path = tmp_path / "sts-13.json"
+    doc13.save(path)
+    lines = path.read_text().splitlines()
+    elements = [line for line in lines if line.startswith(("[", '{"'))]
+    raw = doc13.to_dict()
+    assert [json.loads(line.rstrip(",")) for line in elements] == raw["blocks"] + raw["certificate"]
+    assert [line for line in lines if line not in elements] == [
+        "{",
+        '"schema": 1,',
+        '"n": 13,',
+        '"blocks": [',
+        "],",
+        '"certificate": [',
+        "],",
+        '"provenance": "base-case(13)"',
+        "}",
+    ]
 
 
 def test_blocks_stored_sorted(tmp_path, doc13):
@@ -183,6 +211,42 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=8,
 )
+
+
+block_members = (
+    st.integers(-2, 10)
+    | st.integers()
+    | st.booleans()
+    | st.sampled_from([0.0, 1.0, 2.5, float("nan")])
+    | st.text(max_size=2)
+    | st.lists(st.integers(0, 3), max_size=3)
+    | st.none()
+)
+
+
+@st.composite
+def blocks_to_read(draw):
+    """An order n and a value to read as one of its blocks: a valid block,
+    3 integers in -1..n (often a repeat or just out of range), or any
+    short list or JSON value."""
+    n = draw(st.integers(0, 9))
+    near = st.lists(st.integers(-1, n), min_size=3, max_size=3)
+    valid = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True) if n >= 3 else near
+    return n, draw(st.one_of(valid, near, st.lists(block_members, max_size=4), json_values))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(blocks_to_read())
+def test_block_reader_matches_the_plain_reader(drawn):
+    n, blk = drawn
+    try:
+        expected = read_block_plainly(blk, n)
+    except DocumentError as exc:
+        with pytest.raises(DocumentError) as raised:
+            _read_block(blk, n)
+        assert str(raised.value) == str(exc)
+    else:
+        assert _read_block(blk, n) == expected
 
 
 def containers(value):

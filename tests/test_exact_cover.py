@@ -161,6 +161,12 @@ class TestSegmentPartitionable:
     def test_empty_segment(self, sts7):
         assert segment_partitionable(sts7, ())
 
+    def test_block_outside_the_points_partitions_nothing(self):
+        # the 3-point shortcut keeps the range rule of the matrix rows
+        d = Design.from_blocks(7, [(-1, 0, 1), (2, 3, 4)])
+        assert not segment_partitionable(d, [-1, 0, 1])
+        assert not segment_partitionable(d, [-1, 0, 1, 2, 3, 4])
+
     def test_agrees_with_enumeration_on_all_order7_segments(self, sts7):
         for perm in permutations(range(7)):
             for i in range(7):
