@@ -8,11 +8,13 @@ completed by residual-difference search before development.
 
 Larger orders n = 1 (mod 6) are composed: take a 3-GDD of type 12^u
 (n = 12u + 1) or 12^u 18^1 (n = 12u + 19), adjoin one new point X, and
-fill each group plus X with a relabeled certified system of order 13 or
-19.  Certificates compose by the same recipe: an almost parallel class
-missing y in y's own fill system, unioned with the classes missing X in
-every other fill system.  Nothing is trusted: every composed design is
-re-validated and every certificate re-verified before being returned.
+fill each group plus X with a certified system of order 13 or 19.  The
+relabeling keeps the group's order and ends at X, the largest point, so
+it is increasing and keeps blocks sorted.  Certificates compose by the
+same recipe: an almost parallel class missing y in y's own fill system,
+unioned with the classes missing X in every other fill system.  Nothing
+is trusted: every composed design is re-validated and every certificate
+re-verified before being returned.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .designs import (
     Design,
     GroupType,
     NonseqCertificate,
-    canonical_block,
     validate_psts,
     validate_sts,
     verify_certificate,
@@ -138,10 +139,6 @@ def base_case(n: int) -> CertifiedDesign:
     return CertifiedDesign(design, cert, f"base-case({n})")
 
 
-def _relabel(blk, mapping) -> tuple[int, int, int]:
-    return canonical_block(mapping[p] for p in blk)
-
-
 def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] = None) -> CertifiedDesign:
     """A nonsequenceable Steiner triple system of any order n = 1 (mod 6)
     except the impossible n = 7, with a certificate covering all n points.
@@ -177,15 +174,14 @@ def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] 
     own_class: dict[int, frozenset] = {}  # point -> relabeled class missing it
     for grp in gdd.groups:
         fill = fills[len(grp)]
-        mapping = dict(enumerate(sorted(grp)))
-        mapping[len(grp)] = x
-        blocks.extend(_relabel(blk, mapping) for blk in fill.design.blocks)
+        label = sorted(grp) + [x]  # increasing, so relabeled blocks stay sorted
+        blocks.extend((label[a], label[b], label[c]) for a, b, c in fill.design.blocks)
         for local_missed, apc in fill.certificate.entries.items():
-            relabeled = frozenset(_relabel(blk, mapping) for blk in apc.blocks)
+            relabeled = frozenset((label[a], label[b], label[c]) for a, b, c in apc.blocks)
             if local_missed == len(grp):
                 missing_x.append(relabeled)
             else:
-                own_class[mapping[local_missed]] = relabeled
+                own_class[label[local_missed]] = relabeled
     design = Design.from_blocks(n, blocks)
 
     entries = {x: AlmostParallelClass(frozenset().union(*missing_x), x)}

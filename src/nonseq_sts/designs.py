@@ -3,7 +3,9 @@
 Points are dense integers 0..n-1 throughout; external labels live only in
 the I/O layer.  The types here are plain immutable containers.  Raw
 constructors check nothing, so that validators can be exercised on broken
-inputs; the ``from_blocks`` classmethods merely canonicalise ordering.
+inputs.  The two ``from_blocks`` classmethods are the only canonicalisers:
+builders pass them raw triples, and they sort each block (refusing one
+that is not 3 distinct points) and, for a design, the block list.
 Validators re-derive every structural property from scratch (a verdict
 never depends on how an object was built or ordered) and return reports
 instead of raising, so batch pipelines can aggregate outcomes.  The
@@ -66,7 +68,7 @@ class Design:
 
     @classmethod
     def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> "Design":
-        """Canonicalise member order and block order; no other checks."""
+        """Canonicalise member order and block order, for builders that pass raw triples; no other checks."""
         return cls(n, tuple(sorted(canonical_block(b) for b in blocks)))
 
     @cached_property
@@ -144,6 +146,7 @@ class AlmostParallelClass:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], missed: int) -> "AlmostParallelClass":
+        """Canonicalise member order, as ``Design.from_blocks`` does; builders pass raw triples."""
         return cls(frozenset(canonical_block(b) for b in blocks), missed)
 
 

@@ -20,7 +20,7 @@ from itertools import permutations
 from math import prod
 from typing import Iterable, Sequence, Union
 
-from .designs import AlmostParallelClass, Design, canonical_block
+from .designs import AlmostParallelClass, Design
 
 GroupElement = Union[int, tuple[int, ...]]
 BaseBlock = tuple[GroupElement, GroupElement, GroupElement]
@@ -95,13 +95,13 @@ def develop(base: Sequence[BaseBlock], group: AbelianGroup) -> Design:
     """Translate every starter block through the whole group.
 
     Starters whose orbit is shorter than the group order are rejected
-    rather than silently deduplicated.
+    rather than silently deduplicated; translates are compared as point sets.
     """
     blocks = []
     for bb in base:
         members = _members(bb, group)
-        orbit = [canonical_block(group.add(m, t) for m in members) for t in range(group.order)]
-        distinct = len(set(orbit))
+        orbit = [tuple(group.add(m, t) for m in members) for t in range(group.order)]
+        distinct = len(set(map(frozenset, orbit)))
         if distinct < group.order:
             raise ValueError(f"base block {bb!r} has a short orbit ({distinct} of {group.order} translates)")
         blocks.extend(orbit)
@@ -199,5 +199,5 @@ def complete_base_blocks(base: Sequence[BaseBlock], group: AbelianGroup) -> list
 def translate_apc(apc: AlmostParallelClass, t: GroupElement, group: AbelianGroup) -> AlmostParallelClass:
     """Shift every block and the missed point by the group element t."""
     t = group.index(t)
-    blocks = frozenset(canonical_block(group.add(p, t) for p in blk) for blk in apc.blocks)
-    return AlmostParallelClass(blocks, group.add(apc.missed, t))
+    blocks = ((group.add(p, t) for p in blk) for blk in apc.blocks)
+    return AlmostParallelClass.from_blocks(blocks, group.add(apc.missed, t))

@@ -11,10 +11,11 @@ remaining candidates, ties broken by lowest element index, and rows are
 tried in candidate-insertion order.  For a fixed instance the solution
 list is therefore reproducible.
 
-Two engines, one job each.  Every one-off partition question (an almost
-parallel class for ``find_apc``, one segment for ``segment_partitionable``
-and through it ``is_admissible``, a point's complement for the sequence
-search's endpoint filter) runs on one dancing-links matrix per design:
+Two engines, one job each, and one row check for both: ``_rows``.
+Every one-off partition question (an almost parallel class for
+``find_apc``, one segment for ``segment_partitionable`` and through it
+``is_admissible``, a point's complement for the sequence search's
+endpoint filter) runs on one dancing-links matrix per design:
 columns 0..n-1, one row per block in sorted order, linked on the first
 question and freed with the design.  A question covers every column
 outside its point set, which removes exactly the blocks that leave it,
@@ -33,7 +34,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional
 
-from .designs import AlmostParallelClass, Design, canonical_block
+from .designs import AlmostParallelClass, Design
 
 
 class BudgetExceededError(RuntimeError):
@@ -258,9 +259,13 @@ def exists_cover(inst: ExactCoverInstance, *, node_budget: Optional[int] = None)
     return bool(solve(inst, 1, node_budget=node_budget))
 
 
-def _rows(d: Design) -> list[tuple[int, ...]]:
-    """Both engines' rows: d's distinct blocks inside 0..n-1, sorted; no question can use the rest."""
-    return [blk for blk in sorted(d.block_set) if 0 <= blk[0] and blk[-1] < d.n]
+def _rows(d: Design) -> tuple[tuple[Hashable, tuple[int, ...]], ...]:
+    """Both engines' rows, checked once: d's distinct blocks inside 0..n-1,
+    sorted, each its own id; no question can use the rest.  A block that is
+    not a triple, or that ``ExactCoverInstance.build`` refuses because it
+    repeats a point, raises ValueError."""
+    blocks = ((a, b, c) for a, b, c in sorted(d.block_set) if 0 <= a and c < d.n)
+    return ExactCoverInstance.build(d.n, ((blk, blk) for blk in blocks)).candidates
 
 
 # One linked matrix per live design: columns 0..n-1, rows ``_rows(d)``.
@@ -270,8 +275,7 @@ _design_matrices: "weakref.WeakKeyDictionary[Design, _Matrix]" = weakref.WeakKey
 def _design_matrix(d: Design) -> _Matrix:
     matrix = _design_matrices.get(d)
     if matrix is None:
-        rows = [(blk, blk) for blk in map(canonical_block, _rows(d))]
-        matrix = _design_matrices.setdefault(d, _Matrix(d.n, rows))
+        matrix = _design_matrices.setdefault(d, _Matrix(d.n, _rows(d)))
     return matrix
 
 
@@ -322,6 +326,7 @@ def segment_partitionable(d: Design, segment: Iterable[int]) -> bool:
     if len(seg) % 3:
         return False
     if len(seg) == 3:
+        _design_matrix(d)  # the rows are checked here too, once per design
         blk = tuple(sorted(seg))
         return blk in d.block_set and 0 <= blk[0] and blk[-1] < d.n  # in range, as in ``_rows``
     return _first_partition(d, seg)[0] is not None
@@ -337,15 +342,14 @@ class SegmentOracle:
     looked up, first calls ``on_miss``; the sequence search passes a
     callback that counts it as a node against its budget, which bounds the
     memo too.  One-off questions go to ``segment_partitionable`` instead.
-    Agrees with it everywhere: both take their blocks from ``_rows(d)``.
+    Both take their rows from ``_rows(d)``, where they are checked once.
     """
 
     def __init__(self, d: Design, on_miss: Optional[Callable[[], None]] = None):
         self.design = d
         by_point: list[list[int]] = [[] for _ in range(d.n)]
-        for blk in _rows(d):
-            mask = (1 << blk[0]) | (1 << blk[1]) | (1 << blk[2])
-            by_point[blk[0]].append(mask)  # filed under the lowest point
+        for _, (a, b, c) in _rows(d):
+            by_point[a].append((1 << a) | (1 << b) | (1 << c))  # filed under the lowest point
         self._blocks_at = by_point
         self._memo: dict[int, bool] = {0: True}
         self._on_miss = on_miss

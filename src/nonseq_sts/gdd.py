@@ -32,7 +32,6 @@ from .designs import (
     Gdd,
     GroupType,
     ValidationReport,
-    canonical_block,
     validate_gdd,
     validate_sts,
 )
@@ -104,7 +103,7 @@ def bose_gdd(u: int) -> Gdd:
         for y in range(x + 1, u):
             z = (x + y) * half % u
             for i in range(3):
-                blocks.append(canonical_block((3 * x + i, 3 * y + i, 3 * z + (i + 1) % 3)))
+                blocks.append((3 * x + i, 3 * y + i, 3 * z + (i + 1) % 3))
     groups = tuple(tuple(range(3 * x, 3 * x + 3)) for x in range(u))
     return Gdd(GroupType.of((3, u)), groups, Design.from_blocks(3 * u, blocks))
 
@@ -117,7 +116,7 @@ def bose_sts(n: int) -> Design:
     m = n // 3
     gdd = bose_gdd(m)
     blocks = list(gdd.design.blocks)
-    blocks.extend(canonical_block((3 * x, 3 * x + 1, 3 * x + 2)) for x in range(m))
+    blocks.extend((3 * x, 3 * x + 1, 3 * x + 2) for x in range(m))
     return Design.from_blocks(n, blocks)
 
 
@@ -140,7 +139,7 @@ def inflate(g: Gdd, w: int) -> Gdd:
     for a, b, c in g.design.blocks:
         for x in range(w):
             for y in range(w):
-                blocks.append(canonical_block((a * w + x, b * w + y, c * w + (x + y) % w)))
+                blocks.append((a * w + x, b * w + y, c * w + (x + y) % w))
     groups = tuple(tuple(p * w + j for p in grp for j in range(w)) for grp in g.groups)
     group_type = GroupType.of(*((size * w, count) for size, count in g.group_type.parts))
     return Gdd(group_type, groups, Design.from_blocks(g.design.n * w, blocks))
@@ -293,7 +292,8 @@ def build_gdd(req: GddRequest, *, cache_dir: Optional[os.PathLike | str] = None)
 
     A single part g^u with u >= 3 odd and 3 | g is the Bose type-3^u GDD
     inflated by g/3, built afresh every time.  Any other type comes from
-    the hill climb, tried on CLIMB_ATTEMPTS consecutive seeds from
+    the hill climb, which checks ``necessary_conditions`` (a Bose type
+    always meets them), tried on CLIMB_ATTEMPTS consecutive seeds from
     ``req.seed``; the returned GDD's ``seed`` is the seed that succeeded,
     and if none does, the BudgetExceededError sums ``used`` and ``budget``.
     Given ``cache_dir``, the climb is cached there under the type and
@@ -301,12 +301,9 @@ def build_gdd(req: GddRequest, *, cache_dir: Optional[os.PathLike | str] = None)
     result is re-validated whatever the route.
     """
     group_type = req.group_type
-    rep = necessary_conditions(group_type)
-    if not rep:
-        raise ValueError(f"group type {group_type.key()} fails necessary conditions: {rep.detail}")
-    size, count = group_type.parts[0]
+    size, count = group_type.parts[0] if len(group_type.parts) == 1 else (0, 0)
     path: Optional[Path] = None
-    if len(group_type.parts) == 1 and count >= 3 and count % 2 == 1 and size % 3 == 0:
+    if count >= 3 and count % 2 == 1 and size % 3 == 0:
         built = inflate(bose_gdd(count), size // 3)
     else:
         if cache_dir is not None:

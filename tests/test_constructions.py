@@ -24,6 +24,13 @@ from oracles import brute_force_apcs
 from reference_systems import BASES, EXPECTED_SIZES, apc_point_blocks
 
 
+def assert_canonical_classes(cd):
+    for missed, apc in cd.certificate.entries.items():
+        for blk in apc.blocks:
+            assert type(blk) is tuple and len(blk) == 3 and blk[0] < blk[1] < blk[2], (missed, blk)
+        assert apc.blocks <= cd.design.block_set, missed
+
+
 class TestBaseCases:
     @pytest.mark.parametrize("n", sorted(EXPECTED_SIZES))
     def test_valid_certified_and_sized(self, n):
@@ -104,6 +111,13 @@ class TestCertifiedSts:
         b = certified_sts(49, seed=3)
         assert a.design == b.design and a.certificate == b.certificate
 
+    @pytest.mark.parametrize("n", [37, 61, 49, 73, 55])  # Bose 12^3 and 12^5, climbed 12^4 and 12^6, 12^3 18^1
+    def test_certificate_classes_are_canonical(self, n):
+        """The fill relabeling is increasing, so composed class blocks are
+        sorted triples of the design without any re-sort.  ``verify_apc``
+        sorts before it looks a block up and would not notice otherwise."""
+        assert_canonical_classes(certified_sts(n))
+
     def test_filling_consistency(self):
         """Every block is either inside one group plus the new point, or
         transverse across three groups; pairs split accordingly."""
@@ -169,6 +183,13 @@ class TestCertifiedPsts:
         cd = certified_psts(19, a)
         assert cd.design.size == 57 - a
         assert len(cd.certificate) >= 18
+
+    @pytest.mark.parametrize("a", range(13))
+    def test_order37_certificate_classes_are_canonical(self, a):
+        """Kept parent classes and searched ones alike are sorted triples of
+        the reduced design, so the damage ranking's ``blk in apc.blocks``
+        compares like with like."""
+        assert_canonical_classes(certified_psts(37, a))
 
     def test_order13_single_removal(self):
         cd = certified_psts(13, 1)

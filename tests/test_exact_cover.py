@@ -15,8 +15,12 @@ from nonseq_sts import (
     BudgetExceededError,
     Design,
     ExactCoverInstance,
+    SegmentOracle,
+    SegmentPolicy,
     exists_cover,
+    find_admissible_sequence,
     find_apc,
+    is_admissible,
     segment_partitionable,
     solve,
     verify_apc,
@@ -177,6 +181,30 @@ class TestSegmentPartitionable:
                     ), (perm, seg)
 
 
+@pytest.mark.parametrize(
+    "d",
+    [
+        Design(9, ((0, 0, 1), (2, 2, 3), (4, 4, 5))),
+        Design(7, ((0, 1), (2, 3, 4))),
+        Design(7, ((0, 1, 2, 3), (4, 5, 6))),
+    ],
+    ids=["repeated-point", "pair", "quadruple"],
+)
+def test_engines_refuse_the_same_malformed_rows(d):
+    """Both engines take their rows from one check, so the bitmask oracle
+    refuses a block that is not 3 distinct points, as dancing links does."""
+    for segment in (range(6), range(3)):  # the 3-point shortcut checks the rows too
+        with pytest.raises(ValueError):
+            segment_partitionable(d, segment)
+    with pytest.raises(ValueError):
+        is_admissible(d, range(d.n))
+    with pytest.raises(ValueError):
+        SegmentOracle(d)
+    for policy in SegmentPolicy:
+        with pytest.raises(ValueError):
+            find_admissible_sequence(d, policy)
+
+
 # Full systems of orders 7 and 13, and a 9-point partial system that is
 # not maximal: every design below is one of these minus drawn blocks.
 ORACLE_BASES = (
@@ -201,8 +229,6 @@ def test_segment_oracle_agrees_with_segment_partitionable(data):
     through one oracle per design: a drawn point set, then every segment
     of a drawn ordering whose size is a multiple of 3, as the sequence
     search would, so most questions meet a warm memo."""
-    from nonseq_sts import SegmentOracle
-
     for base in ORACLE_BASES:
         n = base.n
         removed = data.draw(st.sets(st.sampled_from(base.blocks)))

@@ -359,9 +359,26 @@ class TestBuildGdd:
         assert (info.value.used, info.value.budget) == (7 * attempts, 10 * attempts)
         assert str(info.value) == f"could not realise 3:12^4 in {attempts} attempts: seed {4 + attempts - 1} stuck"
 
-    def test_rejects_impossible_type(self):
+    def test_rejects_impossible_type(self, tmp_path):
         with pytest.raises(ValueError):
             build_gdd(GddRequest(GroupType.of((6, 2))))
+        # the climb's check is the only one: same text, nothing cached
+        for parts in (((6, 2),), ((1, 4),), ((1, 5),)):  # shape, degree, divisibility
+            req = GddRequest(GroupType.of(*parts))
+            with pytest.raises(ValueError) as climbed:
+                hill_climb_gdd(req)
+            for cache_dir in (None, tmp_path):
+                with pytest.raises(ValueError) as built:
+                    build_gdd(req, cache_dir=cache_dir)
+                assert str(built.value) == str(climbed.value)
+                assert "fails necessary conditions" in str(built.value)
+        assert not any(tmp_path.iterdir())
+
+    def test_empty_type_is_the_empty_gdd(self):
+        req = GddRequest(GroupType.of())
+        built = build_gdd(req)
+        assert built == hill_climb_gdd(req)
+        assert (built.groups, built.design.n, built.design.blocks) == ((), 0, ())
 
     def test_block_count_law_never_hardcoded(self):
         for parts in [((12, 3),), ((12, 4),), ((6, 4),), ((12, 3), (18, 1))]:

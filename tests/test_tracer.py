@@ -1,0 +1,36 @@
+"""The benchmark's tracer still finds every function it wraps.
+
+``perfbench/tracer.py`` wraps package functions by module and name, so a
+rename or deletion in the package would break ``perfbench/run.py --trace``
+only when the benchmark runs.  Loading the tracer by path here makes such
+a refactor fail the test suite instead.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import nonseq_sts
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_every_listed_function_and_restores_it():
+    tracer = load_tracer_module().Tracer()
+    try:
+        tracer.install()
+        wrapped = list(tracer._undo)
+        nonseq_sts.certified_sts(37)  # looked up after install, so it is the wrapper
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert metrics["designs.from_blocks_s"] > 0
+    assert metrics["constructions.certified_sts.self_s"] > 0
+    for owner, attr, original in wrapped:
+        assert vars(owner)[attr] is original, (owner, attr)
