@@ -13,15 +13,42 @@ verifiers ``verify_apc`` and ``verify_certificate`` return the same
 ``ValidationReport``: truthy when the check passes, and otherwise naming
 what failed (for a certificate, the entry count or the lowest failing
 entry and why it fails).
+
+On blocks in canonical shape (a tuple of sorted ``int`` triples), pair
+incidence is decided by a pass over lazy ``map`` columns and a class check
+by set algebra, in C with no Python step per block.  That pass can only
+return a pass.  Whenever it cannot, on a failure or a raw shape, the
+per-block loop runs from the start: it alone decides those inputs and
+writes every failure report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
+from operator import add, itemgetter, lt, mul, ne
 from typing import Iterable, Mapping, Optional
 
 Block = tuple[int, int, int]
+
+# Column readers over a block tuple, and the three pairs of a sorted triple.
+_A, _B, _C = itemgetter(0), itemgetter(1), itemgetter(2)
+_PAIRS = ((_A, _B), (_A, _C), (_B, _C))
+
+
+def _sorted_int_triples(blocks) -> bool:
+    """Whether ``blocks`` is a tuple of strictly increasing ``int`` triples
+    (``bool`` excluded), the shape ``from_blocks`` makes.  Decided column
+    by column in C iterators, without Python bytecode per block."""
+    return (
+        type(blocks) is tuple
+        and set(map(type, blocks)) <= {tuple}
+        and set(map(len, blocks)) <= {3}
+        and set(map(type, chain.from_iterable(blocks))) <= {int}
+        and all(map(lt, map(_A, blocks), map(_B, blocks)))
+        and all(map(lt, map(_B, blocks), map(_C, blocks)))
+    )
 
 
 def canonical_block(members: Iterable[int]) -> Block:
@@ -73,6 +100,11 @@ class Design:
 
     @cached_property
     def block_set(self) -> frozenset[Block]:
+        """The blocks as sorted tuples.  Blocks already in canonical shape,
+        as ``from_blocks`` makes them, are shared rather than copied; only
+        raw shapes are sorted block by block."""
+        if _sorted_int_triples(self.blocks):
+            return frozenset(self.blocks)
         return frozenset(tuple(sorted(b)) for b in self.blocks)
 
     @property
@@ -175,10 +207,17 @@ def _pair_incidence(n: int, blocks, gid: list[int] | None = None) -> tuple[Valid
     the first violation found, together with the covered pairs as flat
     indices ``a*n + b`` (a < b).  A set rather than an n*n array keeps the
     memory linear in the number of blocks, whatever order ``n`` claims.
+
+    ``_column_pass`` decides a block tuple in canonical shape; it can only
+    pass it.  The loop below runs when it does not: it alone decides raw
+    shapes and names the first violation.
     """
     covered: set[int] = set()
     if n < 0:
         return ValidationReport.failed("order", f"negative order {n}"), covered
+    passed = _column_pass(n, blocks, gid)
+    if passed is not None:
+        return ValidationReport.passed(), passed
     for blk in blocks:
         members = tuple(blk)
         if len(members) != 3 or len(set(members)) != 3:
@@ -198,6 +237,30 @@ def _pair_incidence(n: int, blocks, gid: list[int] | None = None) -> tuple[Valid
                 return ValidationReport.failed("repeated-pair", detail), covered
             covered.add(x * n + y)
     return ValidationReport.passed(), covered
+
+
+def _column_pass(n: int, blocks, gid: list[int] | None) -> Optional[set[int]]:
+    """The covered pairs when ``blocks`` is a tuple of sorted ``int``
+    triples that passes every check of ``_pair_incidence``; otherwise None.
+
+    Works on lazy columns (one ``map`` per block position, never a copy of
+    the block list): the points lie in 0..n-1 when the first column's
+    minimum and the last column's maximum do, no block hits a group twice
+    when each pair of columns maps to different group ids, and no pair is
+    repeated when the 3 pairs of every block give 3 * len(blocks) distinct
+    indices ``a*n + b``."""
+    if not _sorted_int_triples(blocks):
+        return None
+    if min(map(_A, blocks), default=0) < 0 or max(map(_C, blocks), default=-1) >= n:
+        return None
+    if gid is not None:
+        group = gid.__getitem__
+        if not all(all(map(ne, map(group, map(x, blocks)), map(group, map(y, blocks)))) for x, y in _PAIRS):
+            return None
+    covered: set[int] = set()
+    for x, y in _PAIRS:
+        covered.update(map(add, map(mul, map(x, blocks), repeat(n)), map(y, blocks)))
+    return covered if len(covered) == 3 * len(blocks) else None
 
 
 def validate_psts(d: Design) -> ValidationReport:
@@ -256,12 +319,23 @@ def validate_gdd(g: Gdd) -> ValidationReport:
 
 def verify_apc(d: Design, apc: AlmostParallelClass) -> ValidationReport:
     """Check that the blocks all belong to ``d``, are pairwise disjoint,
-    and cover exactly the points other than ``apc.missed``."""
+    and cover exactly the points other than ``apc.missed``.
+
+    Set algebra decides a class of canonical blocks: a subset of
+    ``d.block_set`` whose members' union has as many points as the blocks
+    have members, n-1 of them, none of them ``missed``.  It can only pass
+    a class; the loop runs otherwise, to decide a raw class (unsorted
+    tuples, say) and to name the first failing block."""
     if not 0 <= apc.missed < d.n:
         return ValidationReport.failed("apc", f"missed point {apc.missed} is outside 0..{d.n - 1}")
     block_set = d.block_set
+    blocks = apc.blocks
+    if type(blocks) is frozenset and blocks <= block_set:
+        points = set(chain.from_iterable(blocks))
+        if len(points) == sum(map(len, blocks)) == d.n - 1 and apc.missed not in points:
+            return ValidationReport.passed()
     covered: set[int] = set()
-    for blk in apc.blocks:
+    for blk in blocks:
         key = tuple(sorted(blk))
         if key not in block_set:
             return ValidationReport.failed("apc", f"{key} is not a block of the design")

@@ -11,7 +11,8 @@ remaining candidates, ties broken by lowest element index, and rows are
 tried in candidate-insertion order.  For a fixed instance the solution
 list is therefore reproducible.
 
-Two engines, one job each, and one row check for both: ``_rows``.
+Two engines, one job each, and one row check for both: ``_rows``, run
+once per live design and shared.
 Every one-off partition question (an almost parallel class for
 ``find_apc``, one segment for ``segment_partitionable`` and through it
 ``is_admissible``, a point's complement for the sequence search's
@@ -259,20 +260,26 @@ def exists_cover(inst: ExactCoverInstance, *, node_budget: Optional[int] = None)
     return bool(solve(inst, 1, node_budget=node_budget))
 
 
-def _rows(d: Design) -> tuple[tuple[Hashable, tuple[int, ...]], ...]:
-    """Both engines' rows, checked once: d's distinct blocks inside 0..n-1,
-    sorted, each its own id; no question can use the rest.  A block that is
-    not a triple, or that ``ExactCoverInstance.build`` refuses because it
-    repeats a point, raises ValueError."""
-    blocks = ((a, b, c) for a, b, c in sorted(d.block_set) if 0 <= a and c < d.n)
-    return ExactCoverInstance.build(d.n, ((blk, blk) for blk in blocks)).candidates
-
-
-# One linked matrix per live design: columns 0..n-1, rows ``_rows(d)``.
+# Per live design, held weakly: its checked rows, and its linked matrix.
+_design_rows: "weakref.WeakKeyDictionary[Design, tuple]" = weakref.WeakKeyDictionary()
 _design_matrices: "weakref.WeakKeyDictionary[Design, _Matrix]" = weakref.WeakKeyDictionary()
 
 
+def _rows(d: Design) -> tuple[tuple[Hashable, tuple[int, ...]], ...]:
+    """Both engines' rows, checked once per design: d's distinct blocks
+    inside 0..n-1, sorted, each its own id; no question can use the rest.
+    A block that is not a triple, or that ``ExactCoverInstance.build``
+    refuses because it repeats a point, raises ValueError."""
+    rows = _design_rows.get(d)
+    if rows is None:
+        blocks = ((a, b, c) for a, b, c in sorted(d.block_set) if 0 <= a and c < d.n)
+        rows = ExactCoverInstance.build(d.n, ((blk, blk) for blk in blocks)).candidates
+        rows = _design_rows.setdefault(d, rows)
+    return rows
+
+
 def _design_matrix(d: Design) -> _Matrix:
+    """The design's matrix: columns 0..n-1, rows ``_rows(d)``."""
     matrix = _design_matrices.get(d)
     if matrix is None:
         matrix = _design_matrices.setdefault(d, _Matrix(d.n, _rows(d)))
@@ -291,9 +298,9 @@ def _first_partition(
     ``points`` and keeps the order of the rest, so the search is the one a
     fresh instance of ``points`` and the blocks inside it would run."""
     n = d.n
+    matrix = _design_matrix(d)  # checks the rows first, whatever the question
     if any(not 0 <= p < n for p in points):
         return None, 0  # no block covers the stray point
-    matrix = _design_matrix(d)
     outside = [col for col in matrix.columns if col.index not in points]
     with matrix.lock:
         for col in outside:
@@ -326,7 +333,7 @@ def segment_partitionable(d: Design, segment: Iterable[int]) -> bool:
     if len(seg) % 3:
         return False
     if len(seg) == 3:
-        _design_matrix(d)  # the rows are checked here too, once per design
+        _rows(d)  # the rows are checked here too, once per design
         blk = tuple(sorted(seg))
         return blk in d.block_set and 0 <= blk[0] and blk[-1] < d.n  # in range, as in ``_rows``
     return _first_partition(d, seg)[0] is not None

@@ -3,13 +3,16 @@
 Everything here enumerates exhaustively and shares no code with the
 package's search paths, except ``fresh_first_partition``: the reference
 for the shared per-design matrix, which links a fresh matrix per question.
-``read_block_plainly`` is the reference for the documents' block reader.
+``read_block_plainly`` is the reference for the documents' block reader,
+and the ``*_by_loop`` validators, one Python pass per block, are the
+reference for the column-wise validators of ``designs``.
 """
 
 from itertools import combinations
 
 import numpy as np
 
+from nonseq_sts.designs import ValidationReport
 from nonseq_sts.documents import DocumentError
 from nonseq_sts.exact_cover import ExactCoverInstance, _Matrix
 
@@ -180,3 +183,108 @@ def read_block_plainly(blk, n: int) -> tuple[int, int, int]:
     if len(set(blk)) != 3 or min(blk) < 0 or max(blk) >= n:
         raise DocumentError(f"block {blk!r} must have 3 distinct points in 0..{n - 1}")
     return tuple(sorted(blk))
+
+
+def pair_incidence_by_loop(n: int, blocks, gid=None):
+    """``designs._pair_incidence`` as a loop over the blocks, each checked
+    and its pairs added one at a time: the same report and covered set."""
+    covered: set[int] = set()
+    if n < 0:
+        return ValidationReport.failed("order", f"negative order {n}"), covered
+    for blk in blocks:
+        members = tuple(blk)
+        if len(members) != 3 or len(set(members)) != 3:
+            detail = f"block {members!r} does not have 3 distinct points"
+            return ValidationReport.failed("malformed-block", detail), covered
+        a, b, c = members
+        if not (type(a) is int and type(b) is int and type(c) is int and 0 <= min(members) and max(members) < n):
+            detail = f"block {members!r} has points outside 0..{n - 1}"
+            return ValidationReport.failed("malformed-block", detail), covered
+        a, b, c = sorted(members)
+        if gid is not None and (gid[a] == gid[b] or gid[b] == gid[c] or gid[a] == gid[c]):
+            return ValidationReport.failed("within-group-pair", f"block {(a, b, c)} hits a group twice"), covered
+        for x, y in ((a, b), (a, c), (b, c)):
+            if x * n + y in covered:
+                earlier = next(tuple(sorted(e)) for e in blocks if x in e and y in e)
+                detail = f"pair {(x, y)} covered by blocks {earlier} and {(a, b, c)}"
+                return ValidationReport.failed("repeated-pair", detail), covered
+            covered.add(x * n + y)
+    return ValidationReport.passed(), covered
+
+
+def validate_psts_by_loop(d):
+    return pair_incidence_by_loop(d.n, d.blocks)[0]
+
+
+def validate_sts_by_loop(d):
+    rep, covered = pair_incidence_by_loop(d.n, d.blocks)
+    if not rep:
+        return rep
+    n = d.n
+    if n % 6 not in (1, 3):
+        return ValidationReport.failed("order", f"no Steiner triple system of order {n} exists (n must be 1 or 3 mod 6)")
+    if len(covered) < n * (n - 1) // 2:
+        pair = next((a, b) for a in range(n) for b in range(a + 1, n) if a * n + b not in covered)
+        return ValidationReport.failed("uncovered-pair", f"pair {pair} is in no block")
+    expected = n * (n - 1) // 6
+    if len(d.blocks) != expected:
+        return ValidationReport.failed("size", f"{len(d.blocks)} blocks, expected {expected}")
+    return ValidationReport.passed()
+
+
+def validate_gdd_by_loop(g):
+    n = g.group_type.total_points
+    if g.design.n != n:
+        return ValidationReport.failed("order", f"design has {g.design.n} points, group type needs {n}")
+    flat = sorted(p for grp in g.groups for p in grp)
+    if flat != list(range(n)):
+        return ValidationReport.failed("groups", "groups are not a partition of the point set")
+    if sorted(len(grp) for grp in g.groups) != sorted(g.group_type.group_sizes()):
+        return ValidationReport.failed("group-type", "group sizes do not match the declared type")
+    gid = [0] * n
+    for i, grp in enumerate(g.groups):
+        for p in grp:
+            gid[p] = i
+    rep, covered = pair_incidence_by_loop(n, g.design.blocks, gid)
+    if not rep:
+        return rep
+    cross = g.group_type.cross_pairs()
+    if len(covered) < cross:
+        pair = next(
+            (a, b) for a in range(n) for b in range(a + 1, n) if gid[a] != gid[b] and a * n + b not in covered
+        )
+        return ValidationReport.failed("uncovered-pair", f"cross pair {pair} is in no block")
+    if 3 * len(g.design.blocks) != cross:
+        return ValidationReport.failed("size", f"{len(g.design.blocks)} blocks, expected {cross // 3}")
+    return ValidationReport.passed()
+
+
+def verify_apc_by_loop(d, apc):
+    """``designs.verify_apc`` as a loop over the class, against the design's
+    blocks sorted one by one here."""
+    if not 0 <= apc.missed < d.n:
+        return ValidationReport.failed("apc", f"missed point {apc.missed} is outside 0..{d.n - 1}")
+    block_set = frozenset(tuple(sorted(b)) for b in d.blocks)
+    covered: set[int] = set()
+    for blk in apc.blocks:
+        key = tuple(sorted(blk))
+        if key not in block_set:
+            return ValidationReport.failed("apc", f"{key} is not a block of the design")
+        if covered.intersection(key):
+            return ValidationReport.failed("apc", f"block {key} meets another block of the class")
+        covered.update(key)
+    if len(covered) != d.n - 1 or apc.missed in covered:
+        return ValidationReport.failed("apc", f"the blocks do not cover exactly the points other than {apc.missed}")
+    return ValidationReport.passed()
+
+
+def verify_certificate_by_loop(d, cert):
+    if len(cert.entries) < d.n - 1:
+        return ValidationReport.failed("certificate", f"{len(cert.entries)} entries, need at least {d.n - 1}")
+    for missed, apc in sorted(cert.entries.items()):
+        if apc.missed != missed:
+            return ValidationReport.failed("certificate", f"entry {missed}: class misses {apc.missed}")
+        rep = verify_apc_by_loop(d, apc)
+        if not rep:
+            return ValidationReport.failed("certificate", f"entry {missed}: {rep.detail}")
+    return ValidationReport.passed()

@@ -12,6 +12,7 @@ from nonseq_sts import (
     Gdd,
     GroupType,
     NonseqCertificate,
+    base_case,
     validate_gdd,
     validate_psts,
     validate_sts,
@@ -19,7 +20,16 @@ from nonseq_sts import (
     verify_certificate,
 )
 
-from oracles import pair_count_verdicts
+from nonseq_sts.designs import _pair_incidence
+from oracles import (
+    pair_count_verdicts,
+    pair_incidence_by_loop,
+    validate_gdd_by_loop,
+    validate_psts_by_loop,
+    validate_sts_by_loop,
+    verify_apc_by_loop,
+    verify_certificate_by_loop,
+)
 from reference_systems import BASES, STS7_BLOCKS, apc_point_blocks
 
 
@@ -278,3 +288,92 @@ def test_validators_agree_with_pair_count_oracle(case):
     assert validate_psts(d).ok == psts
     assert validate_sts(d).ok == sts
     assert validate_gdd(gdd).ok == gdd_ok
+
+
+@st.composite
+def canonical_block_lists(draw):
+    """``block_lists`` with each block of 3 distinct ints sorted into a
+    tuple and the rest dropped, so that the column pass runs on it.  Points
+    may still be out of range, pairs repeated or uncovered, blocks
+    duplicated or inside a group, and the order is sometimes negative."""
+    n, blocks, groups = draw(block_lists())
+    blocks = [tuple(sorted(blk)) for blk in blocks if len(set(blk)) == len(blk) == 3 and set(map(type, blk)) == {int}]
+    edit = draw(st.sampled_from(["none", "none", "stray-point", "negative-order"]))
+    if edit == "stray-point" and blocks:
+        i = draw(st.integers(0, len(blocks) - 1))
+        a, b, c = blocks[i]
+        blocks[i] = draw(st.sampled_from([(-1, b, c), (a, b, n), (a, b, n + 1)]))
+    elif edit == "negative-order":
+        n = draw(st.integers(-3, -1))
+    return n, blocks, groups
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(block_lists(), canonical_block_lists()))
+def test_validators_report_what_the_loop_reports(case):
+    """Verdict, category and detail are the per-block loop's, on raw and
+    canonical block lists alike; so is the covered-pair set."""
+    n, blocks, groups = case
+    d = Design(n, tuple(blocks))
+    gdd = Gdd(GroupType.of(*((len(grp), 1) for grp in groups)), tuple(groups), d)
+    assert _pair_incidence(n, d.blocks) == pair_incidence_by_loop(n, d.blocks)
+    assert validate_psts(d) == validate_psts_by_loop(d)
+    assert validate_sts(d) == validate_sts_by_loop(d)
+    assert validate_gdd(gdd) == validate_gdd_by_loop(gdd)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=block_lists(), data=st.data())
+def test_block_set_is_the_sorted_blocks(case, data):
+    """Raw, shuffled and malformed block lists all give the sorted blocks."""
+    n, blocks, _ = case
+    shape = data.draw(st.sampled_from(["raw", "sorted", "shuffled", "lists"]))
+    if shape == "sorted":
+        blocks = [tuple(sorted(blk)) for blk in blocks]
+    elif shape == "shuffled":
+        blocks = [tuple(data.draw(st.permutations(blk))) for blk in data.draw(st.permutations(blocks))]
+    elif shape == "lists":
+        blocks = [list(blk) for blk in blocks]
+    assert Design(n, tuple(blocks)).block_set == frozenset(tuple(sorted(blk)) for blk in blocks)
+
+
+@pytest.fixture(scope="module", params=[13, 19])
+def certified_base(request):
+    return base_case(request.param)
+
+
+DAMAGE = ("none", "foreign", "overlap", "unsorted", "quadruple", "missed", "short", "missing-entry")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_verifiers_report_what_the_loop_reports(certified_base, data):
+    """Certificates with drawn damage get the loop's reports, entry by entry
+    and as a whole."""
+    d, cert = certified_base.design, certified_base.certificate
+    entries = dict(cert.entries)
+    for _ in range(data.draw(st.integers(1, 3))):
+        damage = data.draw(st.sampled_from(DAMAGE))
+        key = data.draw(st.sampled_from(sorted(entries)))
+        apc = entries[key]
+        blocks = sorted(apc.blocks)
+        i = data.draw(st.integers(0, len(blocks) - 1))
+        if damage == "foreign":
+            blocks[i] = data.draw(st.sampled_from([(0, 1, 2), (1, 2, 3), (0, 4, 8), (0, 1, d.n)]))
+        elif damage == "overlap":
+            blocks[i] = data.draw(st.sampled_from([blk for blk in d.blocks if set(blk) & set(blocks[i - 1])]))
+        elif damage == "unsorted":
+            blocks[i] = blocks[i][::-1]
+        elif damage == "quadruple":
+            blocks[i] = blocks[i] + (data.draw(st.integers(0, d.n - 1)),)
+        elif damage == "short":
+            del blocks[i]
+        missed = data.draw(st.integers(-1, d.n)) if damage == "missed" else apc.missed
+        if damage == "missing-entry":
+            del entries[key]
+            continue
+        damaged = AlmostParallelClass(frozenset(blocks), missed)
+        assert verify_apc(d, damaged) == verify_apc_by_loop(d, damaged)
+        entries[key] = damaged
+    damaged_cert = NonseqCertificate(entries)
+    assert verify_certificate(d, damaged_cert) == verify_certificate_by_loop(d, damaged_cert)

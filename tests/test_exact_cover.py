@@ -193,7 +193,9 @@ class TestSegmentPartitionable:
 def test_engines_refuse_the_same_malformed_rows(d):
     """Both engines take their rows from one check, so the bitmask oracle
     refuses a block that is not 3 distinct points, as dancing links does."""
-    for segment in (range(6), range(3)):  # the 3-point shortcut checks the rows too
+    # The 3-point shortcut checks the rows too, and so does a segment with
+    # a point outside 0..n-1, which no block can cover.
+    for segment in (range(6), range(3), [-1, 0, 1, 2, 3, 4], [-1, 0, 1]):
         with pytest.raises(ValueError):
             segment_partitionable(d, segment)
     with pytest.raises(ValueError):
@@ -203,6 +205,23 @@ def test_engines_refuse_the_same_malformed_rows(d):
     for policy in SegmentPolicy:
         with pytest.raises(ValueError):
             find_admissible_sequence(d, policy)
+
+
+def test_rows_are_checked_once_per_design(monkeypatch):
+    """Both engines share one row check per live design."""
+    calls = []
+    build = ExactCoverInstance.build.__func__
+
+    def spy(cls, universe_size, candidates):
+        calls.append(universe_size)
+        return build(cls, universe_size, candidates)
+
+    monkeypatch.setattr(ExactCoverInstance, "build", classmethod(spy))
+    d = Design.from_blocks(10, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 9)])
+    SegmentOracle(d)
+    SegmentOracle(d)
+    assert segment_partitionable(d, range(6))
+    assert calls == [10]
 
 
 # Full systems of orders 7 and 13, and a 9-point partial system that is

@@ -32,5 +32,11 @@ def test_tracer_wraps_every_listed_function_and_restores_it():
         tracer.uninstall()
     assert metrics["designs.from_blocks_s"] > 0
     assert metrics["constructions.certified_sts.self_s"] > 0
+    # The validator and verifier layers still reach their traced entry
+    # points, and the certificate is still checked one entry at a time.
+    assert metrics["designs.validate_sts_s"] > 0
+    assert metrics["designs.validate_gdd_s"] > 0
+    assert metrics["designs.verify_certificate_s"] > 0
+    assert metrics["designs.verify_apc.calls"] >= 36
     for owner, attr, original in wrapped:
         assert vars(owner)[attr] is original, (owner, attr)
