@@ -19,7 +19,9 @@ incidence is decided by a pass over lazy ``map`` columns and a class check
 by set algebra, in C with no Python step per block.  That pass can only
 return a pass.  Whenever it cannot, on a failure or a raw shape, the
 per-block loop runs from the start: it alone decides those inputs and
-writes every failure report.
+writes every failure report.  The shape verdict is computed once per
+design, the first time it is asked for (``Design.canonical_shape``), and
+read by ``block_set``, the validators and the document writer.
 """
 
 from __future__ import annotations
@@ -99,11 +101,20 @@ class Design:
         return cls(n, tuple(sorted(canonical_block(b) for b in blocks)))
 
     @cached_property
+    def canonical_shape(self) -> bool:
+        """Whether the blocks are a tuple of strictly increasing ``int``
+        triples, the shape ``from_blocks`` makes.  Kept after the first
+        call: a true verdict means a tuple of int tuples, which cannot
+        change, and a false one only sends the checks down their per-block
+        loops, which decide every shape."""
+        return _sorted_int_triples(self.blocks)
+
+    @cached_property
     def block_set(self) -> frozenset[Block]:
         """The blocks as sorted tuples.  Blocks already in canonical shape,
         as ``from_blocks`` makes them, are shared rather than copied; only
         raw shapes are sorted block by block."""
-        if _sorted_int_triples(self.blocks):
+        if self.canonical_shape:
             return frozenset(self.blocks)
         return frozenset(tuple(sorted(b)) for b in self.blocks)
 
@@ -198,8 +209,8 @@ class NonseqCertificate:
         return len(self.entries)
 
 
-def _pair_incidence(n: int, blocks, gid: list[int] | None = None) -> tuple[ValidationReport, set[int]]:
-    """The one structural pass over a block list, shared by every validator.
+def _pair_incidence(d: Design, gid: list[int] | None = None) -> tuple[ValidationReport, set[int]]:
+    """The one structural pass over a design's blocks, shared by every validator.
 
     Checks that each block has 3 distinct integer points in 0..n-1 (``bool``
     is not an integer here), that no block hits a group twice when ``gid``
@@ -208,14 +219,15 @@ def _pair_incidence(n: int, blocks, gid: list[int] | None = None) -> tuple[Valid
     indices ``a*n + b`` (a < b).  A set rather than an n*n array keeps the
     memory linear in the number of blocks, whatever order ``n`` claims.
 
-    ``_column_pass`` decides a block tuple in canonical shape; it can only
-    pass it.  The loop below runs when it does not: it alone decides raw
+    ``_column_pass`` decides blocks in canonical shape; it can only pass
+    them.  The loop below runs when it does not: it alone decides raw
     shapes and names the first violation.
     """
+    n, blocks = d.n, d.blocks
     covered: set[int] = set()
     if n < 0:
         return ValidationReport.failed("order", f"negative order {n}"), covered
-    passed = _column_pass(n, blocks, gid)
+    passed = _column_pass(n, blocks, gid) if d.canonical_shape else None
     if passed is not None:
         return ValidationReport.passed(), passed
     for blk in blocks:
@@ -239,9 +251,9 @@ def _pair_incidence(n: int, blocks, gid: list[int] | None = None) -> tuple[Valid
     return ValidationReport.passed(), covered
 
 
-def _column_pass(n: int, blocks, gid: list[int] | None) -> Optional[set[int]]:
-    """The covered pairs when ``blocks`` is a tuple of sorted ``int``
-    triples that passes every check of ``_pair_incidence``; otherwise None.
+def _column_pass(n: int, blocks: tuple[Block, ...], gid: list[int] | None) -> Optional[set[int]]:
+    """The covered pairs when ``blocks``, a tuple of sorted ``int`` triples,
+    passes every check of ``_pair_incidence``; otherwise None.
 
     Works on lazy columns (one ``map`` per block position, never a copy of
     the block list): the points lie in 0..n-1 when the first column's
@@ -249,8 +261,6 @@ def _column_pass(n: int, blocks, gid: list[int] | None) -> Optional[set[int]]:
     when each pair of columns maps to different group ids, and no pair is
     repeated when the 3 pairs of every block give 3 * len(blocks) distinct
     indices ``a*n + b``."""
-    if not _sorted_int_triples(blocks):
-        return None
     if min(map(_A, blocks), default=0) < 0 or max(map(_C, blocks), default=-1) >= n:
         return None
     if gid is not None:
@@ -269,12 +279,12 @@ def validate_psts(d: Design) -> ValidationReport:
     Also rejects malformed blocks (wrong arity, repeated or out-of-range
     members).  Duplicate blocks surface as repeated pairs.
     """
-    return _pair_incidence(d.n, d.blocks)[0]
+    return _pair_incidence(d)[0]
 
 
 def validate_sts(d: Design) -> ValidationReport:
     """Check the full Steiner condition: every pair in exactly one block."""
-    rep, covered = _pair_incidence(d.n, d.blocks)
+    rep, covered = _pair_incidence(d)
     if not rep:
         return rep
     n = d.n
@@ -303,7 +313,7 @@ def validate_gdd(g: Gdd) -> ValidationReport:
     for i, grp in enumerate(g.groups):
         for p in grp:
             gid[p] = i
-    rep, covered = _pair_incidence(n, g.design.blocks, gid)
+    rep, covered = _pair_incidence(g.design, gid)
     if not rep:
         return rep
     cross = g.group_type.cross_pairs()

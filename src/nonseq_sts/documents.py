@@ -14,9 +14,17 @@ Schema (version 1):
       "provenance": "base-case(13)"
     }
 
-A saved file holds one line per scalar field and one per element of each
-list field (block, label, certificate entry), each encoded by
-``json.dumps``; indented files from older versions load the same.
+``DesignDocument._fields`` is the one statement of this layout: the field
+order, the optional fields left out, and each list field's elements.
+``to_dict`` collects it into a dict.  ``save`` streams it as one line per
+scalar field and one per element of each list field (block, label,
+certificate entry), an empty list written ``[]`` on its key's line.  The
+lines come straight from the design and the certificate, never through
+``to_dict``: blocks in canonical shape (``Design.canonical_shape``) are
+written by one format string over the sorted block tuples, which for
+exact ints is the text ``json.dumps`` writes; any other line, a
+certificate entry too, is one ``json.dumps``.  Indented files from older
+versions load the same.
 
 Loading performs structural validation only (shapes, ranges, types);
 semantic validation is the verifiers' job so that a broken design can be
@@ -30,7 +38,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .designs import AlmostParallelClass, Design, NonseqCertificate
 
@@ -41,6 +49,20 @@ class DocumentError(ValueError):
     """The file is not a well-formed design document."""
 
 
+# One canonical block's line: ``%d`` writes an exact int as ``json.dumps`` does.
+_BLOCK_LINE = "[%d, %d, %d]".__mod__
+
+
+class _ListField(NamedTuple):
+    """A list field: its elements in file order, made lazily, the encoder
+    of one element's line, and what ``to_dict`` holds for one element
+    (the element itself when None)."""
+
+    elements: Iterable
+    encode: Callable[[Any], str] = json.dumps
+    plain: Optional[Callable[[Any], Any]] = None
+
+
 @dataclass
 class DesignDocument:
     design: Design
@@ -48,20 +70,36 @@ class DesignDocument:
     certificate: Optional[NonseqCertificate] = None
     provenance: str = ""
 
-    def to_dict(self) -> dict:
-        doc: dict = {
-            "schema": SCHEMA_VERSION,
-            "n": self.design.n,
-            "blocks": sorted(sorted(blk) for blk in self.design.blocks),
-        }
+    def _fields(self) -> Iterator[tuple[str, Any]]:
+        """The document's fields in schema order, as (key, value) pairs;
+        ``labels`` and ``certificate`` are left out when None, and kept
+        when empty.  A list field's value is a ``_ListField``: blocks
+        sorted within and then across blocks, certificate entries by
+        missed point and each class's blocks sorted."""
+        design = self.design
+        yield "schema", SCHEMA_VERSION
+        yield "n", design.n
+        if design.canonical_shape:
+            yield "blocks", _ListField(sorted(design.blocks), _BLOCK_LINE, list)
+        else:
+            yield "blocks", _ListField(sorted(sorted(blk) for blk in design.blocks))
         if self.labels is not None:
-            doc["labels"] = list(self.labels)
+            yield "labels", _ListField(self.labels)
         if self.certificate is not None:
-            doc["certificate"] = [
-                {"missed": missed, "blocks": [list(blk) for blk in sorted(apc.blocks)]}
-                for missed, apc in sorted(self.certificate.entries.items())
-            ]
-        doc["provenance"] = self.provenance
+            entries = sorted(self.certificate.entries.items())
+            yield "certificate", _ListField(
+                {"missed": missed, "blocks": [list(blk) for blk in sorted(apc.blocks)]} for missed, apc in entries
+            )
+        yield "provenance", self.provenance
+
+    def to_dict(self) -> dict:
+        """The document as the JSON value ``save`` writes: ``_fields``
+        collected, each list field into a list of plain elements."""
+        doc = {}
+        for key, value in self._fields():
+            if isinstance(value, _ListField):
+                value = list(value.elements if value.plain is None else map(value.plain, value.elements))
+            doc[key] = value
         return doc
 
     @classmethod
@@ -106,11 +144,13 @@ class DesignDocument:
         return cls(design, labels, certificate, provenance)
 
     def save(self, path: os.PathLike | str) -> None:
-        """Write ``to_dict()`` as JSON, one line per scalar field and per
-        block, label and certificate entry, each line encoded on its own and
-        streamed through ``replace_file``: the text is never whole in
-        memory, and a rewrite is atomic."""
-        replace_file(path, _document_lines(self.to_dict()))
+        """Write the document as JSON, one line per scalar field and per
+        block, label and certificate entry, streamed from ``_fields``
+        through ``replace_file``: neither the text nor ``to_dict()`` is ever
+        whole in memory, each certificate entry's dict is dropped once its
+        line is written, and a rewrite is atomic.  The bytes are those of
+        ``json.dumps`` on each element of ``to_dict()``."""
+        replace_file(path, _document_lines(self._fields()))
 
     @classmethod
     def load(cls, path: os.PathLike | str) -> "DesignDocument":
@@ -142,19 +182,21 @@ def replace_file(path: os.PathLike | str, chunks: Iterable[str]) -> None:
         raise
 
 
-def _document_lines(doc: dict) -> Iterator[str]:
-    """The JSON text of ``doc``, a line at a time: one per scalar field and
-    one per element of a list field, each encoded by ``json.dumps``."""
+def _document_lines(fields: Iterable[tuple[str, Any]]) -> Iterator[str]:
+    """The JSON text of ``fields``, a line at a time: one per scalar field
+    and one per element of a list field, an empty list on its key's line."""
     sep = "{\n"
-    for key, value in doc.items():
+    for key, value in fields:
         head = f"{sep}{json.dumps(key)}: "
-        if isinstance(value, list) and value:
-            yield head + "["
-            item_sep = "\n"
-            for item in value:
-                yield item_sep + json.dumps(item)
-                item_sep = ",\n"
-            yield "\n]"
+        if isinstance(value, _ListField):
+            lines = map(value.encode, value.elements)
+            first = next(lines, None)
+            if first is None:
+                yield head + "[]"
+            else:
+                yield head + "[\n" + first
+                yield from map(",\n".__add__, lines)
+                yield "\n]"
         else:
             yield head + json.dumps(value)
         sep = ",\n"

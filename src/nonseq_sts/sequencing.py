@@ -225,16 +225,16 @@ class SequenceViolation:
 def explain_nonsequenceable(d: Design, cert: NonseqCertificate, seq: Sequence[int]) -> SequenceViolation:
     """Produce the concrete refutation for one sequence: the class missing
     its first point partitions the suffix of length n-1, or the class
-    missing its last point partitions the prefix of length n-1."""
+    missing its last point partitions the prefix of length n-1.  An
+    endpoint's entry is used only when it misses that point and
+    ``verify_apc`` passes it; a ``ValueError`` says that neither does."""
     order = _check_permutation(d, seq)
     n = d.n
-    apc = cert.entries.get(order[0])
-    if apc is not None:
-        return SequenceViolation("suffix", 1, n - 1, order[1:], apc)
-    apc = cert.entries.get(order[-1])
-    if apc is not None:
-        return SequenceViolation("prefix", 0, n - 2, order[: n - 1], apc)
-    raise ValueError("certificate misses both endpoints; it cannot have n-1 verified entries")
+    for kind, point, start, segment in (("suffix", order[0], 1, order[1:]), ("prefix", order[-1], 0, order[: n - 1])):
+        apc = cert.entries.get(point)
+        if apc is not None and apc.missed == point and verify_apc(d, apc):
+            return SequenceViolation(kind, start, start + n - 2, segment, apc)
+    raise ValueError("the certificate has no valid entry for either endpoint; it cannot have n-1 verified entries")
 
 
 __all__ = [

@@ -4,10 +4,13 @@ Everything here enumerates exhaustively and shares no code with the
 package's search paths, except ``fresh_first_partition``: the reference
 for the shared per-design matrix, which links a fresh matrix per question.
 ``read_block_plainly`` is the reference for the documents' block reader,
-and the ``*_by_loop`` validators, one Python pass per block, are the
+``document_dict_plainly`` and ``document_lines_by_dumps`` for their
+streaming writer, and the
+``*_by_loop`` validators, one Python pass per block, are the
 reference for the column-wise validators of ``designs``.
 """
 
+import json
 from itertools import combinations
 
 import numpy as np
@@ -183,6 +186,42 @@ def read_block_plainly(blk, n: int) -> tuple[int, int, int]:
     if len(set(blk)) != 3 or min(blk) < 0 or max(blk) >= n:
         raise DocumentError(f"block {blk!r} must have 3 distinct points in 0..{n - 1}")
     return tuple(sorted(blk))
+
+
+def document_dict_plainly(doc) -> dict:
+    """``DesignDocument.to_dict`` written out field by field: every block
+    sorted, then the blocks; certificate entries by missed point, each
+    class's blocks sorted."""
+    out: dict = {"schema": 1, "n": doc.design.n, "blocks": sorted(sorted(blk) for blk in doc.design.blocks)}
+    if doc.labels is not None:
+        out["labels"] = list(doc.labels)
+    if doc.certificate is not None:
+        out["certificate"] = [
+            {"missed": missed, "blocks": [list(blk) for blk in sorted(apc.blocks)]}
+            for missed, apc in sorted(doc.certificate.entries.items())
+        ]
+    out["provenance"] = doc.provenance
+    return out
+
+
+def document_lines_by_dumps(doc: dict):
+    """``DesignDocument.save``'s text for ``doc``, its ``to_dict()`` built
+    whole, a line at a time: one per scalar field and one per element of a
+    non-empty list field, each encoded by ``json.dumps``."""
+    sep = "{\n"
+    for key, value in doc.items():
+        head = f"{sep}{json.dumps(key)}: "
+        if isinstance(value, list) and value:
+            yield head + "["
+            item_sep = "\n"
+            for item in value:
+                yield item_sep + json.dumps(item)
+                item_sep = ",\n"
+            yield "\n]"
+        else:
+            yield head + json.dumps(value)
+        sep = ",\n"
+    yield "\n}\n"
 
 
 def pair_incidence_by_loop(n: int, blocks, gid=None):

@@ -316,7 +316,7 @@ def test_validators_report_what_the_loop_reports(case):
     n, blocks, groups = case
     d = Design(n, tuple(blocks))
     gdd = Gdd(GroupType.of(*((len(grp), 1) for grp in groups)), tuple(groups), d)
-    assert _pair_incidence(n, d.blocks) == pair_incidence_by_loop(n, d.blocks)
+    assert _pair_incidence(d) == pair_incidence_by_loop(n, d.blocks)
     assert validate_psts(d) == validate_psts_by_loop(d)
     assert validate_sts(d) == validate_sts_by_loop(d)
     assert validate_gdd(gdd) == validate_gdd_by_loop(gdd)

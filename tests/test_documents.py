@@ -1,16 +1,18 @@
 """JSON round trips and structural validation of documents."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonseq_sts import DesignDocument, DocumentError, base_case
+from nonseq_sts import DesignDocument, DocumentError, base_case, certified_sts, validate_sts, verify_certificate
+from nonseq_sts import designs
 from nonseq_sts.designs import AlmostParallelClass, Design, NonseqCertificate
 from nonseq_sts.documents import _read_block
 
-from oracles import read_block_plainly
+from oracles import document_dict_plainly, document_lines_by_dumps, read_block_plainly
 
 
 @pytest.fixture()
@@ -117,6 +119,114 @@ def test_save_load_round_trip(tmp_path_factory, doc):
     indented = "".join(json.JSONEncoder(indent=1).iterencode(doc.to_dict())) + "\n"
     (tmp / "c.json").write_text(indented)
     assert DesignDocument.load(tmp / "c.json") == doc
+
+
+# Labels and provenance with the characters JSON escapes: non-ASCII,
+# lone surrogates, quotes, backslashes and newlines.
+ESCAPED_TEXT = st.text(alphabet=st.sampled_from('ab"\\\n\té日\ud800\udfff'), max_size=4)
+
+RAW_MEMBERS = {
+    "ints": st.integers(-2, 10) | st.integers(),
+    "numbers": st.integers(0, 9) | st.booleans() | st.floats(),
+    "strings": st.text(max_size=2),
+}
+
+
+@st.composite
+def documents_to_write(draw):
+    """Documents of every shape ``save`` may meet: blocks as ``from_blocks``
+    makes them, sorted triples in any order and of any size, raw blocks
+    (unsorted tuples, lists, any length, ``bool``, float or string members)
+    or none; labels absent or escaped; a certificate absent, or with
+    classes that are empty or hold unsorted blocks."""
+    n = draw(st.integers(0, 9))
+    shape = draw(st.sampled_from(["from_blocks", "canonical", "raw", "empty"]))
+    if shape == "from_blocks" and n >= 3:
+        triple = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+        design = Design.from_blocks(n, draw(st.lists(triple, max_size=12)))
+    elif shape == "canonical":
+        # sorted triples of ints, now and then with a bool or a float among them
+        member = st.integers() | st.integers(-2, 10) | st.sampled_from([False, True, 0.0, 2.5])
+        triple = st.lists(member, min_size=3, max_size=3, unique=True).map(lambda blk: tuple(sorted(blk)))
+        design = Design(n, tuple(draw(st.lists(triple, max_size=12))))
+    elif shape == "raw":
+        members = RAW_MEMBERS[draw(st.sampled_from(sorted(RAW_MEMBERS)))]
+        block = st.lists(members, min_size=1, max_size=4).flatmap(lambda blk: st.sampled_from([tuple(blk), blk]))
+        design = Design(n, tuple(draw(st.lists(block, max_size=8))))
+    else:
+        design = Design(n, ())
+    labels = draw(st.none() | st.lists(ESCAPED_TEXT, min_size=n, max_size=n).map(tuple))
+    certificate = None
+    if draw(st.booleans()):
+        triple = st.lists(st.integers(0, 9), min_size=3, max_size=3, unique=True).map(tuple)
+        entries = {}
+        for missed in draw(st.sets(st.integers(0, 9), max_size=4)):
+            entries[missed] = AlmostParallelClass(frozenset(draw(st.lists(triple, max_size=3))), missed)
+        certificate = NonseqCertificate(entries)
+    return DesignDocument(design, labels, certificate, draw(ESCAPED_TEXT))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(documents_to_write())
+def test_save_writes_json_dumps_per_element(tmp_path_factory, doc):
+    """The streamed bytes are those of ``json.dumps`` on each element of
+    the whole dict, and ``to_dict`` is that dict; a document whose blocks
+    cannot be sorted fails the same way in both."""
+    path = tmp_path_factory.mktemp("docs") / "doc.json"
+    try:
+        plain = document_dict_plainly(doc)
+    except TypeError:
+        with pytest.raises(TypeError):
+            doc.save(path)
+        with pytest.raises(TypeError):
+            doc.to_dict()
+        return
+    assert doc.to_dict() == plain
+    doc.save(path)
+    assert path.read_bytes() == "".join(document_lines_by_dumps(plain)).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def doc253():
+    cd = certified_sts(253, seed=0)
+    return DesignDocument(cd.design, certificate=cd.certificate, provenance=cd.provenance)
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_streams_without_the_dict(tmp_path, doc253):
+    """Saving an order-253 document never holds what ``to_dict`` builds: its
+    allocation peak stays under a quarter of ``to_dict``'s."""
+    path = tmp_path / "sts-253.json"
+    save_peak = traced_peak(doc253.save, path)
+    dict_peak = traced_peak(doc253.to_dict)
+    assert save_peak < dict_peak / 4, (save_peak, dict_peak)
+    assert json.loads(path.read_text()) == doc253.to_dict()
+
+
+def test_block_shape_is_checked_once_per_design(tmp_path, monkeypatch):
+    """Validators, ``block_set``, the certificate check and the save all
+    read one shape verdict per design, computed the first time."""
+    cd = base_case(13)
+    calls = []
+    check = designs._sorted_int_triples
+    monkeypatch.setattr(designs, "_sorted_int_triples", lambda blocks: calls.append(blocks) or check(blocks))
+    for copy in range(2):
+        d = Design(cd.design.n, cd.design.blocks)
+        for _ in range(2):
+            assert validate_sts(d)
+            assert d.block_set == cd.design.block_set
+            assert verify_certificate(d, cd.certificate)
+            DesignDocument(d, certificate=cd.certificate).save(tmp_path / "sts-13.json")
+        assert len(calls) == copy + 1
+    assert calls == [cd.design.blocks, cd.design.blocks]
 
 
 def test_one_line_per_block_and_certificate_entry(tmp_path, doc13):

@@ -497,6 +497,23 @@ class TestExplain:
         assert v.kind == "suffix" and v.apc.missed == 1
         self._check(cd13, v, seq)
 
+    def test_unchecked_entries_are_not_used(self, cd13):
+        """An endpoint's entry refutes only when it misses that point and
+        is a verified class of the design; otherwise the other endpoint's
+        entry is tried, and with neither a ValueError is raised."""
+        from nonseq_sts import NonseqCertificate
+
+        d, entries = cd13.design, cd13.certificate.entries
+        seq = list(range(13))
+        foreign = AlmostParallelClass(frozenset({(0, 1, 2)}), 5)
+        for first in (foreign, AlmostParallelClass(foreign.blocks, 0), entries[1]):
+            cert = NonseqCertificate({0: first, 12: entries[12]})
+            v = explain_nonsequenceable(d, cert, seq)
+            assert v.kind == "prefix" and v.apc is entries[12]
+            self._check(cd13, v, seq)
+            with pytest.raises(ValueError, match="either endpoint"):
+                explain_nonsequenceable(d, NonseqCertificate({0: first, 12: entries[11]}), seq)
+
     def test_soundness_link_on_random_permutations(self, cd13):
         """1000 random permutations: all rejected under both policies, and
         the explanation always produces a verified partitioned proper segment."""

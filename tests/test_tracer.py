@@ -21,12 +21,15 @@ def load_tracer_module():
     return module
 
 
-def test_tracer_wraps_every_listed_function_and_restores_it():
+def test_tracer_wraps_every_listed_function_and_restores_it(tmp_path):
     tracer = load_tracer_module().Tracer()
     try:
         tracer.install()
         wrapped = list(tracer._undo)
-        nonseq_sts.certified_sts(37)  # looked up after install, so it is the wrapper
+        cd = nonseq_sts.certified_sts(37)  # looked up after install, so it is the wrapper
+        doc = nonseq_sts.DesignDocument(cd.design, certificate=cd.certificate, provenance=cd.provenance)
+        doc.save(tmp_path / "sts-37.json")
+        assert nonseq_sts.DesignDocument.load(tmp_path / "sts-37.json") == doc
         metrics = tracer.layer_metrics()
     finally:
         tracer.uninstall()
@@ -38,5 +41,8 @@ def test_tracer_wraps_every_listed_function_and_restores_it():
     assert metrics["designs.validate_gdd_s"] > 0
     assert metrics["designs.verify_certificate_s"] > 0
     assert metrics["designs.verify_apc.calls"] >= 36
+    # Documents are written and read through the traced methods.
+    assert metrics["documents.save_s"] > 0
+    assert metrics["documents.load_s"] > 0
     for owner, attr, original in wrapped:
         assert vars(owner)[attr] is original, (owner, attr)
