@@ -100,6 +100,16 @@ class Design:
         """Canonicalise member order and block order, for builders that pass raw triples; no other checks."""
         return cls(n, tuple(sorted(canonical_block(b) for b in blocks)))
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the fields, computed once: the per-design
+        tables of ``exact_cover`` look a design up on every question, and
+        hashing would otherwise visit every block each time."""
+        return hash((self.n, self.blocks))
+
     @cached_property
     def canonical_shape(self) -> bool:
         """Whether the blocks are a tuple of strictly increasing ``int``

@@ -7,9 +7,15 @@ backtracking can never hang.  Exceeding the budget raises; it is a
 distinct outcome from "no solution exists".
 
 Determinism: the column chosen is always the one with the fewest
-remaining candidates, ties broken by lowest element index, and rows are
-tried in candidate-insertion order.  For a fixed instance the solution
-list is therefore reproducible.
+remaining candidates, ties broken by lowest element index.  ``solve`` and
+``exists_cover`` try rows in candidate-insertion order, so for a fixed
+instance their solution list is reproducible.  One-off partition
+questions restart instead, since that search is heavy-tailed (a few
+points cost hundreds of times the median): attempt 0 is the plain search
+capped at 256 rows, and attempt j >= 1, capped at 256 * 2**j rows, starts
+each level's row list at an offset drawn from ``random.Random(j)``.  Every
+attempt is seeded afresh, so a question's answer and row count depend on
+the question alone, never on the questions asked before it.
 
 Two engines, one job each, and one row check for both: ``_rows``, run
 once per live design and shared.
@@ -20,8 +26,9 @@ endpoint filter) runs on one dancing-links matrix per design:
 columns 0..n-1, one row per block in sorted order, linked on the first
 question and freed with the design.  A question covers every column
 outside its point set, which removes exactly the blocks that leave it,
-searches, and uncovers those columns in reverse; the search unwinds its
-own levels on every exit, so the matrix is always left as it was found.
+runs its attempts, and uncovers those columns in reverse; the search
+unwinds its own levels on every exit, so the matrix is always left as it
+was found.
 Each question holds the matrix's lock, so concurrent questions on one
 design wait for each other.  Memory stays bounded by the design.
 ``SegmentOracle`` memoises bitmask decisions and serves only the sequence
@@ -30,6 +37,7 @@ search, which asks about the same short segments millions of times.
 
 from __future__ import annotations
 
+import random
 import threading
 import weakref
 from dataclasses import dataclass
@@ -181,17 +189,22 @@ class _Matrix:
         col.right.left = col
         col.left.right = col
 
-    def search(self, limit: int, node_budget: Optional[int]) -> tuple[list[frozenset], int]:
+    def search(
+        self, limit: int, node_budget: Optional[int], rng: Optional[random.Random] = None
+    ) -> tuple[list[frozenset], int]:
         """Algorithm X over the uncovered columns: up to ``limit`` covers, as
         sets of row ids in search order, and the number of rows applied.
 
-        Raises BudgetExceededError past ``node_budget`` rows.  On every
-        exit, by return or by exception, the levels still open are unwound,
-        so the matrix is left as it was found.
+        Each level walks its column's circular row list once around, from
+        the top, or with ``rng`` from the row ``rng.randrange(column.size)``
+        places below it.  Raises BudgetExceededError past ``node_budget``
+        rows.  On every exit, by return or by exception, the levels still
+        open are unwound, so the matrix is left as it was found.
         """
         header = self.header
         solutions: list[frozenset] = []
         columns: list[_Column] = []  # the column covered at each open level
+        starts: list[_Node] = []  # the first row tried at each open level
         rows: list[_Node] = []  # the row applied at each level that has one
         nodes = 0
         try:
@@ -204,18 +217,30 @@ class _Matrix:
                     column = self.choose_column()
                     self.cover(column)
                     columns.append(column)
+                    start = column.down
+                    if rng is not None and column.size > 1:  # one row or none: no draw
+                        for _ in range(rng.randrange(column.size)):
+                            start = start.down
+                    starts.append(start)
                 while True:  # the deepest open level moves to its next row
                     if not columns:
                         return solutions, nodes
                     column = columns[-1]
-                    row = rows.pop() if len(rows) == len(columns) else column
-                    if row is not column:
+                    if len(rows) < len(columns):
+                        row = starts[-1]  # the column itself when it is empty
+                    else:
+                        row = rows.pop()
                         self._withdraw(row)
-                    row = row.down
+                        row = row.down
+                        if row is column:
+                            row = row.down
+                        if row is starts[-1]:
+                            row = column  # once around
                     if row is not column:
                         break
                     self.uncover(column)
                     columns.pop()
+                    starts.pop()
                 nodes += 1
                 if node_budget is not None and nodes > node_budget:
                     raise BudgetExceededError(
@@ -286,17 +311,29 @@ def _design_matrix(d: Design) -> _Matrix:
     return matrix
 
 
+# Rows attempt 0 of a one-off question may apply; attempt j may apply
+# _FIRST_CAP << j.
+_FIRST_CAP = 256
+
+
 def _first_partition(
     d: Design, points: set[int], node_budget: Optional[int] = None
 ) -> tuple[Optional[frozenset], int]:
-    """The first set of d's blocks, in solver order, that partitions ``points``,
-    or None; and the rows the search applied.  Raises BudgetExceededError
-    past ``node_budget`` rows.
+    """The first set of d's blocks, in restart order, that partitions
+    ``points``, or None; and the rows the attempts applied in all.  Raises
+    BudgetExceededError, with ``used == budget``, once the attempts
+    together would pass ``node_budget`` rows.
 
     The question runs on the design's shared matrix with every column
     outside ``points`` covered.  That removes exactly the blocks that leave
-    ``points`` and keeps the order of the rest, so the search is the one a
-    fresh instance of ``points`` and the blocks inside it would run."""
+    ``points`` and keeps the order of the rest, so each attempt is the one
+    a fresh instance of ``points`` and the blocks inside it would run.
+    Attempt 0 is the plain search, capped at ``_FIRST_CAP`` rows; attempt
+    j >= 1 rotates each level's rows by ``random.Random(j)``, capped at
+    ``_FIRST_CAP << j`` rows.  An attempt that exhausts its tree under its
+    cap decides None, so no attempt is uncapped and None still means that
+    no partition exists.  Each attempt seeds its own generator, so the
+    answer and the row count depend on the question alone."""
     n = d.n
     matrix = _design_matrix(d)  # checks the rows first, whatever the question
     if any(not 0 <= p < n for p in points):
@@ -306,15 +343,31 @@ def _first_partition(
         for col in outside:
             matrix.cover(col)
         try:
-            found, rows = matrix.search(1, node_budget)
+            attempt = used = 0
+            while True:
+                cap = _FIRST_CAP << attempt
+                left = cap if node_budget is None else min(cap, node_budget - used)
+                try:
+                    found, rows = matrix.search(1, left, random.Random(attempt) if attempt else None)
+                except BudgetExceededError:
+                    if left < cap:  # the caller's budget ran out, not the cap
+                        raise BudgetExceededError(
+                            f"exact-cover search exceeded its budget of {node_budget} nodes",
+                            used=node_budget,
+                            budget=node_budget,
+                        ) from None
+                    used += cap
+                    attempt += 1
+                    continue
+                return (found[0] if found else None), used + rows
         finally:
             for col in reversed(outside):
                 matrix.uncover(col)
-    return (found[0] if found else None), rows
 
 
 def find_apc(d: Design, missed: int) -> Optional[AlmostParallelClass]:
-    """Search d's blocks for an almost parallel class avoiding ``missed``.
+    """Search d's blocks for an almost parallel class avoiding ``missed``:
+    the first one the restarted search of ``_first_partition`` meets.
 
     Returns None iff no such class exists.
     """
@@ -327,7 +380,9 @@ def find_apc(d: Design, missed: int) -> Optional[AlmostParallelClass]:
 def segment_partitionable(d: Design, segment: Iterable[int]) -> bool:
     """Whether some set of d's blocks, each inside ``segment``, partitions it.
 
-    Always False when the segment size is not a multiple of 3.
+    Always False when the segment size is not a multiple of 3.  A 3-point
+    segment is looked up among the blocks; a longer one is the restarted
+    search of ``_first_partition``, whose None means no partition exists.
     """
     seg = set(segment)
     if len(seg) % 3:

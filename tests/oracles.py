@@ -1,8 +1,9 @@
 """Independent brute-force oracles the tests check the package against.
 
 Everything here enumerates exhaustively and shares no code with the
-package's search paths, except ``fresh_first_partition``: the reference
-for the shared per-design matrix, which links a fresh matrix per question.
+package's search paths, except ``fresh_first_partition`` and
+``plain_first_partition``: the references for the shared per-design matrix
+and its restarts, which link a fresh matrix per question.
 ``read_block_plainly`` is the reference for the documents' block reader,
 ``document_dict_plainly`` and ``document_lines_by_dumps`` for their
 streaming writer, and the
@@ -11,13 +12,14 @@ reference for the column-wise validators of ``designs``.
 """
 
 import json
-from itertools import combinations
+import random
+from itertools import combinations, count
 
 import numpy as np
 
 from nonseq_sts.designs import ValidationReport
 from nonseq_sts.documents import DocumentError
-from nonseq_sts.exact_cover import ExactCoverInstance, _Matrix
+from nonseq_sts.exact_cover import BudgetExceededError, ExactCoverInstance, _Matrix
 
 
 def exhaustive_cover_sets(universe_size: int, subsets) -> set[frozenset[int]]:
@@ -62,18 +64,50 @@ def partitionable_by_enumeration(blocks, segment) -> bool:
     return False
 
 
-def fresh_first_partition(d, points: set[int], node_budget=None):
-    """``exact_cover._first_partition`` as it was before the shared matrix:
-    sort and filter the blocks, validate them into a fresh instance on
-    ``points`` renumbered in increasing order, link it and search it once."""
+def fresh_matrix(d, points: set[int]) -> _Matrix:
+    """A fresh matrix for one question, as ``exact_cover`` linked one before
+    the shared matrix: sort and filter the blocks, and validate them into an
+    instance on ``points`` renumbered in increasing order."""
     position = {p: i for i, p in enumerate(sorted(points))}
     candidates = []
     for blk in sorted(d.block_set):
         if points.issuperset(blk):
             candidates.append((blk, tuple(position[p] for p in blk)))
     inst = ExactCoverInstance.build(len(points), candidates)
-    found, nodes = _Matrix(inst.universe_size, inst.candidates).search(1, node_budget)
-    return (found[0] if found else None), nodes
+    return _Matrix(inst.universe_size, inst.candidates)
+
+
+def plain_first_partition(d, points: set[int]):
+    """``exact_cover._first_partition`` as it was before restarts: one
+    uncapped search of a fresh matrix, each level walked from the top."""
+    found, rows = fresh_matrix(d, points).search(1, None)
+    return (found[0] if found else None), rows
+
+
+def fresh_first_partition(d, points: set[int], node_budget=None, first_cap=256):
+    """``exact_cover._first_partition`` on a fresh matrix per question,
+    replaying its restart schedule: attempt j may apply ``first_cap * 2**j``
+    rows, attempt 0 walks each level's rows from the top and attempt j >= 1
+    rotates them by ``random.Random(j)``.  The rows of every attempt count
+    against ``node_budget``; the first attempt that decides answers."""
+    matrix = fresh_matrix(d, points)
+    spent = 0
+    for attempt in count():
+        cap = first_cap * 2**attempt
+        rng = random.Random(attempt) if attempt else None
+        if node_budget is not None and node_budget - spent <= cap:
+            # the last attempt the budget allows: its trip is the caller's
+            try:
+                found, rows = matrix.search(1, node_budget - spent, rng)
+            except BudgetExceededError:
+                raise BudgetExceededError("budget", used=node_budget, budget=node_budget) from None
+            return (found[0] if found else None), spent + rows
+        try:
+            found, rows = matrix.search(1, cap, rng)
+        except BudgetExceededError:
+            spent += cap
+            continue
+        return (found[0] if found else None), spent + rows
 
 
 def pairs_covered_exactly_once(n: int, blocks) -> bool:

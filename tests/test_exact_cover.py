@@ -4,7 +4,9 @@ import random
 import sys
 import threading
 import time
+from functools import partial
 from itertools import combinations, permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,9 @@ from nonseq_sts import (
     ExactCoverInstance,
     SegmentOracle,
     SegmentPolicy,
+    certified_psts,
+    certified_sts,
+    certify_nonsequenceable,
     exists_cover,
     find_admissible_sequence,
     find_apc,
@@ -24,11 +29,18 @@ from nonseq_sts import (
     segment_partitionable,
     solve,
     verify_apc,
+    verify_certificate,
 )
 
 from nonseq_sts import exact_cover
 from nonseq_sts.exact_cover import _first_partition
-from oracles import brute_force_apcs, exhaustive_cover_sets, fresh_first_partition, partitionable_by_enumeration
+from oracles import (
+    brute_force_apcs,
+    exhaustive_cover_sets,
+    fresh_first_partition,
+    partitionable_by_enumeration,
+    plain_first_partition,
+)
 from reference_systems import BASES, STS7_BLOCKS
 
 from test_designs import develop_cyclic
@@ -290,21 +302,26 @@ def test_find_apc_matches_brute_force_on_reduced_designs():
 STARTERS = (develop_cyclic(13, BASES[13]), develop_cyclic(19, BASES[19]))
 
 
+def greedy_partial_system(draw, n: int) -> Design:
+    """Drawn triples on n points, each kept if it shares no pair with one
+    kept before it."""
+    triples = list(combinations(range(n), 3))
+    drawn = draw(st.lists(st.sampled_from(triples), unique=True, max_size=60)) if triples else []
+    blocks, pairs = [], set()
+    for blk in drawn:
+        bp = set(combinations(blk, 2))
+        if not pairs & bp:
+            pairs |= bp
+            blocks.append(blk)
+    return Design.from_blocks(n, blocks)
+
+
 @st.composite
 def shared_matrix_designs(draw):
     """A greedy partial system on up to 13 points, or a starter system with
     drawn blocks deleted."""
     if draw(st.booleans()):
-        n = draw(st.integers(0, 13))
-        triples = list(combinations(range(n), 3))
-        drawn = draw(st.lists(st.sampled_from(triples), unique=True, max_size=60)) if triples else []
-        blocks, pairs = [], set()
-        for blk in drawn:
-            bp = set(combinations(blk, 2))
-            if not pairs & bp:
-                pairs |= bp
-                blocks.append(blk)
-        return Design.from_blocks(n, blocks)
+        return greedy_partial_system(draw, draw(st.integers(0, 13)))
     base = draw(st.sampled_from(STARTERS))
     removed = draw(st.sets(st.sampled_from(base.blocks), max_size=12))
     return Design.from_blocks(base.n, (blk for blk in base.blocks if blk not in removed))
@@ -377,22 +394,144 @@ def intact(d):
 @given(data=st.data())
 def test_shared_matrix_agrees_with_a_fresh_instance(data):
     """A drawn series of questions on one design object gets, answer for
-    answer, the first partition and row count of a freshly linked instance,
-    or the same budget error.  After every question the shared matrix is
-    linked as it was before the first one, whether the question found a
-    partition, exhausted its search or tripped its budget."""
+    answer, the first partition and row count of a freshly linked instance
+    that replays the restart schedule, or the same budget error.  After
+    every question the shared matrix is linked as it was before the first
+    one, whether the question found a partition, exhausted its search or
+    tripped its budget.  Questions on these designs stay under the real
+    first cap, so two examples in three lower it and cross restarts."""
     d = data.draw(shared_matrix_designs())
+    cap = data.draw(st.sampled_from([exact_cover._FIRST_CAP, 1, 5]))
     try:
-        for _ in range(data.draw(st.integers(1, 10))):
-            points, budget = data.draw(partition_questions(d.n))
-            got = partition_answer(_first_partition, d, points, budget)
-            assert got == partition_answer(fresh_first_partition, d, points, budget), (sorted(points), budget)
-            if d in exact_cover._design_matrices:  # a stray point links nothing
-                assert linked_now(d) == intact(d), (sorted(points), budget)
+        with mock.patch.object(exact_cover, "_FIRST_CAP", cap):
+            for _ in range(data.draw(st.integers(1, 10))):
+                points, budget = data.draw(partition_questions(d.n))
+                got = partition_answer(_first_partition, d, points, budget)
+                fresh = partition_answer(partial(fresh_first_partition, first_cap=cap), d, points, budget)
+                assert got == fresh, (sorted(points), budget)
+                if d in exact_cover._design_matrices:  # a stray point links nothing
+                    assert linked_now(d) == intact(d), (sorted(points), budget)
     finally:
         # Equal designs share a matrix, and the starters live on; a matrix
         # damaged here must not hang the examples replayed after a failure.
         exact_cover._design_matrices.pop(d, None)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(d=shared_matrix_designs(), data=st.data())
+def test_first_attempt_is_the_plain_search(d, data):
+    """A question the plain search decides within the first cap gets its
+    partition and row count, as before restarts; one it does not gets the
+    same verdict after more rows than the cap."""
+    points, _ = data.draw(partition_questions(d.n))
+    if any(not 0 <= p < d.n for p in points):
+        return  # answered before any search
+    chosen, rows = _first_partition(d, points)
+    plain_chosen, plain_rows = plain_first_partition(d, points)
+    if plain_rows <= exact_cover._FIRST_CAP:
+        assert (chosen, rows) == (plain_chosen, plain_rows)
+    else:
+        assert rows > exact_cover._FIRST_CAP and (chosen is None) == (plain_chosen is None)
+
+
+@st.composite
+def apc_designs(draw):
+    """A greedy partial system on 10 or 13 points, or the order-13 starter
+    with drawn blocks deleted: small enough for ``brute_force_apcs``."""
+    if draw(st.booleans()):
+        return greedy_partial_system(draw, draw(st.sampled_from([10, 13])))
+    base = STARTERS[0]
+    removed = draw(st.sets(st.sampled_from(base.blocks)))
+    return Design.from_blocks(base.n, (blk for blk in base.blocks if blk not in removed))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=apc_designs(), cap=st.sampled_from([1, 2, 3, 8]))
+def test_find_apc_past_the_cap_is_none_iff_no_class_exists(d, cap):
+    """With the first cap lowered until the questions cross restarts,
+    ``find_apc`` still returns None exactly when exhaustive enumeration
+    finds no almost parallel class, and a valid class otherwise."""
+    with mock.patch.object(exact_cover, "_FIRST_CAP", cap):
+        for x in range(d.n):
+            apc = find_apc(d, x)
+            assert (apc is None) == (brute_force_apcs(d.n, d.blocks, x) == []), x
+            assert apc is None or verify_apc(d, apc)
+
+
+@pytest.fixture(scope="module")
+def sts37():
+    return certified_sts(37).design
+
+
+def test_restarts_at_the_real_cap_agree_with_a_fresh_instance(sts37):
+    """On order 37 many ``find_apc`` questions cross the real first cap.
+    Each gets the fresh instance's answer, the plain search's when it stays
+    under the cap; a budget equal to its rows gives the same answer, and
+    one row less trips with ``used == budget``."""
+    crossed = 0
+    for x in range(37):
+        points = set(range(37)) - {x}
+        chosen, rows = _first_partition(sts37, points)
+        assert (chosen, rows) == fresh_first_partition(sts37, points)
+        plain = plain_first_partition(sts37, points)
+        if plain[1] <= exact_cover._FIRST_CAP:
+            assert (chosen, rows) == plain
+        assert _first_partition(sts37, points, rows) == (chosen, rows)
+        assert partition_answer(_first_partition, sts37, points, rows - 1) == ("budget", rows - 1, rows - 1)
+        assert partition_answer(fresh_first_partition, sts37, points, rows - 1) == ("budget", rows - 1, rows - 1)
+        crossed += rows > exact_cover._FIRST_CAP
+    assert crossed > 0
+    assert linked_now(sts37) == intact(sts37)
+
+
+def test_heavy_tail_points_of_order_109_finish_in_few_rows():
+    """Points 14, 90 and 105 of the seed-0 order-109 system took 18-20 s
+    (14, 105) and 3.7 s (90) for one plain search.  With restarts each
+    finds a class in under 20 000 rows and leaves the matrix intact."""
+    d = certified_sts(109, seed=0).design
+    for x in (14, 90, 105):
+        chosen, rows = _first_partition(d, set(range(109)) - {x})
+        assert chosen is not None and rows < 20_000, (x, rows)
+        assert verify_apc(d, AlmostParallelClass(chosen, x))
+        assert linked_now(d) == intact(d), x
+
+
+def test_certifying_the_37_2_design_searches_few_rows(monkeypatch):
+    """``certify_nonsequenceable`` on the ``certified_psts(37, 2)`` design,
+    with no known classes, searched 659 968 rows (4 s) before restarts;
+    it now needs under 20 000."""
+    d = certified_psts(37, 2).design
+    spent = []
+
+    def counted(d, points, node_budget=None):
+        chosen, rows = _first_partition(d, points, node_budget)
+        spent.append(rows)
+        return chosen, rows
+
+    monkeypatch.setattr(exact_cover, "_first_partition", counted)
+    assert verify_certificate(d, certify_nonsequenceable(d))
+    assert len(spent) == 37 and sum(spent) < 20_000, sum(spent)
+
+
+def test_equal_designs_hash_once_and_share_a_matrix():
+    """A design's hash visits its blocks once, however often the per-design
+    tables look it up; an equal design built apart hashes equal and finds
+    the same matrix."""
+    visits = []
+
+    class Point(int):
+        def __hash__(self):
+            visits.append(int(self))
+            return int.__hash__(self)
+
+    d = Design(4, ((Point(0), 1, 2),))
+    assert hash(d) == hash(d) == hash((4, ((0, 1, 2),)))
+    assert visits == [0]
+    blocks = list(develop_cyclic(13, BASES[13]).blocks)
+    a, b = Design.from_blocks(13, blocks), Design.from_blocks(13, blocks[::-1])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert find_apc(a, 0) == find_apc(b, 0)
+    assert exact_cover._design_matrix(a) is exact_cover._design_matrix(b)
 
 
 def test_shared_matrix_under_four_threads():

@@ -29,6 +29,7 @@ from nonseq_sts import (
     verify_certificate,
 )
 
+from nonseq_sts import exact_cover
 from nonseq_sts.exact_cover import _first_partition
 from oracles import admissible_by_enumeration, plain_sequence_search
 from reference_systems import STS7_BLOCKS
@@ -188,9 +189,14 @@ class TestFindAdmissibleSequence:
         million nodes on order 13 without a verdict."""
         assert find_admissible_sequence(base_case(n).design, policy, node_budget=2000) is None
 
-    def test_endpoint_filter_rows_count_against_the_budget(self):
-        d = base_case(13).design
-        rows = sum(_first_partition(d, set(range(13)) - {x})[1] for x in range(13))
+    @pytest.mark.parametrize("n,total", [(13, 142), (25, 1464)])
+    def test_endpoint_filter_rows_count_against_the_budget(self, n, total):
+        """Every row of every restart attempt counts: at order 25 one
+        question crosses the first cap, so a budget one row short trips."""
+        d = base_case(n).design
+        spent = [_first_partition(d, set(range(n)) - {x})[1] for x in range(n)]
+        rows = sum(spent)
+        assert rows == total and (max(spent) > exact_cover._FIRST_CAP) == (n == 25)
         assert find_admissible_sequence(d, node_budget=rows) is None
         with pytest.raises(BudgetExceededError) as info:
             find_admissible_sequence(d, node_budget=rows - 1)
