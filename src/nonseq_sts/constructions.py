@@ -151,19 +151,13 @@ def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] 
         raise ValueError("no nonsequenceable Steiner triple system of order 7 exists")
     if n < 13:
         raise ValueError(f"smallest supported order is 13, got {n}")
+    if n in _STARTERS:
+        return base_case(n)
     k = (n - 1) // 6
     if k % 2 == 0:
-        u = k // 2
-        if u == 1:
-            return base_case(13)
-        if u == 2:
-            return base_case(25)
-        group_type = GroupType.of((12, u))
+        group_type = GroupType.of((12, k // 2))
     else:
-        u = (k - 3) // 2
-        if u <= 2:
-            return base_case({0: 19, 1: 31, 2: 43}[u])
-        group_type = GroupType.of((12, u), (18, 1))
+        group_type = GroupType.of((12, (k - 3) // 2), (18, 1))
 
     gdd = build_gdd(GddRequest(group_type, seed), cache_dir=cache_dir)
     x = n - 1

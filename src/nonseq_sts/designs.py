@@ -133,10 +133,6 @@ class Design:
         """Number of blocks (the size of a partial system)."""
         return len(self.blocks)
 
-    @property
-    def points(self) -> range:
-        return range(self.n)
-
 
 @dataclass(frozen=True)
 class GroupType:

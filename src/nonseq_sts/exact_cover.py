@@ -17,14 +17,15 @@ each level's row list at an offset drawn from ``random.Random(j)``.  Every
 attempt is seeded afresh, so a question's answer and row count depend on
 the question alone, never on the questions asked before it.
 
-Two engines, one job each, and one row check for both: ``_rows``, run
-once per live design and shared.
+Two engines, one job each, and one row check for both: ``_design_matrix``
+checks a design's rows and links them once per live design, and keeps
+them as ``_Matrix.rows`` for ``SegmentOracle``.
 Every one-off partition question (an almost parallel class for
-``find_apc``, one segment for ``segment_partitionable`` and through it
-``is_admissible``, a point's complement for the sequence search's
-endpoint filter) runs on one dancing-links matrix per design:
-columns 0..n-1, one row per block in sorted order, linked on the first
-question and freed with the design.  A question covers every column
+``find_apc``, one segment of any size for ``segment_partitionable`` and
+through it ``is_admissible``, a point's complement for the sequence
+search's endpoint filter) runs on that dancing-links matrix: columns
+0..n-1, one row per block in sorted order, linked on the first question
+and freed with the design.  A question covers every column
 outside its point set, which removes exactly the blocks that leave it,
 runs its attempts, and uncovers those columns in reverse; the search
 unwinds its own levels on every exit, so the matrix is always left as it
@@ -41,7 +42,7 @@ import random
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Optional
 
 from .designs import AlmostParallelClass, Design
 
@@ -117,9 +118,11 @@ class _Column(_Node):
 
 class _Matrix:
     """Sparse 0/1 matrix as circular doubly-linked lists: columns
-    0..universe_size-1, then one row per candidate, in the given order."""
+    0..universe_size-1, then one row per candidate, in the given order.
+    ``rows`` keeps the candidates as given."""
 
-    def __init__(self, universe_size: int, candidates: Iterable[tuple[Hashable, Iterable[int]]]):
+    def __init__(self, universe_size: int, rows: tuple[tuple[Hashable, tuple[int, ...]], ...]):
+        self.rows = rows
         self.header = _Column(-1)
         self.columns = []
         self.lock = threading.Lock()  # held by each question on a shared matrix
@@ -131,7 +134,7 @@ class _Matrix:
             self.header.left = col
             self.columns.append(col)
             prev = col
-        for cand_id, subset in candidates:
+        for cand_id, subset in rows:
             self._add_row(cand_id, subset)
 
     def _add_row(self, row_id: Hashable, subset: Iterable[int]) -> None:
@@ -285,29 +288,21 @@ def exists_cover(inst: ExactCoverInstance, *, node_budget: Optional[int] = None)
     return bool(solve(inst, 1, node_budget=node_budget))
 
 
-# Per live design, held weakly: its checked rows, and its linked matrix.
-_design_rows: "weakref.WeakKeyDictionary[Design, tuple]" = weakref.WeakKeyDictionary()
+# Per live design, held weakly: its linked matrix.
 _design_matrices: "weakref.WeakKeyDictionary[Design, _Matrix]" = weakref.WeakKeyDictionary()
 
 
-def _rows(d: Design) -> tuple[tuple[Hashable, tuple[int, ...]], ...]:
-    """Both engines' rows, checked once per design: d's distinct blocks
-    inside 0..n-1, sorted, each its own id; no question can use the rest.
-    A block that is not a triple, or that ``ExactCoverInstance.build``
-    refuses because it repeats a point, raises ValueError."""
-    rows = _design_rows.get(d)
-    if rows is None:
-        blocks = ((a, b, c) for a, b, c in sorted(d.block_set) if 0 <= a and c < d.n)
-        rows = ExactCoverInstance.build(d.n, ((blk, blk) for blk in blocks)).candidates
-        rows = _design_rows.setdefault(d, rows)
-    return rows
-
-
 def _design_matrix(d: Design) -> _Matrix:
-    """The design's matrix: columns 0..n-1, rows ``_rows(d)``."""
+    """The design's matrix, linked once per live design: columns 0..n-1,
+    and as ``rows``, both engines' rows, d's distinct blocks inside 0..n-1,
+    sorted, each its own id; no question can use the rest.  A block that is
+    not a triple, or that ``ExactCoverInstance.build`` refuses because it
+    repeats a point, raises ValueError."""
     matrix = _design_matrices.get(d)
     if matrix is None:
-        matrix = _design_matrices.setdefault(d, _Matrix(d.n, _rows(d)))
+        blocks = ((a, b, c) for a, b, c in sorted(d.block_set) if 0 <= a and c < d.n)
+        rows = ExactCoverInstance.build(d.n, ((blk, blk) for blk in blocks)).candidates
+        matrix = _design_matrices.setdefault(d, _Matrix(d.n, rows))
     return matrix
 
 
@@ -380,17 +375,13 @@ def find_apc(d: Design, missed: int) -> Optional[AlmostParallelClass]:
 def segment_partitionable(d: Design, segment: Iterable[int]) -> bool:
     """Whether some set of d's blocks, each inside ``segment``, partitions it.
 
-    Always False when the segment size is not a multiple of 3.  A 3-point
-    segment is looked up among the blocks; a longer one is the restarted
-    search of ``_first_partition``, whose None means no partition exists.
+    Always False when the segment size is not a multiple of 3.  Otherwise,
+    whatever its size, the restarted search of ``_first_partition``, whose
+    None means no partition exists.
     """
     seg = set(segment)
     if len(seg) % 3:
         return False
-    if len(seg) == 3:
-        _rows(d)  # the rows are checked here too, once per design
-        blk = tuple(sorted(seg))
-        return blk in d.block_set and 0 <= blk[0] and blk[-1] < d.n  # in range, as in ``_rows``
     return _first_partition(d, seg)[0] is not None
 
 
@@ -404,13 +395,14 @@ class SegmentOracle:
     looked up, first calls ``on_miss``; the sequence search passes a
     callback that counts it as a node against its budget, which bounds the
     memo too.  One-off questions go to ``segment_partitionable`` instead.
-    Both take their rows from ``_rows(d)``, where they are checked once.
+    Both take their rows from ``_design_matrix(d).rows``, where they are
+    checked once.
     """
 
     def __init__(self, d: Design, on_miss: Optional[Callable[[], None]] = None):
         self.design = d
         by_point: list[list[int]] = [[] for _ in range(d.n)]
-        for _, (a, b, c) in _rows(d):
+        for _, (a, b, c) in _design_matrix(d).rows:
             by_point[a].append((1 << a) | (1 << b) | (1 << c))  # filed under the lowest point
         self._blocks_at = by_point
         self._memo: dict[int, bool] = {0: True}
@@ -418,18 +410,33 @@ class SegmentOracle:
 
     def mask_partitionable(self, mask: int) -> bool:
         """Partition decision for a point set given as a bitmask whose
-        population count is a multiple of 3."""
+        population count is a multiple of 3: some block through its lowest
+        point must leave a partitionable rest.  Open sets wait on a stack,
+        not in nested calls, and meet their memo misses, each an
+        ``on_miss`` call, in the order of the plain recursion."""
         memo = self._memo
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        if self._on_miss is not None:
-            self._on_miss()
-        pivot = (mask & -mask).bit_length() - 1  # lowest point must be covered
-        result = False
-        for bmask in self._blocks_at[pivot]:
-            if bmask & mask == bmask and self.mask_partitionable(mask & ~bmask):
-                result = True
-                break
-        memo[mask] = result
-        return result
+        result = memo.get(mask)
+        if result is not None:
+            return result
+        blocks_at, on_miss = self._blocks_at, self._on_miss
+        stack: list[tuple[int, Iterator[int]]] = []  # open sets, each with its blocks left to try
+        while True:
+            if result is None:  # mask is a miss: open it
+                if on_miss is not None:
+                    on_miss()
+                stack.append((mask, iter(blocks_at[(mask & -mask).bit_length() - 1])))
+                result = False
+            top, blocks = stack[-1]
+            if not result:
+                for bmask in blocks:
+                    if bmask & top == bmask:
+                        mask = top & ~bmask
+                        result = memo.get(mask)
+                        if result is not False:
+                            break  # True decides the top set; None opens the rest
+                if result is None:
+                    continue
+            memo[top] = result  # False once no block is left
+            stack.pop()
+            if not stack:
+                return result

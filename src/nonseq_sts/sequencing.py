@@ -44,9 +44,9 @@ def is_admissible(d: Design, seq: Sequence[int], policy: SegmentPolicy = Segment
 
     Segments are scanned longest first: on certified designs the length
     n-1 suffix or prefix is partitionable, so rejection is immediate.  Each
-    segment is one ``segment_partitionable`` call, a dancing-links search
-    on the design's shared matrix with the points outside the segment
-    covered, so no memo grows with the design.
+    segment, whatever its length, is one ``segment_partitionable`` call, a
+    dancing-links search on the design's shared matrix with the points
+    outside the segment covered, so no memo grows with the design.
     """
     order = _check_permutation(d, seq)
     n = d.n
@@ -102,7 +102,8 @@ def find_admissible_sequence(
     of the segment oracle alike.
 
     Segment contents are tracked as prefix bitmasks, so each check is one
-    subtraction plus a memoized partition decision.
+    subtraction plus a memoized partition decision.  The prefix is its own
+    backtracking stack, so no order meets Python's recursion limit.
     """
     n = d.n
     if n <= 1:
@@ -136,12 +137,11 @@ def find_admissible_sequence(
     prefix: list[int] = []
     pmask: list[int] = [0]  # pmask[j] = bitmask of prefix[:j]
     lasts = 0  # once the first point is placed: the endpoints above it
-
-    def extend() -> bool:
-        nonlocal lasts
+    start = 0  # the first candidate left to try for the next place
+    while True:
         t1 = len(prefix) + 1
         base = pmask[-1]
-        for p in range(n):
+        for p in range(start, n):
             bit = 1 << p
             if base & bit:
                 continue
@@ -155,7 +155,7 @@ def find_admissible_sequence(
             spend()
             if t1 == n:  # p is in lasts, and every proper suffix has been asked
                 prefix.append(p)
-                return True
+                return tuple(prefix)
             # segments ending at the new point, shortest first
             ok = True
             if all_intervals:
@@ -170,15 +170,13 @@ def find_admissible_sequence(
             if ok:
                 prefix.append(p)
                 pmask.append(m1)
-                if extend():
-                    return True
-                prefix.pop()
-                pmask.pop()
-        return False
-
-    if extend():
-        return tuple(prefix)
-    return None
+                start = 0
+                break
+        else:  # no candidate left here: back up one place
+            if not prefix:
+                return None
+            start = prefix.pop() + 1
+            pmask.pop()
 
 
 def certify_nonsequenceable(

@@ -110,6 +110,24 @@ def fresh_first_partition(d, points: set[int], node_budget=None, first_cap=256):
         return (found[0] if found else None), spent + rows
 
 
+def recursive_mask_partitionable(blocks_at, memo: dict, on_miss, mask: int) -> bool:
+    """``SegmentOracle.mask_partitionable`` as a plain recursion over the
+    oracle's ``blocks_at`` (block bitmasks filed under their lowest point),
+    with its own ``memo`` and ``on_miss``: one nested call per block taken."""
+    hit = memo.get(mask)
+    if hit is not None:
+        return hit
+    on_miss()
+    pivot = (mask & -mask).bit_length() - 1  # the lowest point must be covered
+    result = False
+    for bmask in blocks_at[pivot]:
+        if bmask & mask == bmask and recursive_mask_partitionable(blocks_at, memo, on_miss, mask & ~bmask):
+            result = True
+            break
+    memo[mask] = result
+    return result
+
+
 def pairs_covered_exactly_once(n: int, blocks) -> bool:
     """Pair-incidence oracle: every pair of points in exactly one block."""
     for a in range(n):

@@ -199,6 +199,13 @@ class TestSequence:
         assert code == 0
         assert kv["SEQUENCE"] == "0 1 3 2"
 
+    def test_long_one_block_design_has_a_sequence(self, capsys, tmp_path):
+        """The search places 1100 points without nesting a call per point."""
+        path = tmp_path / "one-block-1100.json"
+        DesignDocument(Design.from_blocks(1100, [(0, 1, 2)])).save(path)
+        code, kv = run_cli(capsys, "sequence", path)
+        assert (code, kv["RESULT"]) == (0, "SEQUENCE")
+
     def test_budget_exit_4(self, capsys, sts7_file):
         code, kv = run_cli(capsys, "sequence", sts7_file, "--budget", 1)
         assert code == 4

@@ -40,6 +40,7 @@ from oracles import (
     fresh_first_partition,
     partitionable_by_enumeration,
     plain_first_partition,
+    recursive_mask_partitionable,
 )
 from reference_systems import BASES, STS7_BLOCKS
 
@@ -178,7 +179,7 @@ class TestSegmentPartitionable:
         assert segment_partitionable(sts7, ())
 
     def test_block_outside_the_points_partitions_nothing(self):
-        # the 3-point shortcut keeps the range rule of the matrix rows
+        # a 3-point segment keeps the range rule of the matrix rows
         d = Design.from_blocks(7, [(-1, 0, 1), (2, 3, 4)])
         assert not segment_partitionable(d, [-1, 0, 1])
         assert not segment_partitionable(d, [-1, 0, 1, 2, 3, 4])
@@ -205,8 +206,8 @@ class TestSegmentPartitionable:
 def test_engines_refuse_the_same_malformed_rows(d):
     """Both engines take their rows from one check, so the bitmask oracle
     refuses a block that is not 3 distinct points, as dancing links does."""
-    # The 3-point shortcut checks the rows too, and so does a segment with
-    # a point outside 0..n-1, which no block can cover.
+    # A 3-point segment checks the rows too, and so does a segment with a
+    # point outside 0..n-1, which no block can cover.
     for segment in (range(6), range(3), [-1, 0, 1, 2, 3, 4], [-1, 0, 1]):
         with pytest.raises(ValueError):
             segment_partitionable(d, segment)
@@ -280,6 +281,57 @@ def test_segment_oracle_agrees_with_segment_partitionable(data):
                         seg = order[i:j]
                         mask = sum(1 << p for p in seg)
                         assert oracle.mask_partitionable(mask) == segment_partitionable(d, seg), seg
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_segment_oracle_misses_as_the_recursion_does(data):
+    """The oracle's explicit stack meets the memo misses of the plain
+    recursion in the same order: question for question, both give the same
+    answer after the same number of ``on_miss`` calls, trip on the same
+    drawn miss, and leave the same decisions in their memos in the same
+    order."""
+    base = data.draw(st.sampled_from(ORACLE_BASES))
+    removed = data.draw(st.sets(st.sampled_from(base.blocks)))
+    d = Design.from_blocks(base.n, (blk for blk in base.blocks if blk not in removed))
+    trip = data.draw(st.one_of(st.none(), st.integers(1, 30)))
+
+    def counter(misses):
+        def on_miss():
+            misses.append(1)
+            if len(misses) == trip:
+                raise BudgetExceededError("tripped")
+
+        return on_miss
+
+    got_misses, ref_misses = [], []
+    oracle = SegmentOracle(d, on_miss=counter(got_misses))
+    ref_memo = {0: True}
+    for points in data.draw(st.lists(st.sets(st.integers(0, d.n - 1)), min_size=1, max_size=6)):
+        mask = sum(1 << p for p in sorted(points)[: len(points) - len(points) % 3])
+        answers = []
+        for ask in (
+            oracle.mask_partitionable,
+            partial(recursive_mask_partitionable, oracle._blocks_at, ref_memo, counter(ref_misses)),
+        ):
+            try:
+                answers.append(ask(mask))
+            except BudgetExceededError:
+                answers.append("tripped")
+        assert answers[0] == answers[1], sorted(points)
+        assert len(got_misses) == len(ref_misses)
+        assert list(oracle._memo.items()) == list(ref_memo.items())
+
+
+def test_segment_oracle_answers_past_the_recursion_limit():
+    """Points 0..2999 of the order-3001 design with blocks {3i, 3i+1,
+    3i+2} take 1000 nested decisions, one miss each; a call per decision
+    passed Python's recursion limit."""
+    d = Design.from_blocks(3001, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(1000)])
+    misses = []
+    oracle = SegmentOracle(d, on_miss=lambda: misses.append(1))
+    assert oracle.mask_partitionable((1 << 3000) - 1)
+    assert len(misses) == 1000
 
 
 def test_find_apc_matches_brute_force_on_reduced_designs():

@@ -144,6 +144,14 @@ class TestFindAdmissibleSequence:
         seq = find_admissible_sequence(Design.from_blocks(4, [(0, 1, 2)]))
         assert seq == (0, 1, 3, 2)
 
+    def test_long_one_block_design_has_a_sequence(self):
+        """The prefix is the search's own stack, so 1100 places nest no
+        calls; a recursion per place passed Python's limit."""
+        seq = find_admissible_sequence(Design.from_blocks(1100, [(0, 1, 2)]))
+        assert sorted(seq) == list(range(1100))
+        first, _, last = sorted(seq.index(p) for p in (0, 1, 2))
+        assert last - first > 2  # the block is not a segment
+
     def test_budget_exhaustion(self, sts7):
         with pytest.raises(BudgetExceededError) as info:
             find_admissible_sequence(sts7, node_budget=1)

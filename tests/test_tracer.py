@@ -10,6 +10,9 @@ import importlib.util
 from pathlib import Path
 
 import nonseq_sts
+from nonseq_sts import Design
+
+from reference_systems import STS7_BLOCKS
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -30,6 +33,11 @@ def test_tracer_wraps_every_listed_function_and_restores_it(tmp_path):
         doc = nonseq_sts.DesignDocument(cd.design, certificate=cd.certificate, provenance=cd.provenance)
         doc.save(tmp_path / "sts-37.json")
         assert nonseq_sts.DesignDocument.load(tmp_path / "sts-37.json") == doc
+        # The searches reach their traced entry points too.
+        d13 = nonseq_sts.base_case(13).design
+        nonseq_sts.certify_nonsequenceable(d13)
+        assert not nonseq_sts.is_admissible(d13, range(13))
+        assert nonseq_sts.find_admissible_sequence(Design.from_blocks(7, STS7_BLOCKS)) is not None
         metrics = tracer.layer_metrics()
     finally:
         tracer.uninstall()
@@ -44,5 +52,8 @@ def test_tracer_wraps_every_listed_function_and_restores_it(tmp_path):
     # Documents are written and read through the traced methods.
     assert metrics["documents.save_s"] > 0
     assert metrics["documents.load_s"] > 0
+    assert metrics["exact_cover.find_apc.calls"] > 0
+    assert metrics["sequencing.is_admissible_s"] > 0
+    assert metrics["exact_cover.mask_partitionable.calls"] > 0
     for owner, attr, original in wrapped:
         assert vars(owner)[attr] is original, (owner, attr)
