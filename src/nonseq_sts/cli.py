@@ -86,9 +86,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_sequence(args: argparse.Namespace) -> int:
     doc = DesignDocument.load(args.file)
-    policy = SegmentPolicy(args.policy)
     try:
-        seq = find_admissible_sequence(doc.design, policy, node_budget=args.budget)
+        seq = find_admissible_sequence(doc.design, args.policy, node_budget=args.budget)
     except BudgetExceededError:
         _emit("RESULT", "BUDGET")
         return 4
@@ -148,6 +147,13 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+def node_budget(text: str) -> int:
+    """An integer of at least 0; argparse exits 2 on anything else."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nonseq-sts",
@@ -175,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sequence", help="search for an admissible point sequence")
     p.add_argument("file")
     p.add_argument("--policy", choices=[pol.value for pol in SegmentPolicy], default=SegmentPolicy.ALL_INTERVALS.value)
-    p.add_argument("--budget", type=int, default=10**8, help="search nodes before giving up")
+    p.add_argument("--budget", type=node_budget, default=10**8, help="search nodes before giving up")
     p.set_defaults(func=cmd_sequence)
 
     p = sub.add_parser("certify", help="find a certificate for an existing design file")

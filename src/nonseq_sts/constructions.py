@@ -142,9 +142,10 @@ def base_case(n: int) -> CertifiedDesign:
 def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] = None) -> CertifiedDesign:
     """A nonsequenceable Steiner triple system of any order n = 1 (mod 6)
     except the impossible n = 7, with a certificate covering all n points.
-    Deterministic for a fixed seed.  The provenance names the hill-climb
-    seed the GDD came from: ``seed=11 (requested 10)`` when the climb got
-    stuck on seed 10 and the retry on 11 succeeded."""
+    Deterministic for a fixed seed.  When the GDD was climbed, the
+    provenance names the seed it came from: ``seed=11 (requested 10)`` when
+    the climb got stuck on seed 10 and the retry on 11 succeeded.  A
+    Bose-route GDD uses no seed, and its provenance names none."""
     if n % 6 != 1:
         raise ValueError(f"n must be 1 (mod 6), got {n}")
     if n == 7:
@@ -191,8 +192,10 @@ def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] 
     rep = verify_certificate(design, cert)
     if not rep:
         raise RuntimeError(f"internal error: composed certificate of order {n} does not verify ({rep})")
-    seed_text = f"seed={seed}" if gdd.seed in (None, seed) else f"seed={gdd.seed} (requested {seed})"
-    return CertifiedDesign(design, cert, f"gdd-fill(n={n}, type={group_type.key()}, {seed_text})")
+    provenance = f"gdd-fill(n={n}, type={group_type.key()}"
+    if gdd.seed is not None:  # the climb ran
+        provenance += f", seed={seed}" if gdd.seed == seed else f", seed={gdd.seed} (requested {seed})"
+    return CertifiedDesign(design, cert, provenance + ")")
 
 
 def certified_psts(

@@ -2,9 +2,9 @@
 
 The solver is the classic Algorithm X over a toroidal doubly-linked
 matrix, written with an explicit stack instead of recursion and with an
-optional node budget so that callers embedding it inside their own
-backtracking can never hang.  Exceeding the budget raises; it is a
-distinct outcome from "no solution exists".
+optional row cap so that callers embedding it inside their own
+backtracking can never hang.  A search stopped at its cap returns a row
+count past it, an outcome distinct from "no solution exists".
 
 Determinism: the column chosen is always the one with the fewest
 remaining candidates, ties broken by lowest element index.  ``solve`` and
@@ -193,16 +193,17 @@ class _Matrix:
         col.left.right = col
 
     def search(
-        self, limit: int, node_budget: Optional[int], rng: Optional[random.Random] = None
+        self, limit: int, cap: Optional[int], rng: Optional[random.Random] = None
     ) -> tuple[list[frozenset], int]:
         """Algorithm X over the uncovered columns: up to ``limit`` covers, as
         sets of row ids in search order, and the number of rows applied.
 
         Each level walks its column's circular row list once around, from
         the top, or with ``rng`` from the row ``rng.randrange(column.size)``
-        places below it.  Raises BudgetExceededError past ``node_budget``
-        rows.  On every exit, by return or by exception, the levels still
-        open are unwound, so the matrix is left as it was found.
+        places below it.  The row that would pass ``cap`` is counted but not
+        applied, and the search returns: a count above ``cap`` means it
+        stopped undecided.  On every exit the levels still open are
+        unwound, so the matrix is left as it was found.
         """
         header = self.header
         solutions: list[frozenset] = []
@@ -245,12 +246,8 @@ class _Matrix:
                     columns.pop()
                     starts.pop()
                 nodes += 1
-                if node_budget is not None and nodes > node_budget:
-                    raise BudgetExceededError(
-                        f"exact-cover search exceeded its budget of {node_budget} nodes",
-                        used=node_budget,
-                        budget=node_budget,
-                    )
+                if cap is not None and nodes > cap:
+                    return solutions, nodes
                 rows.append(row)
                 node = row.right
                 while node is not row:
@@ -279,7 +276,11 @@ def solve(inst: ExactCoverInstance, limit: int, *, node_budget: Optional[int] = 
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    found, _ = _Matrix(inst.universe_size, inst.candidates).search(limit, node_budget)
+    found, rows = _Matrix(inst.universe_size, inst.candidates).search(limit, node_budget)
+    if node_budget is not None and rows > node_budget:
+        raise BudgetExceededError(
+            f"exact-cover search exceeded its budget of {node_budget} nodes", used=node_budget, budget=node_budget
+        )
     return [ExactCoverSolution(chosen) for chosen in found]
 
 
@@ -315,9 +316,9 @@ def _first_partition(
     d: Design, points: set[int], node_budget: Optional[int] = None
 ) -> tuple[Optional[frozenset], int]:
     """The first set of d's blocks, in restart order, that partitions
-    ``points``, or None; and the rows the attempts applied in all.  Raises
-    BudgetExceededError, with ``used == budget``, once the attempts
-    together would pass ``node_budget`` rows.
+    ``points``, or None; and the rows the attempts applied in all.  Once
+    the attempts together would pass ``node_budget`` rows, the answer is
+    ``(None, node_budget + 1)``: a count past the budget, undecided.
 
     The question runs on the design's shared matrix with every column
     outside ``points`` covered.  That removes exactly the blocks that leave
@@ -326,9 +327,9 @@ def _first_partition(
     Attempt 0 is the plain search, capped at ``_FIRST_CAP`` rows; attempt
     j >= 1 rotates each level's rows by ``random.Random(j)``, capped at
     ``_FIRST_CAP << j`` rows.  An attempt that exhausts its tree under its
-    cap decides None, so no attempt is uncapped and None still means that
-    no partition exists.  Each attempt seeds its own generator, so the
-    answer and the row count depend on the question alone."""
+    cap decides None, so no attempt is uncapped and None within the budget
+    means that no partition exists.  Each attempt seeds its own generator,
+    so the answer and the row count depend on the question alone."""
     n = d.n
     matrix = _design_matrix(d)  # checks the rows first, whatever the question
     if any(not 0 <= p < n for p in points):
@@ -342,19 +343,11 @@ def _first_partition(
             while True:
                 cap = _FIRST_CAP << attempt
                 left = cap if node_budget is None else min(cap, node_budget - used)
-                try:
-                    found, rows = matrix.search(1, left, random.Random(attempt) if attempt else None)
-                except BudgetExceededError:
-                    if left < cap:  # the caller's budget ran out, not the cap
-                        raise BudgetExceededError(
-                            f"exact-cover search exceeded its budget of {node_budget} nodes",
-                            used=node_budget,
-                            budget=node_budget,
-                        ) from None
-                    used += cap
-                    attempt += 1
-                    continue
-                return (found[0] if found else None), used + rows
+                found, rows = matrix.search(1, left, random.Random(attempt) if attempt else None)
+                if rows <= left or left < cap:  # decided, or the caller's budget ran out
+                    return (found[0] if found else None), used + rows
+                used += cap
+                attempt += 1
         finally:
             for col in reversed(outside):
                 matrix.uncover(col)
@@ -392,15 +385,14 @@ class SegmentOracle:
     Point sets recur constantly while a sequence search backtracks, so
     decisions are cached by the set itself (as a bitmask), which never
     needs invalidating.  Each memo miss, a decision computed rather than
-    looked up, first calls ``on_miss``; the sequence search passes a
-    callback that counts it as a node against its budget, which bounds the
-    memo too.  One-off questions go to ``segment_partitionable`` instead.
-    Both take their rows from ``_design_matrix(d).rows``, where they are
-    checked once.
+    looked up, first calls ``on_miss``; the sequence search passes its
+    ``spend``, which counts the miss as a node against its budget and so
+    bounds the memo too.  One-off questions go to ``segment_partitionable``
+    instead.  Both take their rows from ``_design_matrix(d).rows``, where
+    they are checked once.
     """
 
-    def __init__(self, d: Design, on_miss: Optional[Callable[[], None]] = None):
-        self.design = d
+    def __init__(self, d: Design, on_miss: Callable[[], None]):
         by_point: list[list[int]] = [[] for _ in range(d.n)]
         for _, (a, b, c) in _design_matrix(d).rows:
             by_point[a].append((1 << a) | (1 << b) | (1 << c))  # filed under the lowest point
@@ -422,8 +414,7 @@ class SegmentOracle:
         stack: list[tuple[int, Iterator[int]]] = []  # open sets, each with its blocks left to try
         while True:
             if result is None:  # mask is a miss: open it
-                if on_miss is not None:
-                    on_miss()
+                on_miss()
                 stack.append((mask, iter(blocks_at[(mask & -mask).bit_length() - 1])))
                 result = False
             top, blocks = stack[-1]

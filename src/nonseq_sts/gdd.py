@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import random
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -39,7 +40,7 @@ from .documents import read_json, replace_file
 from .exact_cover import BudgetExceededError
 
 
-# Default cap on hill-climb moves, per cross pair of the requested type.
+# Cap on hill-climb moves, per cross pair of the requested type.
 MOVES_PER_CROSS_PAIR = 10
 
 # Consecutive seeds ``build_gdd`` gives the hill climb before it gives up.
@@ -145,7 +146,7 @@ def inflate(g: Gdd, w: int) -> Gdd:
     return Gdd(group_type, groups, Design.from_blocks(g.design.n * w, blocks))
 
 
-def hill_climb_gdd(req: GddRequest, *, move_limit: Optional[int] = None) -> Gdd:
+def hill_climb_gdd(req: GddRequest) -> Gdd:
     """Randomized construction of a 3-GDD of the requested type by
     Stinson's live-point hill climb (Stinson 1985, *Hill-climbing
     algorithms for the construction of combinatorial designs*).
@@ -162,8 +163,8 @@ def hill_climb_gdd(req: GddRequest, *, move_limit: Optional[int] = None) -> Gdd:
     points and the third point of every covered pair are kept up to date,
     so a move costs O(1).
 
-    ``move_limit`` caps the total number of moves, idle ones included; by
-    default it is MOVES_PER_CROSS_PAIR = 10 times the type's cross pairs.
+    The total number of moves, idle ones included, is capped at
+    MOVES_PER_CROSS_PAIR = 10 times the type's cross pairs.
     In a sweep of 1000 seeds each over 2^4, 6^3, 6^4, 12^4 and 12^3 18^1,
     and 200 each over 12^u for u = 6, 8, 10, 12 and 12^u 18^1 for u = 5, 7,
     no finished climb used more than 4.1 moves per cross pair.  On 6^4,
@@ -180,8 +181,7 @@ def hill_climb_gdd(req: GddRequest, *, move_limit: Optional[int] = None) -> Gdd:
     rep = necessary_conditions(group_type)
     if not rep:
         raise ValueError(f"group type {group_type.key()} fails necessary conditions: {rep.detail}")
-    if move_limit is None:
-        move_limit = MOVES_PER_CROSS_PAIR * group_type.cross_pairs()
+    max_moves = MOVES_PER_CROSS_PAIR * group_type.cross_pairs()
     groups = canonical_groups(group_type)
     n = group_type.total_points
     gid = [0] * n
@@ -252,11 +252,11 @@ def hill_climb_gdd(req: GddRequest, *, move_limit: Optional[int] = None) -> Gdd:
 
     moves = 0
     while live_points:
-        if moves >= move_limit:
+        if moves >= max_moves:
             raise BudgetExceededError(
-                f"hill climb for {group_type.key()} (seed {req.seed}) used up its {move_limit} moves",
+                f"hill climb for {group_type.key()} (seed {req.seed}) used up its {max_moves} moves",
                 used=moves,
-                budget=move_limit,
+                budget=max_moves,
             )
         moves += 1
         x = live_points[rng.randrange(len(live_points))]
@@ -297,8 +297,8 @@ def build_gdd(req: GddRequest, *, cache_dir: Optional[os.PathLike | str] = None)
     ``req.seed``; the returned GDD's ``seed`` is the seed that succeeded,
     and if none does, the BudgetExceededError sums ``used`` and ``budget``.
     Given ``cache_dir``, the climb is cached there under the type and
-    ``req.seed``, so a cache hit is what an uncached build returns.  The
-    result is re-validated whatever the route.
+    ``req.seed``, unless it cannot be read or written, so a cache hit is
+    what an uncached build returns.  The result is re-validated.
     """
     group_type = req.group_type
     size, count = group_type.parts[0] if len(group_type.parts) == 1 else (0, 0)
@@ -328,7 +328,8 @@ def build_gdd(req: GddRequest, *, cache_dir: Optional[os.PathLike | str] = None)
     if built.group_type != group_type:
         raise RuntimeError(f"internal error: built type {built.group_type.key()}, wanted {group_type.key()}")
     if path is not None:
-        _cache_store(path, built)
+        with suppress(OSError):  # an unwritable cache is skipped, as an unreadable one is a miss
+            _cache_store(path, built)
     return built
 
 

@@ -39,7 +39,7 @@ def _check_permutation(d: Design, seq: Sequence[int]) -> tuple[int, ...]:
     return order
 
 
-def is_admissible(d: Design, seq: Sequence[int], policy: SegmentPolicy = SegmentPolicy.ALL_INTERVALS) -> bool:
+def is_admissible(d: Design, seq: Sequence[int], policy: SegmentPolicy | str = SegmentPolicy.ALL_INTERVALS) -> bool:
     """Whether no proper segment of the sequence is partitionable into blocks.
 
     Segments are scanned longest first: on certified designs the length
@@ -48,6 +48,7 @@ def is_admissible(d: Design, seq: Sequence[int], policy: SegmentPolicy = Segment
     dancing-links search on the design's shared matrix with the points
     outside the segment covered, so no memo grows with the design.
     """
+    policy = SegmentPolicy(policy)
     order = _check_permutation(d, seq)
     n = d.n
     for length in range(n - 1, 0, -1):
@@ -76,7 +77,7 @@ def _class_candidates(d: Design) -> Sequence[int]:
 
 def find_admissible_sequence(
     d: Design,
-    policy: SegmentPolicy = SegmentPolicy.ALL_INTERVALS,
+    policy: SegmentPolicy | str = SegmentPolicy.ALL_INTERVALS,
     node_budget: int = 10**8,
 ) -> Optional[tuple[int, ...]]:
     """Exhaustive backtracking search for an admissible sequence.
@@ -97,42 +98,37 @@ def find_admissible_sequence(
 
     Together they ask every proper suffix before a sequence is complete,
     so the last point needs no check.  Returns None only after the whole
-    tree is exhausted; raises BudgetExceededError after ``node_budget``
-    nodes, counting prefix extensions, dancing-links rows and memo misses
-    of the segment oracle alike.
+    tree is exhausted.  Prefix extensions, the endpoint filter's
+    dancing-links rows and the segment oracle's memo misses are all
+    charged through one ``spend``, which raises BudgetExceededError once
+    they pass ``node_budget`` nodes.
 
     Segment contents are tracked as prefix bitmasks, so each check is one
     subtraction plus a memoized partition decision.  The prefix is its own
     backtracking stack, so no order meets Python's recursion limit.
     """
+    policy = SegmentPolicy(policy)
     n = d.n
     if n <= 1:
         return tuple(range(n))
     nodes = 0
 
-    def over_budget() -> BudgetExceededError:
-        return BudgetExceededError(
-            f"sequence search exceeded its budget of {node_budget} nodes", used=node_budget, budget=node_budget
-        )
-
-    def spend() -> None:
+    def spend(k: int = 1) -> None:
         nonlocal nodes
-        nodes += 1
+        nodes += k
         if nodes > node_budget:
-            raise over_budget()
+            raise BudgetExceededError(
+                f"sequence search exceeded its budget of {node_budget} nodes", used=node_budget, budget=node_budget
+            )
 
     full = (1 << n) - 1
     ends = full  # points that may be first or last
     for x in _class_candidates(d):
-        try:
-            chosen, used = _first_partition(d, set(range(n)) - {x}, node_budget - nodes)
-        except BudgetExceededError:
-            raise over_budget() from None
-        nodes += used
+        chosen, rows = _first_partition(d, set(range(n)) - {x}, node_budget - nodes)
+        spend(rows)  # a count past what was left passes the budget
         if chosen is not None:
             ends &= ~(1 << x)
-    oracle = SegmentOracle(d, on_miss=spend)
-    solve = oracle.mask_partitionable
+    solve = SegmentOracle(d, on_miss=spend).mask_partitionable
     all_intervals = policy is SegmentPolicy.ALL_INTERVALS
     prefix: list[int] = []
     pmask: list[int] = [0]  # pmask[j] = bitmask of prefix[:j]

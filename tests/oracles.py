@@ -19,7 +19,7 @@ import numpy as np
 
 from nonseq_sts.designs import ValidationReport
 from nonseq_sts.documents import DocumentError
-from nonseq_sts.exact_cover import BudgetExceededError, ExactCoverInstance, _Matrix
+from nonseq_sts.exact_cover import ExactCoverInstance, _Matrix
 
 
 def exhaustive_cover_sets(universe_size: int, subsets) -> set[frozenset[int]]:
@@ -89,25 +89,18 @@ def fresh_first_partition(d, points: set[int], node_budget=None, first_cap=256):
     replaying its restart schedule: attempt j may apply ``first_cap * 2**j``
     rows, attempt 0 walks each level's rows from the top and attempt j >= 1
     rotates them by ``random.Random(j)``.  The rows of every attempt count
-    against ``node_budget``; the first attempt that decides answers."""
+    against ``node_budget``; the first attempt that decides answers, and
+    one stopped by the budget answers with its count past the budget."""
     matrix = fresh_matrix(d, points)
     spent = 0
     for attempt in count():
         cap = first_cap * 2**attempt
         rng = random.Random(attempt) if attempt else None
-        if node_budget is not None and node_budget - spent <= cap:
-            # the last attempt the budget allows: its trip is the caller's
-            try:
-                found, rows = matrix.search(1, node_budget - spent, rng)
-            except BudgetExceededError:
-                raise BudgetExceededError("budget", used=node_budget, budget=node_budget) from None
+        last = node_budget is not None and node_budget - spent <= cap  # the last attempt the budget allows
+        found, rows = matrix.search(1, node_budget - spent if last else cap, rng)
+        if last or rows <= cap:
             return (found[0] if found else None), spent + rows
-        try:
-            found, rows = matrix.search(1, cap, rng)
-        except BudgetExceededError:
-            spent += cap
-            continue
-        return (found[0] if found else None), spent + rows
+        spent += cap
 
 
 def recursive_mask_partitionable(blocks_at, memo: dict, on_miss, mask: int) -> bool:

@@ -71,6 +71,15 @@ class TestBuild:
         assert code == 0 and kv["PROVENANCE"] == expected
         assert json.loads((tmp_path / "sts-49.json").read_text())["provenance"] == expected
 
+    def test_build_with_an_unwritable_cache_exits_0(self, capsys, tmp_path):
+        """The GDD of order 49 is climbed; a cache under a regular file
+        cannot hold it, so the store is skipped and the design is built."""
+        (tmp_path / "file").write_text("")
+        argv = ["--cache-dir", tmp_path / "file" / "cache", "build", 49, "--out", tmp_path / "sts-49.json"]
+        code, kv = run_cli(capsys, *argv)
+        assert code == 0 and kv["PROVENANCE"] == "gdd-fill(n=49, type=3:12^4, seed=0)"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "sts-49.json"]
+
     def test_build_7_exits_2(self, capsys, tmp_path):
         assert main(["build", "7", "--out", str(tmp_path / "x.json")]) == 2
 
@@ -210,6 +219,15 @@ class TestSequence:
         code, kv = run_cli(capsys, "sequence", sts7_file, "--budget", 1)
         assert code == 4
         assert kv["RESULT"] == "BUDGET"
+
+    def test_budget_0_is_valid_and_a_negative_budget_exits_2(self, capsys, sts7_file):
+        code, kv = run_cli(capsys, "sequence", sts7_file, "--budget", 0)
+        assert (code, kv["RESULT"]) == (4, "BUDGET")
+        with pytest.raises(SystemExit) as info:
+            main(["sequence", str(sts7_file), "--budget", "-5"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--budget: must be at least 0, got -5" in captured.err
 
     def test_interleaving_disjoint_blocks_succeeds(self, capsys, tmp_path):
         path = tmp_path / "two-blocks.json"

@@ -97,6 +97,18 @@ class TestCertifiedSts:
         assert verify_certificate(cd.design, cd.certificate)
         assert "12^3+18^1" in cd.provenance
 
+    @pytest.mark.parametrize(
+        "n,provenance",
+        [
+            (37, "gdd-fill(n=37, type=3:12^3)"),
+            (61, "gdd-fill(n=61, type=3:12^5)"),
+            (49, "gdd-fill(n=49, type=3:12^4, seed=2)"),
+        ],
+    )
+    def test_provenance_names_a_seed_only_when_the_climb_ran(self, n, provenance):
+        """The Bose route (12^3, 12^5) uses no seed; the climb (12^4) does."""
+        assert certified_sts(n, seed=2).provenance == provenance
+
     def test_order7_rejected(self):
         with pytest.raises(ValueError, match="order 7"):
             certified_sts(7)

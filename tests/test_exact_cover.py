@@ -214,7 +214,7 @@ def test_engines_refuse_the_same_malformed_rows(d):
     with pytest.raises(ValueError):
         is_admissible(d, range(d.n))
     with pytest.raises(ValueError):
-        SegmentOracle(d)
+        SegmentOracle(d, lambda: None)
     for policy in SegmentPolicy:
         with pytest.raises(ValueError):
             find_admissible_sequence(d, policy)
@@ -231,8 +231,8 @@ def test_rows_are_checked_once_per_design(monkeypatch):
 
     monkeypatch.setattr(ExactCoverInstance, "build", classmethod(spy))
     d = Design.from_blocks(10, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 9)])
-    SegmentOracle(d)
-    SegmentOracle(d)
+    SegmentOracle(d, lambda: None)
+    SegmentOracle(d, lambda: None)
     assert segment_partitionable(d, range(6))
     assert calls == [10]
 
@@ -265,7 +265,7 @@ def test_segment_oracle_agrees_with_segment_partitionable(data):
         n = base.n
         removed = data.draw(st.sets(st.sampled_from(base.blocks)))
         reduced = Design.from_blocks(n, (blk for blk in base.blocks if blk not in removed))
-        oracles = [(d, SegmentOracle(d)) for d in (base, reduced)]
+        oracles = [(d, SegmentOracle(d, lambda: None)) for d in (base, reduced)]
         for _ in range(data.draw(st.integers(1, 3))):
             size = data.draw(st.integers(0, n))
             order = data.draw(st.permutations(range(n)))
@@ -402,11 +402,13 @@ def partition_questions(draw, n: int):
 
 
 def partition_answer(first_partition, d, points, budget):
-    """(chosen, rows), or the budget error's (used, budget)."""
-    try:
-        return first_partition(d, points, budget)
-    except BudgetExceededError as exc:
-        return "budget", exc.used, exc.budget
+    """(chosen, rows), or ("budget", budget, budget) for the answer of a
+    question stopped by its budget: no partition and one row past it."""
+    chosen, rows = first_partition(d, points, budget)
+    if budget is not None and rows > budget:
+        assert (chosen, rows) == (None, budget + 1), (chosen, rows)
+        return "budget", budget, budget
+    return chosen, rows
 
 
 def linked_now(d):
@@ -447,11 +449,12 @@ def intact(d):
 def test_shared_matrix_agrees_with_a_fresh_instance(data):
     """A drawn series of questions on one design object gets, answer for
     answer, the first partition and row count of a freshly linked instance
-    that replays the restart schedule, or the same budget error.  After
-    every question the shared matrix is linked as it was before the first
-    one, whether the question found a partition, exhausted its search or
-    tripped its budget.  Questions on these designs stay under the real
-    first cap, so two examples in three lower it and cross restarts."""
+    that replays the restart schedule, or the same stop at its budget.
+    After every question the shared matrix is linked as it was before the
+    first one, whether the question found a partition, exhausted its
+    search or ran out of budget.  Questions on these designs stay under
+    the real first cap, so two examples in three lower it and cross
+    restarts."""
     d = data.draw(shared_matrix_designs())
     cap = data.draw(st.sampled_from([exact_cover._FIRST_CAP, 1, 5]))
     try:
@@ -484,6 +487,20 @@ def test_first_attempt_is_the_plain_search(d, data):
         assert (chosen, rows) == (plain_chosen, plain_rows)
     else:
         assert rows > exact_cover._FIRST_CAP and (chosen is None) == (plain_chosen is None)
+
+
+def test_a_capped_search_stops_one_row_past_its_cap_and_unwinds():
+    """The row that would pass the cap is counted but not applied: the
+    search returns no cover and a count of cap + 1, and leaves the matrix
+    as it found it.  All 13 points of the order-13 starter have no cover,
+    which the uncapped search decides in 35 rows."""
+    d = develop_cyclic(13, BASES[13])
+    matrix = exact_cover._design_matrix(d)
+    assert matrix.search(1, None) == ([], 35)
+    for cap in range(35):
+        assert matrix.search(1, cap) == ([], cap + 1), cap
+        assert linked_now(d) == intact(d), cap
+    assert matrix.search(1, 35) == ([], 35)
 
 
 @st.composite
@@ -519,7 +536,7 @@ def test_restarts_at_the_real_cap_agree_with_a_fresh_instance(sts37):
     """On order 37 many ``find_apc`` questions cross the real first cap.
     Each gets the fresh instance's answer, the plain search's when it stays
     under the cap; a budget equal to its rows gives the same answer, and
-    one row less trips with ``used == budget``."""
+    one row less stops undecided, one row past the budget."""
     crossed = 0
     for x in range(37):
         points = set(range(37)) - {x}
@@ -529,8 +546,8 @@ def test_restarts_at_the_real_cap_agree_with_a_fresh_instance(sts37):
         if plain[1] <= exact_cover._FIRST_CAP:
             assert (chosen, rows) == plain
         assert _first_partition(sts37, points, rows) == (chosen, rows)
-        assert partition_answer(_first_partition, sts37, points, rows - 1) == ("budget", rows - 1, rows - 1)
-        assert partition_answer(fresh_first_partition, sts37, points, rows - 1) == ("budget", rows - 1, rows - 1)
+        assert _first_partition(sts37, points, rows - 1) == (None, rows)
+        assert fresh_first_partition(sts37, points, rows - 1) == (None, rows)
         crossed += rows > exact_cover._FIRST_CAP
     assert crossed > 0
     assert linked_now(sts37) == intact(sts37)

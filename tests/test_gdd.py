@@ -171,10 +171,13 @@ class TestHillClimb:
         assert g.seed == 10
 
     def test_move_limit_raises_with_the_moves_used(self):
+        """Seed 4 of 12^4 is stuck: it uses up all 10 moves per cross pair."""
+        group_type = GroupType.of((12, 4))
         with pytest.raises(BudgetExceededError) as info:
-            hill_climb_gdd(GddRequest(GroupType.of((12, 4)), seed=0), move_limit=50)
-        assert (info.value.used, info.value.budget) == (50, 50)
-        assert "50 moves" in str(info.value)
+            hill_climb_gdd(GddRequest(group_type, seed=4))
+        assert gdd_module.MOVES_PER_CROSS_PAIR * group_type.cross_pairs() == 8640
+        assert (info.value.used, info.value.budget) == (8640, 8640)
+        assert "8640 moves" in str(info.value)
 
     @pytest.mark.parametrize(
         "parts",
@@ -347,6 +350,16 @@ class TestBuildGdd:
             gdd_module._cache_store(target, g)
         assert [p.name for p in tmp_path.iterdir()] == [target.name]
         assert list(target.iterdir()) == []
+
+    def test_an_unwritable_cache_is_skipped(self, tmp_path):
+        """A cache directory under a regular file can be neither read nor
+        written: the build climbs, stores nothing and returns what an
+        uncached build does."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        gt = GroupType.of((12, 4))
+        assert build_gdd(GddRequest(gt), cache_dir=blocker / "cache") == build_gdd(GddRequest(gt))
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
     def test_give_up_error_sums_the_attempts(self, monkeypatch):
         def stuck_climb(req, **kwargs):

@@ -285,6 +285,26 @@ class TestFindAdmissibleSequence:
         assert time.monotonic() - start < 60
 
 
+def test_policy_value_strings_read_as_their_members():
+    """On the order-13 starter less four blocks the two policies find
+    different sequences, and the prefixes-and-suffixes one fails under all
+    intervals.  Both functions read each value string as its member."""
+    d = Design.from_blocks(13, base_case(13).design.blocks[4:])
+    found = {policy: find_admissible_sequence(d, policy) for policy in SegmentPolicy}
+    assert not is_admissible(d, found[SegmentPolicy.PREFIXES_AND_SUFFIXES], SegmentPolicy.ALL_INTERVALS)
+    for policy in SegmentPolicy:
+        assert find_admissible_sequence(d, policy.value) == found[policy]
+        for seq in found.values():
+            assert is_admissible(d, seq, policy.value) == is_admissible(d, seq, policy)
+
+
+def test_an_unknown_policy_string_raises(sts7):
+    with pytest.raises(ValueError):
+        find_admissible_sequence(sts7, "junk")
+    with pytest.raises(ValueError):
+        is_admissible(sts7, range(7), "junk")
+
+
 def test_no_certifiable_design_below_order_13():
     """Orders 4 and 7 are the only ones under 13 where classes even have
     integral size, and there two classes with different missed points always
