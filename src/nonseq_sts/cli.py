@@ -28,10 +28,6 @@ from .sequencing import (
 CACHE_ENV = "NONSEQ_STS_CACHE"
 
 
-def _default_cache_dir() -> Path:
-    return Path(os.environ.get(CACHE_ENV) or Path.home() / ".cache" / "nonseq-sts")
-
-
 def _emit(key: str, value) -> None:
     print(f"{key}: {value}")
 
@@ -162,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help=f"GDD cache directory (default: ${CACHE_ENV} or ~/.cache/nonseq-sts)",
+        help=f"cache of designs built on climbed GDDs (default: ${CACHE_ENV} or ~/.cache/nonseq-sts)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -203,7 +199,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.cache_dir is None:
-        args.cache_dir = _default_cache_dir()
+        args.cache_dir = Path(os.environ.get(CACHE_ENV) or Path.home() / ".cache" / "nonseq-sts")
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # DocumentError is a ValueError

@@ -12,17 +12,25 @@ fill each group plus X with a certified system of order 13 or 19.  The
 relabeling keeps the group's order and ends at X, the largest point, so
 it is increasing and keeps blocks sorted.  Certificates compose by the
 same recipe: an almost parallel class missing y in y's own fill system,
-unioned with the classes missing X in every other fill system.  Nothing
+unioned with the classes missing X in every other fill system.  The
+certificate depends only on the type, as every GDD lays its groups out as
+``gdd.canonical_groups``; the GDD supplies the remaining blocks.  Nothing
 is trusted: every composed design is re-validated and every certificate
 re-verified before being returned.
+
+Composed designs whose GDD was climbed are cached as design documents
+without a certificate (``sts-49-seed0-f3.json``).  A cached design is used
+only if it is a Steiner triple system of the order asked for and the
+freshly composed certificate verifies on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import os
+from contextlib import suppress
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Optional
 
 from .designs import (
     AlmostParallelClass,
@@ -34,7 +42,8 @@ from .designs import (
     verify_certificate,
 )
 from .differences import AbelianGroup, CyclicGroup, ProductGroup, complete_base_blocks, develop, translate_apc
-from .gdd import GddRequest, build_gdd
+from .documents import DesignDocument, DocumentError
+from .gdd import GddRequest, build_gdd, canonical_groups
 from .sequencing import certify_nonsequenceable
 
 
@@ -117,6 +126,10 @@ _STARTERS: dict[int, tuple[AbelianGroup, tuple, tuple]] = {
 
 BASE_ORDERS = tuple(sorted(_STARTERS))
 
+# Part of every cache file name; files of another format are never read.
+# Bump it whenever the climb realises a given seed differently.
+_CACHE_FORMAT = 3
+
 
 def base_case(n: int) -> CertifiedDesign:
     """Develop a starter system and certify it by translating its almost
@@ -145,7 +158,15 @@ def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] 
     Deterministic for a fixed seed.  When the GDD was climbed, the
     provenance names the seed it came from: ``seed=11 (requested 10)`` when
     the climb got stuck on seed 10 and the retry on 11 succeeded.  A
-    Bose-route GDD uses no seed, and its provenance names none."""
+    Bose-route GDD uses no seed, and its provenance names none.
+
+    Given ``cache_dir``, a design built on a climbed GDD is saved there,
+    with its provenance and without its certificate, as the design
+    document ``sts-{n}-seed{seed}-f3.json``, which the next call with the
+    same order and seed reads back.  A file that cannot be read or fails
+    ``validate_sts`` or the composed certificate is a miss, and an
+    unwritable cache is skipped, so a hit is what an uncached build
+    returns."""
     if n % 6 != 1:
         raise ValueError(f"n must be 1 (mod 6), got {n}")
     if n == 7:
@@ -160,14 +181,13 @@ def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] 
     else:
         group_type = GroupType.of((12, (k - 3) // 2), (18, 1))
 
-    gdd = build_gdd(GddRequest(group_type, seed), cache_dir=cache_dir)
     x = n - 1
     fills = {12: base_case(13), 18: base_case(19)}
-
-    blocks = list(gdd.design.blocks)
+    groups = canonical_groups(group_type)
+    blocks = []
     missing_x: list[frozenset] = []  # per group, the relabeled class missing X
     own_class: dict[int, frozenset] = {}  # point -> relabeled class missing it
-    for grp in gdd.groups:
+    for grp in groups:
         fill = fills[len(grp)]
         label = sorted(grp) + [x]  # increasing, so relabeled blocks stay sorted
         blocks.extend((label[a], label[b], label[c]) for a, b, c in fill.design.blocks)
@@ -177,15 +197,23 @@ def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] 
                 missing_x.append(relabeled)
             else:
                 own_class[label[local_missed]] = relabeled
-    design = Design.from_blocks(n, blocks)
 
     entries = {x: AlmostParallelClass(frozenset().union(*missing_x), x)}
-    for i, grp in enumerate(gdd.groups):
+    for i, grp in enumerate(groups):
         others = frozenset().union(*(cls for j, cls in enumerate(missing_x) if j != i))
         for y in grp:
             entries[y] = AlmostParallelClass(own_class[y] | others, y)
     cert = NonseqCertificate(entries)
 
+    path = None if cache_dir is None else Path(cache_dir) / f"sts-{n}-seed{seed}-f{_CACHE_FORMAT}.json"
+    if path is not None:
+        with suppress(OSError, DocumentError):  # an unreadable file is a miss
+            cached = DesignDocument.load(path)
+            if cached.design.n == n and validate_sts(cached.design) and verify_certificate(cached.design, cert):
+                return CertifiedDesign(cached.design, cert, cached.provenance)
+
+    gdd = build_gdd(GddRequest(group_type, seed))
+    design = Design.from_blocks(n, blocks + list(gdd.design.blocks))
     rep = validate_sts(design)
     if not rep:
         raise RuntimeError(f"internal error: composed design of order {n} is invalid ({rep})")
@@ -195,7 +223,12 @@ def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] 
     provenance = f"gdd-fill(n={n}, type={group_type.key()}"
     if gdd.seed is not None:  # the climb ran
         provenance += f", seed={seed}" if gdd.seed == seed else f", seed={gdd.seed} (requested {seed})"
-    return CertifiedDesign(design, cert, provenance + ")")
+    provenance += ")"
+    if path is not None and gdd.seed is not None:
+        with suppress(OSError):  # an unwritable cache is skipped, as an unreadable one is a miss
+            path.parent.mkdir(parents=True, exist_ok=True)
+            DesignDocument(design, provenance=provenance).save(path)
+    return CertifiedDesign(design, cert, provenance)
 
 
 def certified_psts(

@@ -28,14 +28,17 @@ versions load the same.
 
 Loading performs structural validation only (shapes, ranges, types);
 semantic validation is the verifiers' job so that a broken design can be
-loaded and then reported on.  Every JSON file, GDD cache files too, is
-read by ``read_json`` and written by ``replace_file``.
+loaded and then reported on; a certificate entry that lists a block twice
+is refused, as it would otherwise fold away.  Every JSON file is read by
+``read_json`` and written by ``replace_file``; the design cache of
+``constructions.certified_sts`` holds design documents too.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
@@ -134,7 +137,11 @@ class DesignDocument:
                     raise DocumentError(f"certificate entry misses point {missed}, outside 0..{n - 1}")
                 if missed in entries:
                     raise DocumentError(f"duplicate certificate entry for point {missed}")
-                blocks = frozenset(_read_block(blk, n) for blk in _read_list(entry, "blocks"))
+                listed = [_read_block(blk, n) for blk in _read_list(entry, "blocks")]
+                blocks = frozenset(listed)
+                if len(blocks) != len(listed):  # refused, not folded away: no silent repair
+                    repeat = next(blk for blk, count in Counter(listed).items() if count > 1)
+                    raise DocumentError(f"certificate entry for point {missed} lists block {list(repeat)} twice")
                 entries[missed] = AlmostParallelClass(blocks, missed)
             certificate = NonseqCertificate(entries)
 

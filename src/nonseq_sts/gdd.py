@@ -12,21 +12,15 @@ types) goes to Stinson's
 live-point hill climb: each move costs O(1) and adds 0 or 3 covered cross
 pairs, and a hard cap on total moves turns a stuck seed into a
 BudgetExceededError, on which ``build_gdd`` retries the next seed.
-Only climbed GDDs are cached, as JSON keyed by the type and the requested
-seed; the file records the seed that succeeded, and cache hits are
-re-validated on load so a corrupted cache can not poison a construction.
-The closed-form Bose route is rebuilt every time.
+Every route lays its groups out as ``canonical_groups`` of the type, which
+``build_gdd`` checks.  This layer does no I/O: caching certified designs
+is ``constructions.certified_sts``'s business.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import random
-from contextlib import suppress
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional
 
 from .designs import (
     Design,
@@ -36,7 +30,6 @@ from .designs import (
     validate_gdd,
     validate_sts,
 )
-from .documents import read_json, replace_file
 from .exact_cover import BudgetExceededError
 
 
@@ -45,10 +38,6 @@ MOVES_PER_CROSS_PAIR = 10
 
 # Consecutive seeds ``build_gdd`` gives the hill climb before it gives up.
 CLIMB_ATTEMPTS = 3
-
-# Cache files of another format are rebuilt.  Format 2 came with the
-# live-point hill climb, which realises a given seed differently.
-_CACHE_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -287,30 +276,23 @@ def hill_climb_gdd(req: GddRequest) -> Gdd:
     return Gdd(group_type, groups, Design.from_blocks(n, blocks), seed=req.seed)
 
 
-def build_gdd(req: GddRequest, *, cache_dir: Optional[os.PathLike | str] = None) -> Gdd:
+def build_gdd(req: GddRequest) -> Gdd:
     """Realise the requested group type, verified, via the cheapest route.
 
     A single part g^u with u >= 3 odd and 3 | g is the Bose type-3^u GDD
-    inflated by g/3, built afresh every time.  Any other type comes from
-    the hill climb, which checks ``necessary_conditions`` (a Bose type
-    always meets them), tried on CLIMB_ATTEMPTS consecutive seeds from
-    ``req.seed``; the returned GDD's ``seed`` is the seed that succeeded,
-    and if none does, the BudgetExceededError sums ``used`` and ``budget``.
-    Given ``cache_dir``, the climb is cached there under the type and
-    ``req.seed``, unless it cannot be read or written, so a cache hit is
-    what an uncached build returns.  The result is re-validated.
+    inflated by g/3.  Any other type comes from the hill climb, which
+    checks ``necessary_conditions`` (a Bose type always meets them), tried
+    on CLIMB_ATTEMPTS consecutive seeds from ``req.seed``; the returned
+    GDD's ``seed`` is the seed that succeeded, and if none does, the
+    BudgetExceededError sums ``used`` and ``budget``.  The result is
+    re-validated, and its groups must be ``canonical_groups`` of the type:
+    callers lay fills out on that layout without reading ``groups``.
     """
     group_type = req.group_type
     size, count = group_type.parts[0] if len(group_type.parts) == 1 else (0, 0)
-    path: Optional[Path] = None
     if count >= 3 and count % 2 == 1 and size % 3 == 0:
         built = inflate(bose_gdd(count), size // 3)
     else:
-        if cache_dir is not None:
-            path = _cache_path(Path(cache_dir), req)
-            cached = _cache_load(path, group_type)
-            if cached is not None:
-                return cached
         failed = []
         for attempt in range(CLIMB_ATTEMPTS):
             try:
@@ -325,41 +307,6 @@ def build_gdd(req: GddRequest, *, cache_dir: Optional[os.PathLike | str] = None)
     rep = validate_gdd(built)
     if not rep:
         raise RuntimeError(f"internal error: constructed GDD for {group_type.key()} is invalid ({rep})")
-    if built.group_type != group_type:
-        raise RuntimeError(f"internal error: built type {built.group_type.key()}, wanted {group_type.key()}")
-    if path is not None:
-        with suppress(OSError):  # an unwritable cache is skipped, as an unreadable one is a miss
-            _cache_store(path, built)
+    if built.groups != canonical_groups(group_type):
+        raise RuntimeError(f"internal error: built GDD for {group_type.key()} is not laid out in canonical groups")
     return built
-
-
-def _cache_path(cache_dir: Path, req: GddRequest) -> Path:
-    """``3-12^4-seed0.json``: the climb depends on the seed, so the name does too."""
-    stem = req.group_type.key().replace(":", "-")
-    return cache_dir / f"{stem}-seed{req.seed}.json"
-
-
-def _cache_load(path: Path, group_type: GroupType) -> Optional[Gdd]:
-    try:
-        data = read_json(path)
-        seed = data["seed"]
-        if data["key"] != group_type.key() or data.get("format") != _CACHE_FORMAT or type(seed) is not int:
-            return None
-        groups = tuple(tuple(int(p) for p in grp) for grp in data["groups"])
-        gdd = Gdd(group_type, groups, Design.from_blocks(group_type.total_points, data["blocks"]), seed=seed)
-    except (OSError, ValueError, KeyError, TypeError):  # DocumentError is a ValueError
-        return None
-    return gdd if validate_gdd(gdd) else None
-
-
-def _cache_store(path: Path, gdd: Gdd) -> None:
-    """Write ``gdd`` to ``path``, recording the seed it was built with."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "format": _CACHE_FORMAT,
-        "key": gdd.group_type.key(),
-        "seed": gdd.seed,
-        "groups": [list(grp) for grp in gdd.groups],
-        "blocks": [list(blk) for blk in gdd.design.blocks],
-    }
-    replace_file(path, [json.dumps(payload)])  # one shot: several times faster than streaming

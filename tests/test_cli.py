@@ -101,6 +101,25 @@ class TestVerify:
         assert kv["PSTS"] == "ok" and kv["STS"] == "ok"
         assert kv["CERTIFICATE"] == "ok" and kv["VERDICT"] == "pass"
 
+    def test_a_cache_file_verifies_without_a_certificate(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        assert main(["--cache-dir", str(cache), "build", "49", "--out", str(tmp_path / "sts-49.json")]) == 0
+        capsys.readouterr()
+        code, kv = run_cli(capsys, "verify", cache / "sts-49-seed0-f3.json")
+        assert code == 0
+        assert kv["STS"] == "ok" and kv["CERTIFICATE"] == "absent" and kv["VERDICT"] == "pass"
+
+    def test_a_block_listed_twice_in_an_entry_exits_2(self, capsys, tmp_path):
+        cd = base_case(13)
+        raw = DesignDocument(cd.design, certificate=cd.certificate, provenance=cd.provenance).to_dict()
+        raw["certificate"][0]["blocks"].append(raw["certificate"][0]["blocks"][0])
+        path = tmp_path / "sts-13.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "certificate entry for point 0 lists block" in captured.err
+
     def test_partial_system_verifies(self, capsys, tmp_path):
         out = tmp_path / "psts.json"
         assert main(["build", "19", "--a", "3", "--out", str(out)]) == 0

@@ -1,14 +1,20 @@
 """Certified builders: starter systems, group-divisible composition, removals."""
 
+import json
 from itertools import combinations
 
 import pytest
 
 from nonseq_sts import (
+    BudgetExceededError,
     CertificationError,
     CyclicGroup,
+    DesignDocument,
+    GddRequest,
+    GroupType,
     ProductGroup,
     base_case,
+    build_gdd,
     certified_psts,
     certified_sts,
     find_apc,
@@ -18,7 +24,8 @@ from nonseq_sts import (
     verify_apc,
     verify_certificate,
 )
-from nonseq_sts.designs import AlmostParallelClass
+from nonseq_sts import gdd as gdd_module
+from nonseq_sts.designs import AlmostParallelClass, Design
 
 from oracles import brute_force_apcs
 from reference_systems import BASES, EXPECTED_SIZES, apc_point_blocks
@@ -152,6 +159,144 @@ class TestCertifiedSts:
             for a, b in combinations(pts, 2):
                 same_fill = any({a, b} <= fill for fill in fills)
                 assert same_fill == inside
+
+
+def count_climbs(monkeypatch, fail_seed=None) -> list:
+    """Spy on the hill climb: the returned list collects every seed it is
+    asked for.  ``fail_seed`` gets stuck, so the build retries the next."""
+    real_climb = gdd_module.hill_climb_gdd
+    seeds = []
+
+    def climb(req):
+        seeds.append(req.seed)
+        if req.seed == fail_seed:
+            raise BudgetExceededError("forced failure")
+        return real_climb(req)
+
+    monkeypatch.setattr(gdd_module, "hill_climb_gdd", climb)
+    return seeds
+
+
+def cache_names(cache_dir) -> list:
+    return sorted(p.name for p in cache_dir.iterdir())
+
+
+class TestCertifiedStsCache:
+    """Designs built on a climbed GDD are cached as design documents;
+    every hit is checked against a freshly composed certificate."""
+
+    def test_a_hit_is_the_uncached_build_without_a_climb(self, tmp_path, monkeypatch):
+        uncached = certified_sts(49, seed=5)
+        seeds = count_climbs(monkeypatch)
+        assert certified_sts(49, seed=5, cache_dir=tmp_path) == uncached
+        assert cache_names(tmp_path) == ["sts-49-seed5-f3.json"]
+        assert certified_sts(49, seed=5, cache_dir=tmp_path) == uncached
+        assert seeds == [5]
+        # a different seed rebuilds, as an uncached build would, into its own file
+        other = certified_sts(49, seed=99, cache_dir=tmp_path)
+        assert seeds == [5, 99]
+        assert cache_names(tmp_path) == ["sts-49-seed5-f3.json", "sts-49-seed99-f3.json"]
+        assert other != uncached
+        monkeypatch.undo()
+        assert other == certified_sts(49, seed=99)
+
+    def test_the_cache_file_is_a_design_document_without_a_certificate(self, tmp_path):
+        built = certified_sts(55, cache_dir=tmp_path)
+        doc = DesignDocument.load(tmp_path / "sts-55-seed0-f3.json")
+        assert doc == DesignDocument(built.design, provenance="gdd-fill(n=55, type=3:12^3+18^1, seed=0)")
+
+    def test_hits_name_the_seed_that_succeeded(self, tmp_path, monkeypatch):
+        """Seed 7 gets stuck: the build that fills the cache and the hit
+        that reads it both name seed 8, as an uncached build does."""
+        seeds = count_climbs(monkeypatch, fail_seed=7)
+        fresh = certified_sts(49, seed=7)
+        assert fresh.provenance == "gdd-fill(n=49, type=3:12^4, seed=8 (requested 7))"
+        assert certified_sts(49, seed=7, cache_dir=tmp_path) == fresh
+        assert DesignDocument.load(tmp_path / "sts-49-seed7-f3.json").provenance == fresh.provenance
+        del seeds[:]
+        assert certified_sts(49, seed=7, cache_dir=tmp_path) == fresh
+        assert seeds == []
+
+    def test_a_bose_order_writes_nothing_and_ignores_a_planted_file(self, tmp_path):
+        uncached = certified_sts(37, seed=5)
+        assert certified_sts(37, seed=5, cache_dir=tmp_path) == uncached
+        assert cache_names(tmp_path) == []
+        planted = tmp_path / "sts-37-seed5-f3.json"
+        design = Design(37, uncached.design.blocks[:-1])
+        DesignDocument(design, provenance="planted").save(planted)
+        text = planted.read_text(encoding="utf-8")
+        assert certified_sts(37, seed=5, cache_dir=tmp_path) == uncached
+        assert cache_names(tmp_path) == [planted.name]
+        assert planted.read_text(encoding="utf-8") == text
+
+    @staticmethod
+    def _planted(kind: str, built) -> str:
+        """The text of a bad cache file for ``built``, an order-49 design."""
+        doc = DesignDocument(built.design, provenance=built.provenance).to_dict()
+        if kind == "broken JSON":
+            return "{ not json"
+        if kind == "over-deep nesting":
+            return "[" * 100000 + "]" * 100000
+        if kind == "missing block":  # a GDD block, which no certificate entry holds
+            doc["blocks"].remove(next(blk for blk in doc["blocks"] if len({p // 12 for p in blk}) == 3))
+        elif kind == "wrong n":
+            doc = DesignDocument(base_case(13).design, provenance=built.provenance).to_dict()
+        elif kind == "relabeled":  # still an STS(49), but the certificate does not fit it
+            swap = {0: 48, 48: 0}
+            doc["blocks"] = [[swap.get(p, p) for p in blk] for blk in doc["blocks"]]
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("kind", ["broken JSON", "over-deep nesting", "missing block", "wrong n", "relabeled"])
+    def test_a_bad_file_is_rebuilt_with_one_climb(self, tmp_path, monkeypatch, kind):
+        uncached = certified_sts(49)
+        path = tmp_path / "sts-49-seed0-f3.json"
+        path.write_text(self._planted(kind, uncached), encoding="utf-8")
+        seeds = count_climbs(monkeypatch)
+        assert certified_sts(49, cache_dir=tmp_path) == uncached
+        assert seeds == [0]
+        assert DesignDocument.load(path).design == uncached.design  # overwritten with the good design
+        assert certified_sts(49, cache_dir=tmp_path) == uncached
+        assert seeds == [0]
+
+    def test_an_old_gdd_cache_file_is_ignored(self, tmp_path, monkeypatch):
+        """A GDD cache file of an earlier version, at its old name, is
+        neither read nor removed; the design is built and cached anew."""
+        gdd = build_gdd(GddRequest(GroupType.of((12, 4))))
+        old = tmp_path / "3-12^4-seed0.json"
+        payload = {"format": 2, "key": "3:12^4", "seed": 0, "groups": [list(g) for g in gdd.groups]}
+        payload["blocks"] = [list(blk) for blk in gdd.design.blocks]
+        old.write_text(json.dumps(payload), encoding="utf-8")
+        uncached = certified_sts(49)
+        seeds = count_climbs(monkeypatch)
+        assert certified_sts(49, cache_dir=tmp_path) == uncached
+        assert seeds == [0]
+        assert cache_names(tmp_path) == [old.name, "sts-49-seed0-f3.json"]
+        assert json.loads(old.read_text(encoding="utf-8")) == payload
+
+    def test_a_directory_at_the_target_is_skipped(self, tmp_path, monkeypatch):
+        target = tmp_path / "sts-49-seed0-f3.json"
+        target.mkdir()
+        uncached = certified_sts(49)
+        seeds = count_climbs(monkeypatch)
+        assert certified_sts(49, cache_dir=tmp_path) == uncached
+        assert seeds == [0]
+        assert cache_names(tmp_path) == [target.name]
+        assert list(target.iterdir()) == []
+
+    def test_a_cache_under_a_regular_file_is_skipped(self, tmp_path):
+        """Such a cache can be neither read nor written: the build climbs,
+        stores nothing and returns what an uncached build does."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert certified_sts(49, cache_dir=blocker / "cache") == certified_sts(49)
+        assert cache_names(tmp_path) == ["file"]
+
+    def test_a_partial_system_reads_the_cached_parent(self, tmp_path, monkeypatch):
+        certified_sts(49, cache_dir=tmp_path)
+        uncached = certified_psts(49, 2)
+        seeds = count_climbs(monkeypatch)
+        assert certified_psts(49, 2, cache_dir=tmp_path) == uncached
+        assert seeds == []
 
 
 class TestCertifiedPsts:

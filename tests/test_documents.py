@@ -275,6 +275,8 @@ def test_blocks_stored_sorted(tmp_path, doc13):
         lambda d: d["blocks"].append([True, 0, 2]),
         lambda d: d.update(schema=True),
         lambda d: d.update(schema=1.0),
+        # a set would fold the repeat away
+        lambda d: d["certificate"][0]["blocks"].append(d["certificate"][0]["blocks"][0]),
     ],
 )
 def test_structural_errors(doc13, mutate):
@@ -289,6 +291,16 @@ def test_duplicate_certificate_entries_rejected(doc13):
     raw["certificate"].append(raw["certificate"][0])
     with pytest.raises(DocumentError, match="duplicate"):
         DesignDocument.from_dict(raw)
+
+
+def test_a_block_listed_twice_in_an_entry_is_named(doc13):
+    raw = doc13.to_dict()
+    entry = raw["certificate"][3]
+    repeated = entry["blocks"][2]
+    entry["blocks"].insert(0, repeated)
+    with pytest.raises(DocumentError) as info:
+        DesignDocument.from_dict(raw)
+    assert str(info.value) == f"certificate entry for point 3 lists block {repeated} twice"
 
 
 MALFORMED_FILES = {

@@ -1,6 +1,4 @@
-"""GDD builders: direct constructions, inflation, hill climbing, caching."""
-
-import json
+"""GDD builders: direct constructions, inflation, hill climbing."""
 
 import pytest
 
@@ -11,6 +9,7 @@ from nonseq_sts import (
     bose_gdd,
     bose_sts,
     build_gdd,
+    canonical_groups,
     develop,
     hill_climb_gdd,
     inflate,
@@ -20,7 +19,7 @@ from nonseq_sts import (
     validate_gdd,
     validate_sts,
     CyclicGroup,
-    certified_sts,
+    Gdd,
 )
 from nonseq_sts import gdd as gdd_module
 
@@ -208,8 +207,8 @@ class TestHillClimb:
 
 class TestBuildGdd:
     @pytest.mark.parametrize("u", range(3, 9))
-    def test_type_12_u(self, u, tmp_path):
-        g = build_gdd(GddRequest(GroupType.of((12, u))), cache_dir=tmp_path)
+    def test_type_12_u(self, u):
+        g = build_gdd(GddRequest(GroupType.of((12, u))))
         assert validate_gdd(g).ok
         assert g.design.size == 24 * u * (u - 1)
 
@@ -226,141 +225,6 @@ class TestBuildGdd:
         assert validate_gdd(g).ok
         assert 3 * g.design.size == cross_pair_count(g)
 
-    def test_cache_round_trip(self, tmp_path, monkeypatch):
-        gt = GroupType.of((12, 4))
-        first = build_gdd(GddRequest(gt, seed=5), cache_dir=tmp_path)
-        assert (tmp_path / "3-12^4-seed5.json").exists()
-        real_climb = gdd_module.hill_climb_gdd
-
-        def no_climb(req, **kwargs):
-            raise AssertionError("the hill climb ran on a cache hit")
-
-        # the same seed hits the cache and returns the same verified object
-        monkeypatch.setattr(gdd_module, "hill_climb_gdd", no_climb)
-        assert build_gdd(GddRequest(gt, seed=5), cache_dir=tmp_path) == first
-        # a different seed rebuilds, as an uncached build would
-        monkeypatch.setattr(gdd_module, "hill_climb_gdd", real_climb)
-        second = build_gdd(GddRequest(gt, seed=99), cache_dir=tmp_path)
-        assert (tmp_path / "3-12^4-seed99.json").exists()
-        assert second == build_gdd(GddRequest(gt, seed=99))
-        assert second != first
-
-    def test_bose_route_leaves_the_cache_alone(self, tmp_path):
-        # the closed form is rebuilt: it writes no file and reads none,
-        # not even a corrupted one under the type's name
-        gt = GroupType.of((12, 3))
-        uncached = build_gdd(GddRequest(gt, seed=5))
-        assert build_gdd(GddRequest(gt, seed=5), cache_dir=tmp_path) == uncached
-        assert list(tmp_path.iterdir()) == []
-        planted = tmp_path / "3-12^3.json"
-        payload = {"format": 2, "key": gt.key(), "seed": 5, "groups": [list(grp) for grp in uncached.groups]}
-        payload["blocks"] = [list(blk) for blk in uncached.design.blocks][:-1]
-        planted.write_text(json.dumps(payload), encoding="utf-8")
-        assert build_gdd(GddRequest(gt, seed=99), cache_dir=tmp_path) == uncached
-        assert [p.name for p in tmp_path.iterdir()] == ["3-12^3.json"]
-        assert json.loads(planted.read_text(encoding="utf-8")) == payload
-
-    def test_cache_records_the_seed_that_succeeded(self, tmp_path, monkeypatch):
-        real_climb = gdd_module.hill_climb_gdd
-
-        def climb_failing_first_seed(req, **kwargs):
-            if req.seed == 7:
-                raise BudgetExceededError("forced failure")
-            return real_climb(req, **kwargs)
-
-        monkeypatch.setattr(gdd_module, "hill_climb_gdd", climb_failing_first_seed)
-        built = build_gdd(GddRequest(GroupType.of((12, 4)), seed=7), cache_dir=tmp_path)
-        payload = json.loads((tmp_path / "3-12^4-seed7.json").read_text(encoding="utf-8"))
-        assert payload["seed"] == 8
-        assert built == real_climb(GddRequest(GroupType.of((12, 4)), seed=8))
-        assert built.seed == 8
-
-    def test_cached_certified_sts_honours_the_seed(self, tmp_path, monkeypatch):
-        certified_sts(49, seed=0, cache_dir=tmp_path)
-        cached = certified_sts(49, seed=1, cache_dir=tmp_path)
-        fresh = certified_sts(49, seed=1)
-        assert cached.design == fresh.design
-        assert cached.certificate == fresh.certificate
-        assert cached.provenance == fresh.provenance == "gdd-fill(n=49, type=3:12^4, seed=1)"
-
-        # the first seed fails: the provenance names the seed that succeeded,
-        # on the build that fills the cache and on the hit that reads it
-        real_climb = gdd_module.hill_climb_gdd
-
-        def climb_failing_first_seed(req, **kwargs):
-            if req.seed == 7:
-                raise BudgetExceededError("forced failure")
-            return real_climb(req, **kwargs)
-
-        def no_climb(req, **kwargs):
-            raise AssertionError("the hill climb ran on a cache hit")
-
-        monkeypatch.setattr(gdd_module, "hill_climb_gdd", climb_failing_first_seed)
-        fresh = certified_sts(49, seed=7)
-        built = certified_sts(49, seed=7, cache_dir=tmp_path)
-        monkeypatch.setattr(gdd_module, "hill_climb_gdd", no_climb)
-        cached = certified_sts(49, seed=7, cache_dir=tmp_path)
-        assert fresh.provenance == "gdd-fill(n=49, type=3:12^4, seed=8 (requested 7))"
-        for other in (built, cached):
-            assert other.design == fresh.design
-            assert other.certificate == fresh.certificate
-            assert other.provenance == fresh.provenance
-
-    def test_corrupted_cache_is_rebuilt(self, tmp_path):
-        gt = GroupType.of((12, 4))
-        build_gdd(GddRequest(gt), cache_dir=tmp_path)
-        path = tmp_path / "3-12^4-seed0.json"
-        for text in ("{ not json", "[" * 100000 + "]" * 100000):
-            path.write_text(text, encoding="utf-8")
-            assert validate_gdd(build_gdd(GddRequest(gt), cache_dir=tmp_path)).ok
-        # invalid-but-parseable payloads are also ignored
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["blocks"] = payload["blocks"][:-1]
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        assert validate_gdd(build_gdd(GddRequest(gt), cache_dir=tmp_path)).ok
-
-    @pytest.mark.parametrize("key,value", [("format", None), ("format", 1), ("seed", True), ("seed", "5")])
-    def test_stale_or_malformed_cache_is_rebuilt(self, tmp_path, monkeypatch, key, value):
-        # a file of another format may hold what an older climb built from the seed
-        gt = GroupType.of((12, 4))
-        first = build_gdd(GddRequest(gt, seed=5), cache_dir=tmp_path)
-        path = tmp_path / "3-12^4-seed5.json"
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        if value is None:
-            del payload[key]
-        else:
-            payload[key] = value
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        real_climb = gdd_module.hill_climb_gdd
-        seeds = []
-
-        def counting_climb(req, **kwargs):
-            seeds.append(req.seed)
-            return real_climb(req, **kwargs)
-
-        monkeypatch.setattr(gdd_module, "hill_climb_gdd", counting_climb)
-        assert build_gdd(GddRequest(gt, seed=5), cache_dir=tmp_path) == first
-        assert seeds == [5]
-
-    def test_cache_store_onto_a_directory_leaves_nothing_behind(self, tmp_path):
-        g = build_gdd(GddRequest(GroupType.of((6, 4))))
-        target = tmp_path / "3-6^4-seed0.json"
-        target.mkdir()
-        with pytest.raises(OSError):
-            gdd_module._cache_store(target, g)
-        assert [p.name for p in tmp_path.iterdir()] == [target.name]
-        assert list(target.iterdir()) == []
-
-    def test_an_unwritable_cache_is_skipped(self, tmp_path):
-        """A cache directory under a regular file can be neither read nor
-        written: the build climbs, stores nothing and returns what an
-        uncached build does."""
-        blocker = tmp_path / "file"
-        blocker.write_text("")
-        gt = GroupType.of((12, 4))
-        assert build_gdd(GddRequest(gt), cache_dir=blocker / "cache") == build_gdd(GddRequest(gt))
-        assert [p.name for p in tmp_path.iterdir()] == ["file"]
-
     def test_give_up_error_sums_the_attempts(self, monkeypatch):
         def stuck_climb(req, **kwargs):
             raise BudgetExceededError(f"seed {req.seed} stuck", used=7, budget=10)
@@ -372,20 +236,41 @@ class TestBuildGdd:
         assert (info.value.used, info.value.budget) == (7 * attempts, 10 * attempts)
         assert str(info.value) == f"could not realise 3:12^4 in {attempts} attempts: seed {4 + attempts - 1} stuck"
 
-    def test_rejects_impossible_type(self, tmp_path):
+    def test_rejects_impossible_type(self):
         with pytest.raises(ValueError):
             build_gdd(GddRequest(GroupType.of((6, 2))))
-        # the climb's check is the only one: same text, nothing cached
+        # the climb's check is the only one: same text
         for parts in (((6, 2),), ((1, 4),), ((1, 5),)):  # shape, degree, divisibility
             req = GddRequest(GroupType.of(*parts))
             with pytest.raises(ValueError) as climbed:
                 hill_climb_gdd(req)
-            for cache_dir in (None, tmp_path):
-                with pytest.raises(ValueError) as built:
-                    build_gdd(req, cache_dir=cache_dir)
-                assert str(built.value) == str(climbed.value)
-                assert "fails necessary conditions" in str(built.value)
-        assert not any(tmp_path.iterdir())
+            with pytest.raises(ValueError) as built:
+                build_gdd(req)
+            assert str(built.value) == str(climbed.value)
+            assert "fails necessary conditions" in str(built.value)
+
+    @pytest.mark.parametrize(
+        "parts",
+        [((12, 3),), ((12, 5),), ((12, 4),), ((12, 3), (18, 1)), ((6, 4),)],
+        ids=lambda parts: "+".join(f"{s}^{c}" for s, c in parts),
+    )
+    def test_groups_are_canonical_on_both_routes(self, parts):
+        # certified_sts lays its fills and certificate out on this layout
+        group_type = GroupType.of(*parts)
+        assert build_gdd(GddRequest(group_type)).groups == canonical_groups(group_type)
+
+    def test_groups_out_of_canonical_order_are_refused(self, monkeypatch):
+        real_climb = gdd_module.hill_climb_gdd
+
+        def reversed_climb(req):
+            g = real_climb(req)
+            return Gdd(g.group_type, g.groups[::-1], g.design, seed=g.seed)
+
+        monkeypatch.setattr(gdd_module, "hill_climb_gdd", reversed_climb)
+        req = GddRequest(GroupType.of((12, 3), (18, 1)))
+        assert validate_gdd(reversed_climb(req))  # a valid GDD, on another layout
+        with pytest.raises(RuntimeError, match="canonical groups"):
+            build_gdd(req)
 
     def test_empty_type_is_the_empty_gdd(self):
         req = GddRequest(GroupType.of())

@@ -57,3 +57,24 @@ def test_tracer_wraps_every_listed_function_and_restores_it(tmp_path):
     assert metrics["exact_cover.mask_partitionable.calls"] > 0
     for owner, attr, original in wrapped:
         assert vars(owner)[attr] is original, (owner, attr)
+
+
+def test_a_cache_hit_shows_as_a_load_under_certified_sts(tmp_path):
+    """Order 49 is climbed: the first build reaches ``build_gdd`` and
+    saves the design, the second reads it back and builds no GDD.  A hit
+    never reaches ``build_gdd``, so the tracer's ``gdd.cache_hits`` reads
+    0; hits show up as a ``documents.load`` span under the build."""
+    tracer = load_tracer_module().Tracer()
+    try:
+        tracer.install()
+        first = nonseq_sts.certified_sts(49, cache_dir=tmp_path)
+        assert nonseq_sts.certified_sts(49, cache_dir=tmp_path) == first
+        spans = tracer.spans
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in spans]
+    assert names.count("gdd.build_gdd") == 1
+    builds = [i for i, name in enumerate(names) if name == "constructions.certified_sts"]
+    assert len(builds) == 2
+    loads = [span for span in spans if span[0] == "documents.load" and span[3] == builds[1]]
+    assert [span[4] for span in loads] == ["ok"]
