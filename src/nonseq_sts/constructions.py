@@ -18,10 +18,11 @@ certificate depends only on the type, as every GDD lays its groups out as
 is trusted: every composed design is re-validated and every certificate
 re-verified before being returned.
 
-Composed designs whose GDD was climbed are cached as design documents
-without a certificate (``sts-49-seed0-f3.json``).  A cached design is used
-only if it is a Steiner triple system of the order asked for and the
-freshly composed certificate verifies on it.
+Only composed designs whose GDD was climbed (``gdd.climbs``) are cached,
+as design documents without a certificate (``sts-55-seed0-f3.json``).  A
+cached design is used only if it is a Steiner triple system of the order
+asked for, the freshly composed certificate verifies on it, and its
+provenance is one a build with the requested seed can write.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .designs import (
 )
 from .differences import AbelianGroup, CyclicGroup, ProductGroup, complete_base_blocks, develop, translate_apc
 from .documents import DesignDocument, DocumentError
-from .gdd import GddRequest, build_gdd, canonical_groups
+from .gdd import CLIMB_ATTEMPTS, GddRequest, build_gdd, canonical_groups, climbs
 from .sequencing import certify_nonsequenceable
 
 
@@ -152,21 +153,43 @@ def base_case(n: int) -> CertifiedDesign:
     return CertifiedDesign(design, cert, f"base-case({n})")
 
 
+def _composed_type(n: int) -> GroupType:
+    """The GDD type an order is composed from: 12^u for n = 12u + 1, else
+    12^u 18^1 for n = 12u + 19."""
+    k = (n - 1) // 6
+    if k % 2 == 0:
+        return GroupType.of((12, k // 2))
+    return GroupType.of((12, (k - 3) // 2), (18, 1))
+
+
+def _provenance(n: int, group_type: GroupType, used: Optional[int], requested: int) -> str:
+    """The provenance of a composed design whose GDD came from seed ``used``
+    (None for a closed form) when ``requested`` was asked for."""
+    text = f"gdd-fill(n={n}, type={group_type.key()}"
+    if used is not None:
+        text += f", seed={used}" if used == requested else f", seed={used} (requested {requested})"
+    return text + ")"
+
+
 def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] = None) -> CertifiedDesign:
     """A nonsequenceable Steiner triple system of any order n = 1 (mod 6)
     except the impossible n = 7, with a certificate covering all n points.
     Deterministic for a fixed seed.  When the GDD was climbed, the
     provenance names the seed it came from: ``seed=11 (requested 10)`` when
     the climb got stuck on seed 10 and the retry on 11 succeeded.  A
-    Bose-route GDD uses no seed, and its provenance names none.
+    closed-form GDD (Bose, or an STS minus a point) uses no seed, and its
+    provenance names none.  Of the paper's types only 12^u with u = 2
+    (mod 6) and every 12^u 18^1 climb.
 
     Given ``cache_dir``, a design built on a climbed GDD is saved there,
     with its provenance and without its certificate, as the design
     document ``sts-{n}-seed{seed}-f3.json``, which the next call with the
-    same order and seed reads back.  A file that cannot be read or fails
-    ``validate_sts`` or the composed certificate is a miss, and an
-    unwritable cache is skipped, so a hit is what an uncached build
-    returns."""
+    same order and seed reads back.  A file that cannot be read, fails
+    ``validate_sts`` or the composed certificate, or whose provenance is
+    not one this seed's build can write (``seed=s`` with s the requested
+    seed, or ``seed=s (requested r)`` with r < s < r + CLIMB_ATTEMPTS) is a
+    miss, and an unwritable cache is skipped, so a hit is what an uncached
+    build returns.  Closed-form orders never touch the cache."""
     if n % 6 != 1:
         raise ValueError(f"n must be 1 (mod 6), got {n}")
     if n == 7:
@@ -175,11 +198,7 @@ def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] 
         raise ValueError(f"smallest supported order is 13, got {n}")
     if n in _STARTERS:
         return base_case(n)
-    k = (n - 1) // 6
-    if k % 2 == 0:
-        group_type = GroupType.of((12, k // 2))
-    else:
-        group_type = GroupType.of((12, (k - 3) // 2), (18, 1))
+    group_type = _composed_type(n)
 
     x = n - 1
     fills = {12: base_case(13), 18: base_case(19)}
@@ -205,11 +224,18 @@ def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] 
             entries[y] = AlmostParallelClass(own_class[y] | others, y)
     cert = NonseqCertificate(entries)
 
-    path = None if cache_dir is None else Path(cache_dir) / f"sts-{n}-seed{seed}-f{_CACHE_FORMAT}.json"
-    if path is not None:
+    path = None
+    if cache_dir is not None and climbs(group_type):
+        path = Path(cache_dir) / f"sts-{n}-seed{seed}-f{_CACHE_FORMAT}.json"
+        writable = {_provenance(n, group_type, used, seed) for used in range(seed, seed + CLIMB_ATTEMPTS)}
         with suppress(OSError, DocumentError):  # an unreadable file is a miss
             cached = DesignDocument.load(path)
-            if cached.design.n == n and validate_sts(cached.design) and verify_certificate(cached.design, cert):
+            if (
+                cached.provenance in writable
+                and cached.design.n == n
+                and validate_sts(cached.design)
+                and verify_certificate(cached.design, cert)
+            ):
                 return CertifiedDesign(cached.design, cert, cached.provenance)
 
     gdd = build_gdd(GddRequest(group_type, seed))
@@ -220,11 +246,8 @@ def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] 
     rep = verify_certificate(design, cert)
     if not rep:
         raise RuntimeError(f"internal error: composed certificate of order {n} does not verify ({rep})")
-    provenance = f"gdd-fill(n={n}, type={group_type.key()}"
-    if gdd.seed is not None:  # the climb ran
-        provenance += f", seed={seed}" if gdd.seed == seed else f", seed={gdd.seed} (requested {seed})"
-    provenance += ")"
-    if path is not None and gdd.seed is not None:
+    provenance = _provenance(n, group_type, gdd.seed, seed)
+    if path is not None:
         with suppress(OSError):  # an unwritable cache is skipped, as an unreadable one is a miss
             path.parent.mkdir(parents=True, exist_ok=True)
             DesignDocument(design, provenance=provenance).save(path)

@@ -4,14 +4,16 @@ Every path constructs a triangle decomposition of a complete multipartite
 graph and is re-validated before it is returned; nothing is trusted.
 
 Direct ingredients: the Bose triples over an idempotent commutative
-quasigroup (type 3^u, odd u), and Wilson-style inflation replacing every
-point by w points and every block by the w^2 blocks of the cyclic Latin
-square z = x + y mod w; td3(w) is a single block inflated by w.
-Anything the direct routes do not reach (even group counts, mixed
-types) goes to Stinson's
-live-point hill climb: each move costs O(1) and adds 0 or 3 covered cross
-pairs, and a hard cap on total moves turns a stuck seed into a
-BudgetExceededError, on which ``build_gdd`` retries the next seed.
+quasigroup (type 3^u, odd u), Skolem's triples over a half-idempotent one
+(an STS of order 1 mod 6), an STS(2u + 1) without one point (type 2^u,
+u != 2 mod 3), and Wilson-style inflation replacing every point by w
+points and every block by the w^2 blocks of the cyclic Latin square
+z = x + y mod w; td3(w) is a single block inflated by w.  A type that no
+inflated master reaches (``climbs``: mixed types, and of the paper's
+12^u only u = 2 mod 6) goes to Stinson's live-point hill climb: each move
+costs O(1) and adds 0 or 3 covered cross pairs, and a hard cap on total
+moves turns a stuck seed into a BudgetExceededError, on which
+``build_gdd`` retries the next seed.
 Every route lays its groups out as ``canonical_groups`` of the type, which
 ``build_gdd`` checks.  This layer does no I/O: caching certified designs
 is ``constructions.certified_sts``'s business.
@@ -21,6 +23,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Optional
 
 from .designs import (
     Design,
@@ -108,6 +112,48 @@ def bose_sts(n: int) -> Design:
     blocks = list(gdd.design.blocks)
     blocks.extend((3 * x, 3 * x + 1, 3 * x + 2) for x in range(m))
     return Design.from_blocks(n, blocks)
+
+
+def skolem_sts(n: int) -> Design:
+    """Steiner triple system of order n = 1 (mod 6) by Skolem's
+    construction (Lindner and Rodger, *Design Theory*, ch. 1).
+
+    With m = (n - 1)/6, the points are Z_2m x {0,1,2}, point (x, i) being
+    3x + i, plus the point n - 1.  The quasigroup is the addition table of
+    Z_2m with symbol 2s renamed s and 2s + 1 renamed m + s: commutative, and
+    half-idempotent (x*x = (m+x)*(m+x) = x for x < m).  The triples are
+    {(x,0), (x,1), (x,2)} and {n-1, (m+x, i), (x, i+1)} for x < m, and
+    {(x,i), (y,i), (x*y, i+1)} for x < y, with i + 1 taken mod 3.
+    """
+    if n % 6 != 1:
+        raise ValueError(f"skolem_sts needs n = 1 (mod 6), got {n}")
+    m = n // 6
+    q = 2 * m
+    blocks = [(3 * x, 3 * x + 1, 3 * x + 2) for x in range(m)]
+    blocks.extend((n - 1, 3 * (m + x) + i, 3 * x + (i + 1) % 3) for x in range(m) for i in range(3))
+    for x in range(q):
+        for y in range(x + 1, q):
+            s = (x + y) % q
+            z = s // 2 + m * (s % 2)
+            for i in range(3):
+                blocks.append((3 * x + i, 3 * y + i, 3 * z + (i + 1) % 3))
+    return Design.from_blocks(n, blocks)
+
+
+def _sts_minus_point(v: int) -> Gdd:
+    """Type 2^((v-1)/2) GDD: ``bose_sts(v)`` or ``skolem_sts(v)`` without
+    its point v - 1.  The blocks through that point pair up the others, and
+    the pairs become the groups: the i-th pair in sorted order is relabeled
+    (2i, 2i+1), so the groups are ``canonical_groups`` of the type."""
+    sts = bose_sts(v) if v % 6 == 3 else skolem_sts(v)
+    last = v - 1
+    label = [0] * last
+    pairs = (blk[:2] for blk in sts.blocks if blk[2] == last)  # blocks are sorted, and so are the pairs
+    for i, (a, b) in enumerate(pairs):
+        label[a], label[b] = 2 * i, 2 * i + 1
+    blocks = ((label[a], label[b], label[c]) for a, b, c in sts.blocks if c != last)
+    group_type = GroupType.of((2, last // 2))
+    return Gdd(group_type, canonical_groups(group_type), Design.from_blocks(last, blocks))
 
 
 def sts_as_gdd(d: Design) -> Gdd:
@@ -276,22 +322,47 @@ def hill_climb_gdd(req: GddRequest) -> Gdd:
     return Gdd(group_type, groups, Design.from_blocks(n, blocks), seed=req.seed)
 
 
+def _closed_form(group_type: GroupType) -> Optional[tuple[Callable[[], Gdd], int]]:
+    """(master, w) when the type is a seed-free master GDD inflated by w:
+    a single part g^u, u >= 3, with u odd and 3 | g (Bose 3^u by g/3), or
+    with g even and u != 2 (mod 3) (an STS(2u + 1) minus a point, type 2^u,
+    by g/2).  None for every other type."""
+    if len(group_type.parts) != 1:
+        return None
+    size, count = group_type.parts[0]
+    if count >= 3 and count % 2 == 1 and size % 3 == 0:
+        return partial(bose_gdd, count), size // 3
+    if count >= 3 and count % 3 != 2 and size % 2 == 0:
+        return partial(_sts_minus_point, 2 * count + 1), size // 2
+    return None
+
+
+def climbs(group_type: GroupType) -> bool:
+    """Whether ``build_gdd`` realises the type by the hill climb, so that
+    the result depends on the seed.  Only such builds are worth caching."""
+    return _closed_form(group_type) is None
+
+
 def build_gdd(req: GddRequest) -> Gdd:
     """Realise the requested group type, verified, via the cheapest route.
 
-    A single part g^u with u >= 3 odd and 3 | g is the Bose type-3^u GDD
-    inflated by g/3.  Any other type comes from the hill climb, which
-    checks ``necessary_conditions`` (a Bose type always meets them), tried
-    on CLIMB_ATTEMPTS consecutive seeds from ``req.seed``; the returned
-    GDD's ``seed`` is the seed that succeeded, and if none does, the
-    BudgetExceededError sums ``used`` and ``budget``.  The result is
-    re-validated, and its groups must be ``canonical_groups`` of the type:
-    callers lay fills out on that layout without reading ``groups``.
+    A type that ``climbs`` rejects is a single part g^u, u >= 3, built in
+    closed form with ``seed`` None: the Bose type-3^u GDD inflated by g/3
+    when u is odd and 3 | g, else (g even, u != 2 (mod 3)) an STS(2u + 1)
+    minus a point inflated by g/2.  Any other type comes from the hill
+    climb, which checks ``necessary_conditions`` (a closed type always
+    meets them), tried on CLIMB_ATTEMPTS consecutive seeds from
+    ``req.seed``; the returned GDD's ``seed`` is the seed that succeeded,
+    and if none does, the BudgetExceededError sums ``used`` and ``budget``.
+    The result is re-validated, and its groups must be ``canonical_groups``
+    of the type: callers lay fills out on that layout without reading
+    ``groups``.
     """
     group_type = req.group_type
-    size, count = group_type.parts[0] if len(group_type.parts) == 1 else (0, 0)
-    if count >= 3 and count % 2 == 1 and size % 3 == 0:
-        built = inflate(bose_gdd(count), size // 3)
+    route = _closed_form(group_type)
+    if route is not None:
+        master, w = route
+        built = inflate(master(), w)
     else:
         failed = []
         for attempt in range(CLIMB_ATTEMPTS):

@@ -62,23 +62,23 @@ class TestBuild:
             return real_climb(req, **kwargs)
 
         monkeypatch.setattr(gdd_module, "hill_climb_gdd", climb_failing_first_seed)
-        argv = ["--cache-dir", tmp_path / "cache", "build", 49, "--seed", 2, "--out", tmp_path / "sts-49.json"]
-        expected = "gdd-fill(n=49, type=3:12^4, seed=3 (requested 2))"
+        argv = ["--cache-dir", tmp_path / "cache", "build", 55, "--seed", 2, "--out", tmp_path / "sts-55.json"]
+        expected = "gdd-fill(n=55, type=3:12^3+18^1, seed=3 (requested 2))"
         code, kv = run_cli(capsys, *argv)
         assert code == 0 and kv["PROVENANCE"] == expected
         # the second build is a cache hit and says the same
         code, kv = run_cli(capsys, *argv)
         assert code == 0 and kv["PROVENANCE"] == expected
-        assert json.loads((tmp_path / "sts-49.json").read_text())["provenance"] == expected
+        assert json.loads((tmp_path / "sts-55.json").read_text())["provenance"] == expected
 
     def test_build_with_an_unwritable_cache_exits_0(self, capsys, tmp_path):
-        """The GDD of order 49 is climbed; a cache under a regular file
+        """The GDD of order 55 is climbed; a cache under a regular file
         cannot hold it, so the store is skipped and the design is built."""
         (tmp_path / "file").write_text("")
-        argv = ["--cache-dir", tmp_path / "file" / "cache", "build", 49, "--out", tmp_path / "sts-49.json"]
+        argv = ["--cache-dir", tmp_path / "file" / "cache", "build", 55, "--out", tmp_path / "sts-55.json"]
         code, kv = run_cli(capsys, *argv)
-        assert code == 0 and kv["PROVENANCE"] == "gdd-fill(n=49, type=3:12^4, seed=0)"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "sts-49.json"]
+        assert code == 0 and kv["PROVENANCE"] == "gdd-fill(n=55, type=3:12^3+18^1, seed=0)"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "sts-55.json"]
 
     def test_build_7_exits_2(self, capsys, tmp_path):
         assert main(["build", "7", "--out", str(tmp_path / "x.json")]) == 2
@@ -103,9 +103,9 @@ class TestVerify:
 
     def test_a_cache_file_verifies_without_a_certificate(self, capsys, tmp_path):
         cache = tmp_path / "cache"
-        assert main(["--cache-dir", str(cache), "build", "49", "--out", str(tmp_path / "sts-49.json")]) == 0
+        assert main(["--cache-dir", str(cache), "build", "55", "--out", str(tmp_path / "sts-55.json")]) == 0
         capsys.readouterr()
-        code, kv = run_cli(capsys, "verify", cache / "sts-49-seed0-f3.json")
+        code, kv = run_cli(capsys, "verify", cache / "sts-55-seed0-f3.json")
         assert code == 0
         assert kv["STS"] == "ok" and kv["CERTIFICATE"] == "absent" and kv["VERDICT"] == "pass"
 

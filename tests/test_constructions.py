@@ -1,6 +1,8 @@
 """Certified builders: starter systems, group-divisible composition, removals."""
 
 import json
+import os
+import shutil
 from itertools import combinations
 
 import pytest
@@ -25,6 +27,7 @@ from nonseq_sts import (
     verify_certificate,
 )
 from nonseq_sts import gdd as gdd_module
+from nonseq_sts.constructions import BASE_ORDERS, _composed_type
 from nonseq_sts.designs import AlmostParallelClass, Design
 
 from oracles import brute_force_apcs
@@ -109,11 +112,14 @@ class TestCertifiedSts:
         [
             (37, "gdd-fill(n=37, type=3:12^3)"),
             (61, "gdd-fill(n=61, type=3:12^5)"),
-            (49, "gdd-fill(n=49, type=3:12^4, seed=2)"),
+            (49, "gdd-fill(n=49, type=3:12^4)"),
+            (73, "gdd-fill(n=73, type=3:12^6)"),
+            (55, "gdd-fill(n=55, type=3:12^3+18^1, seed=2)"),
         ],
     )
     def test_provenance_names_a_seed_only_when_the_climb_ran(self, n, provenance):
-        """The Bose route (12^3, 12^5) uses no seed; the climb (12^4) does."""
+        """The Bose route (12^3, 12^5) and an STS minus a point (12^4, 12^6)
+        use no seed; the climb (12^3 18^1) does."""
         assert certified_sts(n, seed=2).provenance == provenance
 
     def test_order7_rejected(self):
@@ -126,11 +132,11 @@ class TestCertifiedSts:
             certified_sts(n)
 
     def test_seed_determinism(self):
-        a = certified_sts(49, seed=3)
-        b = certified_sts(49, seed=3)
+        a = certified_sts(55, seed=3)
+        b = certified_sts(55, seed=3)
         assert a.design == b.design and a.certificate == b.certificate
 
-    @pytest.mark.parametrize("n", [37, 61, 49, 73, 55])  # Bose 12^3 and 12^5, climbed 12^4 and 12^6, 12^3 18^1
+    @pytest.mark.parametrize("n", [37, 61, 49, 73, 55])  # Bose 12^3 and 12^5, STS minus a point 12^4 and 12^6, climbed 12^3 18^1
     def test_certificate_classes_are_canonical(self, n):
         """The fill relabeling is increasing, so composed class blocks are
         sorted triples of the design without any re-sort.  ``verify_apc``
@@ -186,19 +192,19 @@ class TestCertifiedStsCache:
     every hit is checked against a freshly composed certificate."""
 
     def test_a_hit_is_the_uncached_build_without_a_climb(self, tmp_path, monkeypatch):
-        uncached = certified_sts(49, seed=5)
+        uncached = certified_sts(55, seed=5)
         seeds = count_climbs(monkeypatch)
-        assert certified_sts(49, seed=5, cache_dir=tmp_path) == uncached
-        assert cache_names(tmp_path) == ["sts-49-seed5-f3.json"]
-        assert certified_sts(49, seed=5, cache_dir=tmp_path) == uncached
+        assert certified_sts(55, seed=5, cache_dir=tmp_path) == uncached
+        assert cache_names(tmp_path) == ["sts-55-seed5-f3.json"]
+        assert certified_sts(55, seed=5, cache_dir=tmp_path) == uncached
         assert seeds == [5]
         # a different seed rebuilds, as an uncached build would, into its own file
-        other = certified_sts(49, seed=99, cache_dir=tmp_path)
+        other = certified_sts(55, seed=99, cache_dir=tmp_path)
         assert seeds == [5, 99]
-        assert cache_names(tmp_path) == ["sts-49-seed5-f3.json", "sts-49-seed99-f3.json"]
+        assert cache_names(tmp_path) == ["sts-55-seed5-f3.json", "sts-55-seed99-f3.json"]
         assert other != uncached
         monkeypatch.undo()
-        assert other == certified_sts(49, seed=99)
+        assert other == certified_sts(55, seed=99)
 
     def test_the_cache_file_is_a_design_document_without_a_certificate(self, tmp_path):
         built = certified_sts(55, cache_dir=tmp_path)
@@ -209,12 +215,12 @@ class TestCertifiedStsCache:
         """Seed 7 gets stuck: the build that fills the cache and the hit
         that reads it both name seed 8, as an uncached build does."""
         seeds = count_climbs(monkeypatch, fail_seed=7)
-        fresh = certified_sts(49, seed=7)
-        assert fresh.provenance == "gdd-fill(n=49, type=3:12^4, seed=8 (requested 7))"
-        assert certified_sts(49, seed=7, cache_dir=tmp_path) == fresh
-        assert DesignDocument.load(tmp_path / "sts-49-seed7-f3.json").provenance == fresh.provenance
+        fresh = certified_sts(55, seed=7)
+        assert fresh.provenance == "gdd-fill(n=55, type=3:12^3+18^1, seed=8 (requested 7))"
+        assert certified_sts(55, seed=7, cache_dir=tmp_path) == fresh
+        assert DesignDocument.load(tmp_path / "sts-55-seed7-f3.json").provenance == fresh.provenance
         del seeds[:]
-        assert certified_sts(49, seed=7, cache_dir=tmp_path) == fresh
+        assert certified_sts(55, seed=7, cache_dir=tmp_path) == fresh
         assert seeds == []
 
     def test_a_bose_order_writes_nothing_and_ignores_a_planted_file(self, tmp_path):
@@ -229,9 +235,47 @@ class TestCertifiedStsCache:
         assert cache_names(tmp_path) == [planted.name]
         assert planted.read_text(encoding="utf-8") == text
 
+    def test_a_closed_form_order_writes_nothing_and_ignores_a_stale_file(self, tmp_path):
+        """Order 49 (12^4) was climbed before it had a closed form.  A file
+        that build left behind holds a certified STS(49) that the composed
+        certificate verifies on, yet it is never read, and nothing is written."""
+        uncached = certified_sts(49)
+        climbed = gdd_module.hill_climb_gdd(GddRequest(GroupType.of((12, 4)), 0))
+        fills = [blk for blk in uncached.design.blocks if len({p // 12 for p in blk}) < 3]
+        stale = Design.from_blocks(49, fills + list(climbed.design.blocks))
+        assert validate_sts(stale) and verify_certificate(stale, uncached.certificate)
+        assert stale != uncached.design
+        planted = tmp_path / "sts-49-seed0-f3.json"
+        DesignDocument(stale, provenance="gdd-fill(n=49, type=3:12^4, seed=0)").save(planted)
+        text = planted.read_text(encoding="utf-8")
+        assert certified_sts(49, cache_dir=tmp_path) == uncached
+        assert cache_names(tmp_path) == [planted.name]
+        assert planted.read_text(encoding="utf-8") == text
+        assert certified_sts(73, cache_dir=tmp_path) == certified_sts(73)
+        assert cache_names(tmp_path) == [planted.name]
+
+    @pytest.mark.parametrize("kind", ["seed 1's file", "anything"])
+    def test_a_provenance_this_seed_cannot_write_is_a_miss(self, tmp_path, monkeypatch, kind):
+        """A hit must name the requested seed, or a retry seed after it.
+        Seed 1's design is a certified STS(55) too, and the certificate
+        holds no GDD block, so only the provenance tells it apart."""
+        uncached = certified_sts(55)
+        path = tmp_path / "sts-55-seed0-f3.json"
+        if kind == "seed 1's file":
+            certified_sts(55, seed=1, cache_dir=tmp_path)
+            shutil.copyfile(tmp_path / "sts-55-seed1-f3.json", path)
+        else:
+            DesignDocument(uncached.design, provenance="anything").save(path)
+        seeds = count_climbs(monkeypatch)
+        assert certified_sts(55, cache_dir=tmp_path) == uncached
+        assert seeds == [0]
+        assert DesignDocument.load(path).provenance == uncached.provenance
+        assert certified_sts(55, cache_dir=tmp_path) == uncached
+        assert seeds == [0]
+
     @staticmethod
     def _planted(kind: str, built) -> str:
-        """The text of a bad cache file for ``built``, an order-49 design."""
+        """The text of a bad cache file for ``built``, an order-55 design."""
         doc = DesignDocument(built.design, provenance=built.provenance).to_dict()
         if kind == "broken JSON":
             return "{ not json"
@@ -241,44 +285,44 @@ class TestCertifiedStsCache:
             doc["blocks"].remove(next(blk for blk in doc["blocks"] if len({p // 12 for p in blk}) == 3))
         elif kind == "wrong n":
             doc = DesignDocument(base_case(13).design, provenance=built.provenance).to_dict()
-        elif kind == "relabeled":  # still an STS(49), but the certificate does not fit it
-            swap = {0: 48, 48: 0}
+        elif kind == "relabeled":  # still an STS(55), but the certificate does not fit it
+            swap = {0: 54, 54: 0}
             doc["blocks"] = [[swap.get(p, p) for p in blk] for blk in doc["blocks"]]
         return json.dumps(doc)
 
     @pytest.mark.parametrize("kind", ["broken JSON", "over-deep nesting", "missing block", "wrong n", "relabeled"])
     def test_a_bad_file_is_rebuilt_with_one_climb(self, tmp_path, monkeypatch, kind):
-        uncached = certified_sts(49)
-        path = tmp_path / "sts-49-seed0-f3.json"
+        uncached = certified_sts(55)
+        path = tmp_path / "sts-55-seed0-f3.json"
         path.write_text(self._planted(kind, uncached), encoding="utf-8")
         seeds = count_climbs(monkeypatch)
-        assert certified_sts(49, cache_dir=tmp_path) == uncached
+        assert certified_sts(55, cache_dir=tmp_path) == uncached
         assert seeds == [0]
         assert DesignDocument.load(path).design == uncached.design  # overwritten with the good design
-        assert certified_sts(49, cache_dir=tmp_path) == uncached
+        assert certified_sts(55, cache_dir=tmp_path) == uncached
         assert seeds == [0]
 
     def test_an_old_gdd_cache_file_is_ignored(self, tmp_path, monkeypatch):
         """A GDD cache file of an earlier version, at its old name, is
         neither read nor removed; the design is built and cached anew."""
-        gdd = build_gdd(GddRequest(GroupType.of((12, 4))))
-        old = tmp_path / "3-12^4-seed0.json"
-        payload = {"format": 2, "key": "3:12^4", "seed": 0, "groups": [list(g) for g in gdd.groups]}
+        gdd = build_gdd(GddRequest(GroupType.of((12, 3), (18, 1))))
+        old = tmp_path / "3-12^3+18^1-seed0.json"
+        payload = {"format": 2, "key": "3:12^3+18^1", "seed": 0, "groups": [list(g) for g in gdd.groups]}
         payload["blocks"] = [list(blk) for blk in gdd.design.blocks]
         old.write_text(json.dumps(payload), encoding="utf-8")
-        uncached = certified_sts(49)
+        uncached = certified_sts(55)
         seeds = count_climbs(monkeypatch)
-        assert certified_sts(49, cache_dir=tmp_path) == uncached
+        assert certified_sts(55, cache_dir=tmp_path) == uncached
         assert seeds == [0]
-        assert cache_names(tmp_path) == [old.name, "sts-49-seed0-f3.json"]
+        assert cache_names(tmp_path) == [old.name, "sts-55-seed0-f3.json"]
         assert json.loads(old.read_text(encoding="utf-8")) == payload
 
     def test_a_directory_at_the_target_is_skipped(self, tmp_path, monkeypatch):
-        target = tmp_path / "sts-49-seed0-f3.json"
+        target = tmp_path / "sts-55-seed0-f3.json"
         target.mkdir()
-        uncached = certified_sts(49)
+        uncached = certified_sts(55)
         seeds = count_climbs(monkeypatch)
-        assert certified_sts(49, cache_dir=tmp_path) == uncached
+        assert certified_sts(55, cache_dir=tmp_path) == uncached
         assert seeds == [0]
         assert cache_names(tmp_path) == [target.name]
         assert list(target.iterdir()) == []
@@ -288,15 +332,33 @@ class TestCertifiedStsCache:
         stores nothing and returns what an uncached build does."""
         blocker = tmp_path / "file"
         blocker.write_text("")
-        assert certified_sts(49, cache_dir=blocker / "cache") == certified_sts(49)
+        assert certified_sts(55, cache_dir=blocker / "cache") == certified_sts(55)
         assert cache_names(tmp_path) == ["file"]
 
     def test_a_partial_system_reads_the_cached_parent(self, tmp_path, monkeypatch):
-        certified_sts(49, cache_dir=tmp_path)
-        uncached = certified_psts(49, 2)
+        certified_sts(55, cache_dir=tmp_path)
+        uncached = certified_psts(55, 2)
         seeds = count_climbs(monkeypatch)
-        assert certified_psts(49, 2, cache_dir=tmp_path) == uncached
+        assert certified_psts(55, 2, cache_dir=tmp_path) == uncached
         assert seeds == []
+
+
+def test_only_orders_25_mod_72_and_the_mixed_types_climb():
+    """The paper's types climb for 12^u with u = 2 (mod 6), n = 25 (mod 72),
+    and for every 12^u 18^1 (k = (n - 1)/6 odd); the rest are closed form."""
+    for n in range(13, 1010, 6):
+        if n in BASE_ORDERS:
+            continue
+        k = (n - 1) // 6
+        assert gdd_module.climbs(_composed_type(n)) == (n % 72 == 25 or k % 2 == 1), n
+
+
+@pytest.mark.skipif(os.environ.get("NONSEQ_STS_LONG") != "1", reason="long; set NONSEQ_STS_LONG=1 to run")
+def test_large_closed_form_orders_name_no_seed():
+    for n, key in ((985, "3:12^82"), (1009, "3:12^84")):
+        cd = certified_sts(n)
+        assert cd.provenance == f"gdd-fill(n={n}, type={key})"
+        assert validate_sts(cd.design) and verify_certificate(cd.design, cd.certificate)
 
 
 class TestCertifiedPsts:

@@ -14,6 +14,7 @@ from nonseq_sts import (
     hill_climb_gdd,
     inflate,
     necessary_conditions,
+    skolem_sts,
     sts_as_gdd,
     td3,
     validate_gdd,
@@ -81,6 +82,26 @@ class TestBose:
     def test_bose_sts_wrong_order(self):
         with pytest.raises(ValueError):
             bose_sts(13)
+
+
+class TestSkolem:
+    @pytest.mark.parametrize("n", range(7, 200, 6))
+    def test_skolem_sts(self, n):
+        assert validate_sts(skolem_sts(n)).ok
+
+    @pytest.mark.parametrize("n", [n for n in range(2, 40) if n % 6 != 1])
+    def test_other_residues_rejected(self, n):
+        with pytest.raises(ValueError):
+            skolem_sts(n)
+
+
+class TestStsMinusPoint:
+    @pytest.mark.parametrize("u", [u for u in range(3, 61) if u % 3 != 2])
+    def test_type_2_u_on_canonical_groups(self, u):
+        g = gdd_module._sts_minus_point(2 * u + 1)
+        assert g.group_type == GroupType.of((2, u))
+        assert validate_gdd(g).ok
+        assert g.groups == canonical_groups(g.group_type)
 
 
 class TestInflate:
@@ -225,6 +246,41 @@ class TestBuildGdd:
         assert validate_gdd(g).ok
         assert 3 * g.design.size == cross_pair_count(g)
 
+    @pytest.mark.parametrize("g", [2, 4, 6, 12])
+    def test_closed_routes_never_climb(self, monkeypatch, g):
+        """g^u is closed form for u odd with 3 | g (Bose) and for u != 2
+        (mod 3) (an STS(2u + 1) minus a point); only the rest climb."""
+        climbed = []
+
+        def no_climb(req):
+            climbed.append(req.group_type.key())
+            raise BudgetExceededError("climbed", used=0, budget=0)
+
+        monkeypatch.setattr(gdd_module, "hill_climb_gdd", no_climb)
+        for u in range(3, 15):
+            group_type = GroupType.of((g, u))
+            closed = (u % 2 == 1 and g % 3 == 0) or u % 3 != 2
+            assert gdd_module.climbs(group_type) is not closed
+            if closed:
+                built = build_gdd(GddRequest(group_type, seed=5))
+                assert built.seed is None
+                assert built.groups == canonical_groups(group_type)
+            else:
+                with pytest.raises(BudgetExceededError):
+                    build_gdd(GddRequest(group_type, seed=5))
+        expected = [f"3:{g}^{u}" for u in range(3, 15) if not ((u % 2 == 1 and g % 3 == 0) or u % 3 != 2)]
+        assert climbed == [key for key in expected for _ in range(gdd_module.CLIMB_ATTEMPTS)]
+
+    @pytest.mark.parametrize(
+        "parts",
+        [((1, 7),), ((6, 8),), ((12, 8),), ((12, 3), (18, 1))],
+        ids=lambda parts: "+".join(f"{s}^{c}" for s, c in parts),
+    )
+    def test_a_climbed_type_records_its_seed(self, parts):
+        assert gdd_module.climbs(GroupType.of(*parts))
+        built = build_gdd(GddRequest(GroupType.of(*parts), seed=5))
+        assert 5 <= built.seed < 5 + gdd_module.CLIMB_ATTEMPTS
+
     def test_give_up_error_sums_the_attempts(self, monkeypatch):
         def stuck_climb(req, **kwargs):
             raise BudgetExceededError(f"seed {req.seed} stuck", used=7, budget=10)
@@ -232,9 +288,9 @@ class TestBuildGdd:
         monkeypatch.setattr(gdd_module, "hill_climb_gdd", stuck_climb)
         attempts = gdd_module.CLIMB_ATTEMPTS
         with pytest.raises(BudgetExceededError) as info:
-            build_gdd(GddRequest(GroupType.of((12, 4)), seed=4))
+            build_gdd(GddRequest(GroupType.of((12, 3), (18, 1)), seed=4))
         assert (info.value.used, info.value.budget) == (7 * attempts, 10 * attempts)
-        assert str(info.value) == f"could not realise 3:12^4 in {attempts} attempts: seed {4 + attempts - 1} stuck"
+        assert str(info.value) == f"could not realise 3:12^3+18^1 in {attempts} attempts: seed {4 + attempts - 1} stuck"
 
     def test_rejects_impossible_type(self):
         with pytest.raises(ValueError):

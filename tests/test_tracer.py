@@ -60,15 +60,15 @@ def test_tracer_wraps_every_listed_function_and_restores_it(tmp_path):
 
 
 def test_a_cache_hit_shows_as_a_load_under_certified_sts(tmp_path):
-    """Order 49 is climbed: the first build reaches ``build_gdd`` and
+    """Order 55 is climbed: the first build reaches ``build_gdd`` and
     saves the design, the second reads it back and builds no GDD.  A hit
     never reaches ``build_gdd``, so the tracer's ``gdd.cache_hits`` reads
     0; hits show up as a ``documents.load`` span under the build."""
     tracer = load_tracer_module().Tracer()
     try:
         tracer.install()
-        first = nonseq_sts.certified_sts(49, cache_dir=tmp_path)
-        assert nonseq_sts.certified_sts(49, cache_dir=tmp_path) == first
+        first = nonseq_sts.certified_sts(55, cache_dir=tmp_path)
+        assert nonseq_sts.certified_sts(55, cache_dir=tmp_path) == first
         spans = tracer.spans
     finally:
         tracer.uninstall()
