@@ -1,11 +1,16 @@
 """Core types and validators for partial Steiner triple systems and 3-GDDs.
 
 Points are dense integers 0..n-1 throughout; external labels live only in
-the I/O layer.  The types here are plain immutable containers.  Raw
-constructors check nothing, so that validators can be exercised on broken
-inputs.  The two ``from_blocks`` classmethods are the only canonicalisers:
-builders pass them raw triples, and they sort each block (refusing one
-that is not 3 distinct points) and, for a design, the block list.
+the I/O layer.  The types here are plain immutable containers.  A
+``Design`` is well-formed when it is made: its constructor refuses an
+order that is not an ``int`` >= 0 and a block that is not a strictly
+increasing ``int`` triple inside 0..n-1.  A well-formed design may still
+be broken (repeated blocks or pairs, uncovered pairs, a wrong size or
+order), and the validators report it as it is.  The two ``from_blocks``
+classmethods are the only canonicalisers: builders pass them raw triples,
+and they sort each block (refusing one that is not 3 distinct points)
+and, for a design, the block list.  ``AlmostParallelClass`` checks
+nothing, so that ``verify_apc`` meets broken classes as they are.
 Validators re-derive every structural property from scratch (a verdict
 never depends on how an object was built or ordered) and return reports
 instead of raising, so batch pipelines can aggregate outcomes.  The
@@ -14,14 +19,10 @@ verifiers ``verify_apc`` and ``verify_certificate`` return the same
 what failed (for a certificate, the entry count or the lowest failing
 entry and why it fails).
 
-On blocks in canonical shape (a tuple of sorted ``int`` triples), pair
-incidence is decided by a pass over lazy ``map`` columns and a class check
-by set algebra, in C with no Python step per block.  That pass can only
-return a pass.  Whenever it cannot, on a failure or a raw shape, the
-per-block loop runs from the start: it alone decides those inputs and
-writes every failure report.  The shape verdict is computed once per
-design, the first time it is asked for (``Design.canonical_shape``), and
-read by ``block_set``, the validators and the document writer.
+Pair incidence is decided by a pass over lazy ``map`` columns and a class
+check by set algebra, in C with no Python step per block.  That pass can
+only return a pass; otherwise the per-block loop runs from the start and
+names the first failure.
 """
 
 from __future__ import annotations
@@ -39,13 +40,12 @@ _A, _B, _C = itemgetter(0), itemgetter(1), itemgetter(2)
 _PAIRS = ((_A, _B), (_A, _C), (_B, _C))
 
 
-def _sorted_int_triples(blocks) -> bool:
-    """Whether ``blocks`` is a tuple of strictly increasing ``int`` triples
-    (``bool`` excluded), the shape ``from_blocks`` makes.  Decided column
-    by column in C iterators, without Python bytecode per block."""
+def _sorted_int_triples(blocks: tuple) -> bool:
+    """Whether every member of ``blocks`` is a strictly increasing ``int``
+    triple (``bool`` excluded).  Decided column by column in C iterators,
+    without Python bytecode per block."""
     return (
-        type(blocks) is tuple
-        and set(map(type, blocks)) <= {tuple}
+        set(map(type, blocks)) <= {tuple}
         and set(map(len, blocks)) <= {3}
         and set(map(type, chain.from_iterable(blocks))) <= {int}
         and all(map(lt, map(_A, blocks), map(_B, blocks)))
@@ -86,7 +86,10 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class Design:
-    """A point set 0..n-1 with a list of 3-element blocks.
+    """A point set 0..n-1 with a tuple of blocks, each a strictly
+    increasing ``int`` triple inside 0..n-1 (``bool`` is not an ``int``
+    here), in any order and repeats allowed.  The constructor refuses
+    anything else with a ValueError naming the first bad block.
 
     Whether the blocks form a partial or a full Steiner triple system is a
     matter of validation, not of type.
@@ -95,9 +98,24 @@ class Design:
     n: int
     blocks: tuple[Block, ...]
 
+    def __post_init__(self) -> None:
+        """The one check of the block rule: the column pass of
+        ``_sorted_int_triples``, then the first column's minimum and the
+        last column's maximum.  A failure names the first bad block."""
+        n, blocks = self.n, self.blocks
+        if type(n) is not int or n < 0:
+            raise ValueError(f"order {n!r} is not an int >= 0")
+        if type(blocks) is not tuple:
+            raise ValueError(f"blocks must be a tuple, got {type(blocks).__name__}")
+        first, last = map(_A, blocks), map(_C, blocks)
+        if _sorted_int_triples(blocks) and min(first, default=0) >= 0 and max(last, default=-1) < n:
+            return
+        bad = next(blk for blk in blocks if not (_sorted_int_triples((blk,)) and 0 <= blk[0] and blk[2] < n))
+        raise ValueError(f"block {bad!r} is not 3 increasing ints in 0..{n - 1}")
+
     @classmethod
     def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> "Design":
-        """Canonicalise member order and block order, for builders that pass raw triples; no other checks."""
+        """Canonicalise member order and block order, for builders that pass raw triples."""
         return cls(n, tuple(sorted(canonical_block(b) for b in blocks)))
 
     def __hash__(self) -> int:
@@ -111,22 +129,9 @@ class Design:
         return hash((self.n, self.blocks))
 
     @cached_property
-    def canonical_shape(self) -> bool:
-        """Whether the blocks are a tuple of strictly increasing ``int``
-        triples, the shape ``from_blocks`` makes.  Kept after the first
-        call: a true verdict means a tuple of int tuples, which cannot
-        change, and a false one only sends the checks down their per-block
-        loops, which decide every shape."""
-        return _sorted_int_triples(self.blocks)
-
-    @cached_property
     def block_set(self) -> frozenset[Block]:
-        """The blocks as sorted tuples.  Blocks already in canonical shape,
-        as ``from_blocks`` makes them, are shared rather than copied; only
-        raw shapes are sorted block by block."""
-        if self.canonical_shape:
-            return frozenset(self.blocks)
-        return frozenset(tuple(sorted(b)) for b in self.blocks)
+        """The blocks as a set, sharing the block tuples."""
+        return frozenset(self.blocks)
 
     @property
     def size(self) -> int:
@@ -218,57 +223,41 @@ class NonseqCertificate:
 def _pair_incidence(d: Design, gid: list[int] | None = None) -> tuple[ValidationReport, set[int]]:
     """The one structural pass over a design's blocks, shared by every validator.
 
-    Checks that each block has 3 distinct integer points in 0..n-1 (``bool``
-    is not an integer here), that no block hits a group twice when ``gid``
-    maps points to group ids, and that no pair lies in two blocks.  Returns
-    the first violation found, together with the covered pairs as flat
-    indices ``a*n + b`` (a < b).  A set rather than an n*n array keeps the
-    memory linear in the number of blocks, whatever order ``n`` claims.
+    Checks that no block hits a group twice when ``gid`` maps points to
+    group ids, and that no pair lies in two blocks.  Returns the first
+    violation found, together with the covered pairs as flat indices
+    ``a*n + b`` (a < b).  A set rather than an n*n array keeps the memory
+    linear in the number of blocks, whatever order ``n`` claims.
 
-    ``_column_pass`` decides blocks in canonical shape; it can only pass
-    them.  The loop below runs when it does not: it alone decides raw
-    shapes and names the first violation.
+    ``_column_pass`` decides a design that passes; the loop below runs
+    only when it does not, to name the first violation.
     """
     n, blocks = d.n, d.blocks
-    covered: set[int] = set()
-    if n < 0:
-        return ValidationReport.failed("order", f"negative order {n}"), covered
-    passed = _column_pass(n, blocks, gid) if d.canonical_shape else None
+    passed = _column_pass(n, blocks, gid)
     if passed is not None:
         return ValidationReport.passed(), passed
+    covered: set[int] = set()
     for blk in blocks:
-        members = tuple(blk)
-        if len(members) != 3 or len(set(members)) != 3:
-            detail = f"block {members!r} does not have 3 distinct points"
-            return ValidationReport.failed("malformed-block", detail), covered
-        a, b, c = members
-        if not (type(a) is int and type(b) is int and type(c) is int and 0 <= min(members) and max(members) < n):
-            detail = f"block {members!r} has points outside 0..{n - 1}"
-            return ValidationReport.failed("malformed-block", detail), covered
-        a, b, c = sorted(members)
+        a, b, c = blk
         if gid is not None and (gid[a] == gid[b] or gid[b] == gid[c] or gid[a] == gid[c]):
-            return ValidationReport.failed("within-group-pair", f"block {(a, b, c)} hits a group twice"), covered
+            return ValidationReport.failed("within-group-pair", f"block {blk} hits a group twice"), covered
         for x, y in ((a, b), (a, c), (b, c)):
             if x * n + y in covered:
-                earlier = next(tuple(sorted(e)) for e in blocks if x in e and y in e)
-                detail = f"pair {(x, y)} covered by blocks {earlier} and {(a, b, c)}"
+                earlier = next(e for e in blocks if x in e and y in e)
+                detail = f"pair {(x, y)} covered by blocks {earlier} and {blk}"
                 return ValidationReport.failed("repeated-pair", detail), covered
             covered.add(x * n + y)
     return ValidationReport.passed(), covered
 
 
 def _column_pass(n: int, blocks: tuple[Block, ...], gid: list[int] | None) -> Optional[set[int]]:
-    """The covered pairs when ``blocks``, a tuple of sorted ``int`` triples,
-    passes every check of ``_pair_incidence``; otherwise None.
+    """The covered pairs when ``blocks`` passes every check of
+    ``_pair_incidence``; otherwise None.
 
     Works on lazy columns (one ``map`` per block position, never a copy of
-    the block list): the points lie in 0..n-1 when the first column's
-    minimum and the last column's maximum do, no block hits a group twice
-    when each pair of columns maps to different group ids, and no pair is
-    repeated when the 3 pairs of every block give 3 * len(blocks) distinct
-    indices ``a*n + b``."""
-    if min(map(_A, blocks), default=0) < 0 or max(map(_C, blocks), default=-1) >= n:
-        return None
+    the block list): no block hits a group twice when each pair of columns
+    maps to different group ids, and no pair is repeated when the 3 pairs
+    of every block give 3 * len(blocks) distinct indices ``a*n + b``."""
     if gid is not None:
         group = gid.__getitem__
         if not all(all(map(ne, map(group, map(x, blocks)), map(group, map(y, blocks)))) for x, y in _PAIRS):
@@ -281,10 +270,7 @@ def _column_pass(n: int, blocks: tuple[Block, ...], gid: list[int] | None) -> Op
 
 def validate_psts(d: Design) -> ValidationReport:
     """Check the partial-system condition: every pair in at most one block.
-
-    Also rejects malformed blocks (wrong arity, repeated or out-of-range
-    members).  Duplicate blocks surface as repeated pairs.
-    """
+    Duplicate blocks surface as repeated pairs."""
     return _pair_incidence(d)[0]
 
 

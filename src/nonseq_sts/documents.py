@@ -20,18 +20,18 @@ order, the optional fields left out, and each list field's elements.
 scalar field and one per element of each list field (block, label,
 certificate entry), an empty list written ``[]`` on its key's line.  The
 lines come straight from the design and the certificate, never through
-``to_dict``: blocks in canonical shape (``Design.canonical_shape``) are
-written by one format string over the sorted block tuples, which for
-exact ints is the text ``json.dumps`` writes; any other line, a
-certificate entry too, is one ``json.dumps``.  Indented files from older
-versions load the same.
+``to_dict``: blocks, which ``Design`` holds as sorted ``int`` triples,
+are written by one format string over the sorted block tuples, the text
+``json.dumps`` writes; any other line, a certificate entry too, is one
+``json.dumps``.  Indented files from older versions load the same.
 
-Loading performs structural validation only (shapes, ranges, types);
-semantic validation is the verifiers' job so that a broken design can be
-loaded and then reported on; a certificate entry that lists a block twice
-is refused, as it would otherwise fold away.  Every JSON file is read by
-``read_json`` and written by ``replace_file``; the design cache of
-``constructions.certified_sts`` holds design documents too.
+Loading performs structural validation only (shapes, ranges, types, by
+the rule ``Design`` enforces); semantic validation is the verifiers' job so
+that a broken design can be loaded and then reported on; a certificate
+entry that lists a block twice is refused, as it would otherwise fold
+away.  Every JSON file is read by ``read_json`` and written by
+``replace_file``; the design cache of ``constructions.certified_sts`` holds
+design documents too.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class DocumentError(ValueError):
     """The file is not a well-formed design document."""
 
 
-# One canonical block's line: ``%d`` writes an exact int as ``json.dumps`` does.
+# One block's line: ``%d`` writes an exact int as ``json.dumps`` does.
 _BLOCK_LINE = "[%d, %d, %d]".__mod__
 
 
@@ -77,15 +77,11 @@ class DesignDocument:
         """The document's fields in schema order, as (key, value) pairs;
         ``labels`` and ``certificate`` are left out when None, and kept
         when empty.  A list field's value is a ``_ListField``: blocks
-        sorted within and then across blocks, certificate entries by
-        missed point and each class's blocks sorted."""
-        design = self.design
+        sorted, certificate entries by missed point and each class's
+        blocks sorted."""
         yield "schema", SCHEMA_VERSION
-        yield "n", design.n
-        if design.canonical_shape:
-            yield "blocks", _ListField(sorted(design.blocks), _BLOCK_LINE, list)
-        else:
-            yield "blocks", _ListField(sorted(sorted(blk) for blk in design.blocks))
+        yield "n", self.design.n
+        yield "blocks", _ListField(sorted(self.design.blocks), _BLOCK_LINE, list)
         if self.labels is not None:
             yield "labels", _ListField(self.labels)
         if self.certificate is not None:

@@ -17,9 +17,9 @@ each level's row list at an offset drawn from ``random.Random(j)``.  Every
 attempt is seeded afresh, so a question's answer and row count depend on
 the question alone, never on the questions asked before it.
 
-Two engines, one job each, and one row check for both: ``_design_matrix``
-checks a design's rows and links them once per live design, and keeps
-them as ``_Matrix.rows`` for ``SegmentOracle``.
+Two engines, one job each, on the same rows: ``_design_matrix`` links a
+design's distinct blocks once per live design, and keeps them as
+``_Matrix.rows`` for ``SegmentOracle``.
 Every one-off partition question (an almost parallel class for
 ``find_apc``, one segment of any size for ``segment_partitionable`` and
 through it ``is_admissible``, a point's complement for the sequence
@@ -295,14 +295,11 @@ _design_matrices: "weakref.WeakKeyDictionary[Design, _Matrix]" = weakref.WeakKey
 
 def _design_matrix(d: Design) -> _Matrix:
     """The design's matrix, linked once per live design: columns 0..n-1,
-    and as ``rows``, both engines' rows, d's distinct blocks inside 0..n-1,
-    sorted, each its own id; no question can use the rest.  A block that is
-    not a triple, or that ``ExactCoverInstance.build`` refuses because it
-    repeats a point, raises ValueError."""
+    and as ``rows``, both engines' rows, d's distinct blocks, sorted, each
+    its own id."""
     matrix = _design_matrices.get(d)
     if matrix is None:
-        blocks = ((a, b, c) for a, b, c in sorted(d.block_set) if 0 <= a and c < d.n)
-        rows = ExactCoverInstance.build(d.n, ((blk, blk) for blk in blocks)).candidates
+        rows = tuple((blk, blk) for blk in sorted(d.block_set))
         matrix = _design_matrices.setdefault(d, _Matrix(d.n, rows))
     return matrix
 
@@ -331,9 +328,9 @@ def _first_partition(
     means that no partition exists.  Each attempt seeds its own generator,
     so the answer and the row count depend on the question alone."""
     n = d.n
-    matrix = _design_matrix(d)  # checks the rows first, whatever the question
     if any(not 0 <= p < n for p in points):
         return None, 0  # no block covers the stray point
+    matrix = _design_matrix(d)
     outside = [col for col in matrix.columns if col.index not in points]
     with matrix.lock:
         for col in outside:
@@ -359,8 +356,8 @@ def find_apc(d: Design, missed: int) -> Optional[AlmostParallelClass]:
 
     Returns None iff no such class exists.
     """
-    if not 0 <= missed < d.n:
-        raise ValueError(f"missed point {missed} outside 0..{d.n - 1}")
+    if type(missed) is not int or not 0 <= missed < d.n:
+        raise ValueError(f"missed point {missed!r} outside 0..{d.n - 1}")
     chosen, _ = _first_partition(d, set(range(d.n)) - {missed})
     return None if chosen is None else AlmostParallelClass(chosen, missed)
 
@@ -388,8 +385,7 @@ class SegmentOracle:
     looked up, first calls ``on_miss``; the sequence search passes its
     ``spend``, which counts the miss as a node against its budget and so
     bounds the memo too.  One-off questions go to ``segment_partitionable``
-    instead.  Both take their rows from ``_design_matrix(d).rows``, where
-    they are checked once.
+    instead.  Both take their rows from ``_design_matrix(d).rows``.
     """
 
     def __init__(self, d: Design, on_miss: Callable[[], None]):

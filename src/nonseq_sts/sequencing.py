@@ -34,7 +34,7 @@ class CertificationError(RuntimeError):
 
 def _check_permutation(d: Design, seq: Sequence[int]) -> tuple[int, ...]:
     order = tuple(seq)
-    if sorted(order) != list(range(d.n)):
+    if not set(map(type, order)) <= {int} or sorted(order) != list(range(d.n)):
         raise ValueError(f"sequence must be a permutation of 0..{d.n - 1}")
     return order
 

@@ -178,6 +178,19 @@ class TestVerify:
         assert code == 1
         assert kv["PSTS"].startswith("repeated-pair")
 
+    def test_a_missing_block_is_reported_as_it_is(self, capsys, tmp_path):
+        """A well-formed order-13 document missing one block is a partial
+        system that is not Steiner; without a certificate that passes."""
+        blocks = base_case(13).design.blocks
+        assert blocks[0] == (0, 1, 4)
+        path = tmp_path / "missing.json"
+        DesignDocument(Design.from_blocks(13, blocks[1:])).save(path)
+        code, kv = run_cli(capsys, "verify", path)
+        assert code == 0
+        assert kv["PSTS"] == "ok"
+        assert kv["STS"] == "no (uncovered-pair: pair (0, 1) is in no block)"
+        assert kv["VERDICT"] == "pass"
+
 
 class TestUnusablePaths:
     """A path that cannot be read or written is bad input: exit 2 with one

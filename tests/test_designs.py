@@ -1,6 +1,7 @@
 """Validators and verifiers on the core types."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from nonseq_sts import (
     AlmostParallelClass,
     Design,
+    DesignDocument,
     Gdd,
     GroupType,
     NonseqCertificate,
@@ -56,6 +58,26 @@ def sts13_certificate(sts13):
     return NonseqCertificate(entries)
 
 
+class TestDesignIsWellFormed:
+    def test_order_must_be_an_int_at_least_0(self):
+        for n in (-1, True, 3.0, "3"):
+            with pytest.raises(ValueError, match="is not an int >= 0"):
+                Design(n, ())
+        assert Design(0, ()).size == 0
+
+    def test_blocks_must_be_a_tuple(self):
+        with pytest.raises(ValueError, match="must be a tuple, got list"):
+            Design(3, [(0, 1, 2)])
+
+    def test_the_first_bad_block_is_named(self):
+        with pytest.raises(ValueError, match=re.escape("block (2, 1, 0) is not 3 increasing ints in 0..3")):
+            Design(4, ((0, 1, 2), (2, 1, 0), (0, 1, 9)))
+        with pytest.raises(ValueError, match=re.escape("block (1, 2, 4) is not")):
+            Design(4, ((0, 1, 2), (1, 2, 4), (-1, 0, 1)))
+        with pytest.raises(ValueError, match=re.escape("block (-1, 0, 1) is not")):
+            Design(4, ((0, 1, 2), (-1, 0, 1)))
+
+
 class TestValidatePsts:
     def test_order7_system_is_ok(self):
         assert validate_psts(Design.from_blocks(7, STS7_BLOCKS)).ok
@@ -70,10 +92,12 @@ class TestValidatePsts:
         assert "(0, 1)" in rep.detail
 
     def test_malformed_blocks(self):
-        assert validate_psts(Design(3, ((0, 1),))).category == "malformed-block"
-        assert validate_psts(Design(3, ((0, 1, 1),))).category == "malformed-block"
-        assert validate_psts(Design(3, ((0, 1, 7),))).category == "malformed-block"
-        assert validate_psts(Design(3, ((True, 0, 2),))).category == "malformed-block"
+        """A block that is not 3 distinct int points in range never reaches
+        a validator or a save: the design cannot be made."""
+        bad = ((0, 1), (0, 1, 1), (0, 1, 7), (True, 0, 2), (0, True, 2), (False, 1, 2), (0, 1, None))
+        for blk in bad:
+            with pytest.raises(ValueError, match=re.escape(f"block {blk!r} is not 3 increasing ints in 0..2")):
+                Design(3, (blk,))
 
     def test_duplicate_block_caught_as_repeated_pair(self):
         rep = validate_psts(Design(5, ((0, 1, 2), (0, 1, 2))))
@@ -207,7 +231,8 @@ class TestVerifyCertificate:
 
 
 def test_canonicalisation_never_changes_verdicts(sts13):
-    """Shuffling block order and member order leaves every verdict alone."""
+    """Shuffling block order leaves every verdict alone; shuffled members
+    are refused when the design is made."""
     rng = random.Random(20240811)
     designs = {
         "sts13": sts13,
@@ -217,13 +242,15 @@ def test_canonicalisation_never_changes_verdicts(sts13):
     for name, d in designs.items():
         base_psts, base_sts = validate_psts(d).ok, validate_sts(d).ok
         for _ in range(10):
-            blocks = [list(blk) for blk in d.blocks]
-            for blk in blocks:
-                rng.shuffle(blk)
+            blocks = list(d.blocks)
             rng.shuffle(blocks)
-            shuffled = Design(d.n, tuple(tuple(blk) for blk in blocks))
+            shuffled = Design(d.n, tuple(blocks))
             assert validate_psts(shuffled).ok == base_psts, name
             assert validate_sts(shuffled).ok == base_sts, name
+            i = rng.randrange(len(blocks))
+            blocks[i] = blocks[i][::-1]
+            with pytest.raises(ValueError, match=re.escape(f"block {blocks[i]} ")):
+                Design(d.n, tuple(blocks))
 
 
 def test_group_type_canonical_key():
@@ -278,11 +305,31 @@ def block_lists(draw):
     return n, [tuple(blk) for blk in blocks], [tuple(grp) for grp in groups]
 
 
+def malformed(n, blk) -> bool:
+    """Whether the per-block loop of ``oracles`` calls ``blk`` malformed on
+    its own in an order-``n`` design (n >= 0)."""
+    return pair_incidence_by_loop(n, [blk])[0].category == "malformed-block"
+
+
+def made_or_refused(n, blocks):
+    """``Design(n, blocks)`` with every block's members sorted: the design,
+    or None after asserting that it is refused exactly when the oracle
+    calls a block malformed or the order is negative."""
+    blocks = tuple(tuple(sorted(blk)) for blk in blocks)
+    if n < 0 or any(malformed(n, blk) for blk in blocks):
+        with pytest.raises(ValueError):
+            Design(n, blocks)
+        return None
+    return Design(n, blocks)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(block_lists())
 def test_validators_agree_with_pair_count_oracle(case):
     n, blocks, groups = case
-    d = Design(n, tuple(blocks))
+    d = made_or_refused(n, blocks)
+    if d is None:
+        return
     gdd = Gdd(GroupType.of(*((len(grp), 1) for grp in groups)), tuple(groups), d)
     psts, sts, gdd_ok = pair_count_verdicts(n, blocks, groups)
     assert validate_psts(d).ok == psts
@@ -293,9 +340,10 @@ def test_validators_agree_with_pair_count_oracle(case):
 @st.composite
 def canonical_block_lists(draw):
     """``block_lists`` with each block of 3 distinct ints sorted into a
-    tuple and the rest dropped, so that the column pass runs on it.  Points
-    may still be out of range, pairs repeated or uncovered, blocks
-    duplicated or inside a group, and the order is sometimes negative."""
+    tuple and the rest dropped, so that most of them can be made.  Pairs
+    may be repeated or uncovered and blocks duplicated or inside a group;
+    now and then a point is out of range or the order negative, which the
+    constructor refuses."""
     n, blocks, groups = draw(block_lists())
     blocks = [tuple(sorted(blk)) for blk in blocks if len(set(blk)) == len(blk) == 3 and set(map(type, blk)) == {int}]
     edit = draw(st.sampled_from(["none", "none", "stray-point", "negative-order"]))
@@ -311,10 +359,12 @@ def canonical_block_lists(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.one_of(block_lists(), canonical_block_lists()))
 def test_validators_report_what_the_loop_reports(case):
-    """Verdict, category and detail are the per-block loop's, on raw and
-    canonical block lists alike; so is the covered-pair set."""
+    """Verdict, category and detail are the per-block loop's on every
+    design that can be made; so is the covered-pair set."""
     n, blocks, groups = case
-    d = Design(n, tuple(blocks))
+    d = made_or_refused(n, blocks)
+    if d is None:
+        return
     gdd = Gdd(GroupType.of(*((len(grp), 1) for grp in groups)), tuple(groups), d)
     assert _pair_incidence(d) == pair_incidence_by_loop(n, d.blocks)
     assert validate_psts(d) == validate_psts_by_loop(d)
@@ -325,16 +375,70 @@ def test_validators_report_what_the_loop_reports(case):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=block_lists(), data=st.data())
 def test_block_set_is_the_sorted_blocks(case, data):
-    """Raw, shuffled and malformed block lists all give the sorted blocks."""
+    """Sorted and shuffled block lists give the sorted blocks; a raw block,
+    unsorted or a list, is refused when the design is made."""
     n, blocks, _ = case
-    shape = data.draw(st.sampled_from(["raw", "sorted", "shuffled", "lists"]))
-    if shape == "sorted":
-        blocks = [tuple(sorted(blk)) for blk in blocks]
-    elif shape == "shuffled":
-        blocks = [tuple(data.draw(st.permutations(blk))) for blk in data.draw(st.permutations(blocks))]
+    blocks = [tuple(sorted(blk)) for blk in blocks]
+    shape = data.draw(st.sampled_from(["sorted", "shuffled", "raw", "lists"]))
+    if shape == "shuffled":
+        blocks = data.draw(st.permutations(blocks))
+    elif shape == "raw":
+        blocks = [tuple(data.draw(st.permutations(blk))) for blk in blocks]
     elif shape == "lists":
         blocks = [list(blk) for blk in blocks]
-    assert Design(n, tuple(blocks)).block_set == frozenset(tuple(sorted(blk)) for blk in blocks)
+    if n < 0 or any(malformed(n, blk) or blk != tuple(sorted(blk)) for blk in blocks):
+        with pytest.raises(ValueError):
+            Design(n, tuple(blocks))
+    else:
+        assert Design(n, tuple(blocks)).block_set == frozenset(tuple(sorted(blk)) for blk in blocks)
+
+
+POINTS = st.integers(-1, 9) | st.booleans() | st.sampled_from([0.0, 1.0, 2.5])
+
+
+@st.composite
+def raw_block_lists(draw):
+    """An order in -2..8 and raw blocks, tuples or lists: mostly 3 distinct
+    points in range, sorted or not, or sorted with 0 and 1 written as
+    False and True; otherwise 2 to 4 points, each an int near the range, a
+    bool or a float."""
+    n = draw(st.integers(-2, 8))
+    members = st.lists(POINTS, min_size=2, max_size=4)
+    if n >= 3:
+        triple = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+        as_bools = triple.map(sorted).map(lambda blk: [bool(p) if p < 2 else p for p in blk])
+        members = triple.map(sorted) | triple | as_bools | members
+    block = members.flatmap(lambda blk: st.sampled_from([tuple(blk), tuple(blk), blk]))
+    return n, draw(st.lists(block, max_size=6))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(raw_block_lists())
+def test_one_block_rule_at_every_entry(case):
+    """The constructor refuses exactly what the loop oracle calls malformed,
+    a negative order, and a block that is not an increasing tuple; the
+    document reader accepts sorted int triples exactly when the constructor
+    does; ``from_blocks`` accepts exactly lists of 3 distinct in-range
+    ints."""
+    n, blocks = case
+
+    def made(build, *args) -> bool:
+        try:
+            build(*args)
+        except ValueError:
+            return False
+        return True
+
+    increasing = all(type(blk) is tuple and list(blk) == sorted(blk) for blk in blocks)
+    well_formed = n >= 0 and not any(malformed(n, blk) for blk in blocks)
+    assert made(Design, n, tuple(blocks)) == (well_formed and increasing)
+    int_triples = [tuple(sorted(blk)) for blk in blocks if len(blk) == 3 and set(map(type, blk)) == {int}]
+    doc = {"schema": 1, "n": n, "blocks": [list(blk) for blk in int_triples]}
+    assert made(DesignDocument.from_dict, doc) == made(Design, n, tuple(int_triples))
+    in_range = range(max(n, 0))
+    distinct = all(len(set(blk)) == len(blk) == 3 for blk in blocks)
+    ints = all(type(p) is int and p in in_range for blk in blocks for p in blk)
+    assert made(Design.from_blocks, n, blocks) == (n >= 0 and distinct and ints)
 
 
 @pytest.fixture(scope="module", params=[13, 19])

@@ -18,21 +18,18 @@ from nonseq_sts import (
     Design,
     ExactCoverInstance,
     SegmentOracle,
-    SegmentPolicy,
     certified_psts,
     certified_sts,
     certify_nonsequenceable,
     exists_cover,
-    find_admissible_sequence,
     find_apc,
-    is_admissible,
     segment_partitionable,
     solve,
     verify_apc,
     verify_certificate,
 )
 
-from nonseq_sts import exact_cover
+from nonseq_sts import designs, exact_cover
 from nonseq_sts.exact_cover import _first_partition
 from oracles import (
     brute_force_apcs,
@@ -159,6 +156,14 @@ class TestFindApc:
         with pytest.raises(ValueError):
             find_apc(Design.from_blocks(4, [(0, 1, 2)]), 4)
 
+    @pytest.mark.parametrize("missed", [1.5, 1.0, True, False], ids=["1.5", "1.0", "True", "False"])
+    def test_missed_that_is_not_an_int(self, missed):
+        """A float or a bool is refused as an out-of-range point is, not
+        searched: 1.5 would answer None, a false "no class", and True a
+        class that misses True."""
+        with pytest.raises(ValueError, match=f"missed point {missed} outside 0..12"):
+            find_apc(develop_cyclic(13, BASES[13]), missed)
+
 
 @pytest.fixture(scope="module")
 def sts7():
@@ -178,10 +183,11 @@ class TestSegmentPartitionable:
     def test_empty_segment(self, sts7):
         assert segment_partitionable(sts7, ())
 
-    def test_block_outside_the_points_partitions_nothing(self):
-        # a 3-point segment keeps the range rule of the matrix rows
-        d = Design.from_blocks(7, [(-1, 0, 1), (2, 3, 4)])
-        assert not segment_partitionable(d, [-1, 0, 1])
+    def test_a_block_outside_the_points_cannot_be_made(self):
+        with pytest.raises(ValueError):
+            Design.from_blocks(7, [(-1, 0, 1), (2, 3, 4)])
+        d = Design.from_blocks(7, [(2, 3, 4)])
+        assert not segment_partitionable(d, [-1, 0, 1])  # no block covers the stray point
         assert not segment_partitionable(d, [-1, 0, 1, 2, 3, 4])
 
     def test_agrees_with_enumeration_on_all_order7_segments(self, sts7):
@@ -195,46 +201,21 @@ class TestSegmentPartitionable:
 
 
 @pytest.mark.parametrize(
-    "d",
+    "n, blocks",
     [
-        Design(9, ((0, 0, 1), (2, 2, 3), (4, 4, 5))),
-        Design(7, ((0, 1), (2, 3, 4))),
-        Design(7, ((0, 1, 2, 3), (4, 5, 6))),
+        (9, ((0, 0, 1), (2, 2, 3), (4, 4, 5))),
+        (7, ((0, 1), (2, 3, 4))),
+        (7, ((0, 1, 2, 3), (4, 5, 6))),
     ],
     ids=["repeated-point", "pair", "quadruple"],
 )
-def test_engines_refuse_the_same_malformed_rows(d):
-    """Both engines take their rows from one check, so the bitmask oracle
-    refuses a block that is not 3 distinct points, as dancing links does."""
-    # A 3-point segment checks the rows too, and so does a segment with a
-    # point outside 0..n-1, which no block can cover.
-    for segment in (range(6), range(3), [-1, 0, 1, 2, 3, 4], [-1, 0, 1]):
-        with pytest.raises(ValueError):
-            segment_partitionable(d, segment)
+def test_designs_with_malformed_rows_cannot_be_made(n, blocks):
+    """A block that is not 3 distinct points never reaches either engine:
+    the design is refused when it is made."""
     with pytest.raises(ValueError):
-        is_admissible(d, range(d.n))
+        Design(n, blocks)
     with pytest.raises(ValueError):
-        SegmentOracle(d, lambda: None)
-    for policy in SegmentPolicy:
-        with pytest.raises(ValueError):
-            find_admissible_sequence(d, policy)
-
-
-def test_rows_are_checked_once_per_design(monkeypatch):
-    """Both engines share one row check per live design."""
-    calls = []
-    build = ExactCoverInstance.build.__func__
-
-    def spy(cls, universe_size, candidates):
-        calls.append(universe_size)
-        return build(cls, universe_size, candidates)
-
-    monkeypatch.setattr(ExactCoverInstance, "build", classmethod(spy))
-    d = Design.from_blocks(10, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 9)])
-    SegmentOracle(d, lambda: None)
-    SegmentOracle(d, lambda: None)
-    assert segment_partitionable(d, range(6))
-    assert calls == [10]
+        Design.from_blocks(n, blocks)
 
 
 # Full systems of orders 7 and 13, and a 9-point partial system that is
@@ -243,9 +224,6 @@ ORACLE_BASES = (
     Design.from_blocks(7, STS7_BLOCKS),
     develop_cyclic(13, BASES[13]),
     Design.from_blocks(9, [(0, 1, 2), (3, 4, 5), (0, 3, 6), (1, 4, 7)]),
-    # blocks with a point outside 0..n-1, which neither engine can use
-    Design.from_blocks(7, [(-1, 0, 1), (2, 3, 4)]),
-    Design.from_blocks(7, [(0, 1, 2), (3, 4, 5), (4, 6, 7), (7, 8, 9)]),
 )
 
 
@@ -582,20 +560,15 @@ def test_certifying_the_37_2_design_searches_few_rows(monkeypatch):
     assert len(spent) == 37 and sum(spent) < 20_000, sum(spent)
 
 
-def test_equal_designs_hash_once_and_share_a_matrix():
+def test_equal_designs_hash_once_and_share_a_matrix(monkeypatch):
     """A design's hash visits its blocks once, however often the per-design
     tables look it up; an equal design built apart hashes equal and finds
     the same matrix."""
-    visits = []
-
-    class Point(int):
-        def __hash__(self):
-            visits.append(int(self))
-            return int.__hash__(self)
-
-    d = Design(4, ((Point(0), 1, 2),))
+    hashed = []
+    monkeypatch.setattr(designs, "hash", lambda value: hashed.append(value) or hash(value), raising=False)
+    d = Design(4, ((0, 1, 2),))
     assert hash(d) == hash(d) == hash((4, ((0, 1, 2),)))
-    assert visits == [0]
+    assert hashed == [(4, ((0, 1, 2),))]
     blocks = list(develop_cyclic(13, BASES[13]).blocks)
     a, b = Design.from_blocks(13, blocks), Design.from_blocks(13, blocks[::-1])
     assert a is not b and a == b and hash(a) == hash(b)

@@ -1,6 +1,7 @@
 """Admissibility, exhaustive sequencing, certification, explanations."""
 
 import random
+import re
 import time
 from itertools import combinations, permutations
 
@@ -60,6 +61,13 @@ class TestIsAdmissible:
     def test_not_a_permutation(self, sts7):
         with pytest.raises(ValueError):
             is_admissible(sts7, [0, 0, 1, 2, 3, 4, 5])
+
+    @pytest.mark.parametrize("seq", [(True, 0, 2), (1.0, 0, 2), (0, 1, 2.0)], ids=["True", "1.0", "2.0"])
+    def test_points_that_are_not_ints(self, seq):
+        """True and 1.0 sort and compare as 1, yet they are not points: the
+        sequence is refused as a non-permutation is."""
+        with pytest.raises(ValueError, match="must be a permutation of 0..2"):
+            is_admissible(Design.from_blocks(3, []), seq)
 
     @pytest.mark.parametrize("policy", BOTH_POLICIES)
     def test_agrees_with_enumeration_oracle(self, sts7, policy):
@@ -240,13 +248,12 @@ class TestFindAdmissibleSequence:
             assert n == 1003 and (exc.used, exc.budget) == (1000, 1000)
         assert calls == asked
 
-    @pytest.mark.parametrize("policy", BOTH_POLICIES)
-    def test_blocks_outside_the_points_are_never_used(self, policy):
-        """No segment can contain a block with a point outside 0..n-1, so the
-        search answers as if the block were not there."""
+    def test_blocks_outside_the_points_cannot_be_made(self):
+        """A block with a point outside 0..n-1 never reaches the search: the
+        design is refused when it is made."""
         for blocks, stray in (([(2, 3, 4)], (-1, 0, 1)), ([(0, 1, 2), (3, 4, 5)], (5, 6, 7))):
-            expected = find_admissible_sequence(Design.from_blocks(7, blocks), policy)
-            assert find_admissible_sequence(Design.from_blocks(7, blocks + [stray]), policy) == expected
+            with pytest.raises(ValueError, match=re.escape(f"block {stray} is not")):
+                Design.from_blocks(7, blocks + [stray])
 
     def test_oracle_misses_count_against_the_budget(self):
         """On a sparse order-55 design the segment oracle's recursion, not
@@ -506,6 +513,11 @@ class TestExplain:
             assert blk in cd.design.block_set
             covered |= set(blk)
         assert covered == set(violation.segment)
+
+    def test_points_that_are_not_ints(self, cd13):
+        seq = [True, 0] + list(range(2, 13))
+        with pytest.raises(ValueError, match="must be a permutation of 0..12"):
+            explain_nonsequenceable(cd13.design, cd13.certificate, seq)
 
     def test_suffix_case(self, cd13):
         seq = [0] + list(range(1, 13))
