@@ -7,8 +7,9 @@ order-25 starter list is arithmetically short by one orbit and is
 completed by residual-difference search before development.
 
 Larger orders n = 1 (mod 6) are composed: take a 3-GDD of type 12^u
-(n = 12u + 1) or 12^u 18^1 (n = 12u + 19), adjoin one new point X, and
-fill each group plus X with a certified system of order 13 or 19.  The
+(n = 12u + 1), 12^u 18^1 (n = 12u + 19) or, for n = 7 (mod 36), 18^m 24^1
+(n = 18m + 25), adjoin one new point X, and fill each group of size g
+plus X with the certified starter of order g + 1 (13, 19 or 25).  The
 relabeling keeps the group's order and ends at X, the largest point, so
 it is increasing and keeps blocks sorted.  Certificates compose by the
 same recipe: an almost parallel class missing y in y's own fill system,
@@ -19,7 +20,7 @@ is trusted: every composed design is re-validated and every certificate
 re-verified before being returned.
 
 Only composed designs whose GDD was climbed (``gdd.climbs``) are cached,
-as design documents without a certificate (``sts-55-seed0-f3.json``).  A
+as design documents without a certificate (``sts-55-seed0-f4.json``).  A
 cached design is used only if it is a Steiner triple system of the order
 asked for, the freshly composed certificate verifies on it, and its
 provenance is one a build with the requested seed can write.
@@ -129,7 +130,7 @@ BASE_ORDERS = tuple(sorted(_STARTERS))
 
 # Part of every cache file name; files of another format are never read.
 # Bump it whenever the climb realises a given seed differently.
-_CACHE_FORMAT = 3
+_CACHE_FORMAT = 4
 
 
 def base_case(n: int) -> CertifiedDesign:
@@ -154,11 +155,15 @@ def base_case(n: int) -> CertifiedDesign:
 
 
 def _composed_type(n: int) -> GroupType:
-    """The GDD type an order is composed from: 12^u for n = 12u + 1, else
-    12^u 18^1 for n = 12u + 19."""
+    """The GDD type an order is composed from: the paper's 12^u for
+    n = 12u + 1, else 12^u 18^1 for n = 12u + 19, except 18^m 24^1 with
+    m = (n - 25)/18 at n = 7 (mod 36), where the master 4^u 6^1 that
+    12^u 18^1 climbs does not exist (6^m 8^1 does)."""
     k = (n - 1) // 6
     if k % 2 == 0:
         return GroupType.of((12, k // 2))
+    if n % 36 == 7:
+        return GroupType.of((18, (n - 25) // 18), (24, 1))
     return GroupType.of((12, (k - 3) // 2), (18, 1))
 
 
@@ -178,12 +183,12 @@ def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] 
     provenance names the seed it came from: ``seed=11 (requested 10)`` when
     the climb got stuck on seed 10 and the retry on 11 succeeded.  A
     closed-form GDD (Bose, or an STS minus a point) uses no seed, and its
-    provenance names none.  Of the paper's types only 12^u with u = 2
-    (mod 6) and every 12^u 18^1 climb.
+    provenance names none.  Only 12^u with u = 2 (mod 6) climbs its own
+    type; 12^u 18^1 and 18^m 24^1 climb a master a ninth the size.
 
     Given ``cache_dir``, a design built on a climbed GDD is saved there,
     with its provenance and without its certificate, as the design
-    document ``sts-{n}-seed{seed}-f3.json``, which the next call with the
+    document ``sts-{n}-seed{seed}-f4.json``, which the next call with the
     same order and seed reads back.  A file that cannot be read, fails
     ``validate_sts`` or the composed certificate, or whose provenance is
     not one this seed's build can write (``seed=s`` with s the requested
@@ -201,7 +206,7 @@ def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] 
     group_type = _composed_type(n)
 
     x = n - 1
-    fills = {12: base_case(13), 18: base_case(19)}
+    fills = {size: base_case(size + 1) for size, _count in group_type.parts}
     groups = canonical_groups(group_type)
     blocks = []
     missing_x: list[frozenset] = []  # per group, the relabeled class missing X
@@ -239,7 +244,7 @@ def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] 
                 return CertifiedDesign(cached.design, cert, cached.provenance)
 
     gdd = build_gdd(GddRequest(group_type, seed))
-    design = Design.from_blocks(n, blocks + list(gdd.design.blocks))
+    design = Design(n, tuple(sorted(blocks + list(gdd.design.blocks))))  # every triple is increasing
     rep = validate_sts(design)
     if not rep:
         raise RuntimeError(f"internal error: composed design of order {n} is invalid ({rep})")
@@ -293,7 +298,7 @@ def certified_psts(
 
         removal_order = sorted(entries[x0].blocks, key=lambda blk: (damage(blk), blk))
         removed = set(removal_order[:a])
-        design = Design.from_blocks(n, (blk for blk in design.blocks if blk not in removed))
+        design = Design(n, tuple(blk for blk in design.blocks if blk not in removed))
         cert = certify_nonsequenceable(design, known=entries)
 
     rep = validate_psts(design)

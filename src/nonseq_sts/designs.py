@@ -9,8 +9,10 @@ be broken (repeated blocks or pairs, uncovered pairs, a wrong size or
 order), and the validators report it as it is.  The two ``from_blocks``
 classmethods are the only canonicalisers: builders pass them raw triples,
 and they sort each block (refusing one that is not 3 distinct points)
-and, for a design, the block list.  ``AlmostParallelClass`` checks
-nothing, so that ``verify_apc`` meets broken classes as they are.
+and, for a design, the block list; a builder whose triples are
+increasing by construction sorts only the block list.
+``AlmostParallelClass`` checks nothing, so that ``verify_apc`` meets
+broken classes as they are.
 Validators re-derive every structural property from scratch (a verdict
 never depends on how an object was built or ordered) and return reports
 instead of raising, so batch pipelines can aggregate outcomes.  The
@@ -320,16 +322,17 @@ def validate_gdd(g: Gdd) -> ValidationReport:
 
 
 def verify_apc(d: Design, apc: AlmostParallelClass) -> ValidationReport:
-    """Check that the blocks all belong to ``d``, are pairwise disjoint,
-    and cover exactly the points other than ``apc.missed``.
+    """Check that ``apc.missed`` is an ``int`` point of ``d``, and that the
+    blocks all belong to ``d``, are pairwise disjoint, and cover exactly
+    the points other than ``apc.missed``.
 
     Set algebra decides a class of canonical blocks: a subset of
     ``d.block_set`` whose members' union has as many points as the blocks
     have members, n-1 of them, none of them ``missed``.  It can only pass
     a class; the loop runs otherwise, to decide a raw class (unsorted
     tuples, say) and to name the first failing block."""
-    if not 0 <= apc.missed < d.n:
-        return ValidationReport.failed("apc", f"missed point {apc.missed} is outside 0..{d.n - 1}")
+    if type(apc.missed) is not int or not 0 <= apc.missed < d.n:
+        return ValidationReport.failed("apc", f"missed point {apc.missed!r} is outside 0..{d.n - 1}")
     block_set = d.block_set
     blocks = apc.blocks
     if type(blocks) is frozenset and blocks <= block_set:

@@ -113,7 +113,7 @@ class DesignDocument:
         n = doc.get("n")
         if type(n) is not int or n < 0:
             raise DocumentError(f"'n' must be a nonnegative integer, got {n!r}")
-        design = Design(n, tuple(_read_block(blk, n) for blk in _read_list(doc, "blocks")))
+        design = _read_design(n, _read_list(doc, "blocks"))
 
         labels = None
         if "labels" in doc:
@@ -213,8 +213,20 @@ def _read_list(doc: dict, key: str) -> list:
     return value
 
 
+def _read_design(n: int, blocks: list) -> Design:
+    """The design of a document's block lists, checked as they are by the
+    ``Design`` constructor; only when it refuses them (an unsorted block
+    written by hand, say) does ``_read_block`` sort them or name the fault."""
+    if set(map(type, blocks)) <= {list}:
+        try:
+            return Design(n, tuple(map(tuple, blocks)))
+        except ValueError:
+            pass
+    return Design(n, tuple(_read_block(blk, n) for blk in blocks))
+
+
 def _read_block(blk, n: int) -> tuple[int, int, int]:
-    # Runs once per block of every loaded file: unpack and sort by compares.
+    # Unpack and sort by compares.
     a, b, c = blk if isinstance(blk, list) and len(blk) == 3 else (None, None, None)
     if type(a) is not int or type(b) is not int or type(c) is not int:
         raise DocumentError(f"block {blk!r} must be a list of 3 integers")

@@ -367,9 +367,13 @@ def segment_partitionable(d: Design, segment: Iterable[int]) -> bool:
 
     Always False when the segment size is not a multiple of 3.  Otherwise,
     whatever its size, the restarted search of ``_first_partition``, whose
-    None means no partition exists.
+    None means no partition exists.  A point that is not an ``int`` (a
+    ``bool`` or a float, say) is refused with a ValueError.
     """
     seg = set(segment)
+    if not set(map(type, seg)) <= {int}:
+        bad = next(p for p in seg if type(p) is not int)
+        raise ValueError(f"segment point {bad!r} is not an int")
     if len(seg) % 3:
         return False
     return _first_partition(d, seg)[0] is not None

@@ -9,11 +9,12 @@ quasigroup (type 3^u, odd u), Skolem's triples over a half-idempotent one
 u != 2 mod 3), and Wilson-style inflation replacing every point by w
 points and every block by the w^2 blocks of the cyclic Latin square
 z = x + y mod w; td3(w) is a single block inflated by w.  A type that no
-inflated master reaches (``climbs``: mixed types, and of the paper's
+inflated closed form reaches (``climbs``: mixed types, and of the paper's
 12^u only u = 2 mod 6) goes to Stinson's live-point hill climb: each move
 costs O(1) and adds 0 or 3 covered cross pairs, and a hard cap on total
 moves turns a stuck seed into a BudgetExceededError, on which
-``build_gdd`` retries the next seed.
+``build_gdd`` retries the next seed.  The climb runs on the type a third
+the size when one exists (``_climbed_type``), then inflates it by 3.
 Every route lays its groups out as ``canonical_groups`` of the type, which
 ``build_gdd`` checks.  This layer does no I/O: caching certified designs
 is ``constructions.certified_sts``'s business.
@@ -63,7 +64,9 @@ def canonical_groups(group_type: GroupType) -> tuple[tuple[int, ...], ...]:
 
 
 def necessary_conditions(group_type: GroupType) -> ValidationReport:
-    """Divisibility and shape conditions any 3-GDD of this type must meet."""
+    """Shape, divisibility and pair-bound conditions any 3-GDD of this
+    type must meet; for g^u m^1 the pair bound is Colbourn, Hoffman and
+    Rees' (1992) m <= g(u - 1)."""
     if group_type.group_count == 2:
         return ValidationReport.failed("shape", "two groups admit no transverse triple")
     n = group_type.total_points
@@ -72,8 +75,19 @@ def necessary_conditions(group_type: GroupType) -> ValidationReport:
             return ValidationReport.failed(
                 "degree", f"points in groups of size {size} have odd cross degree {n - size}"
             )
-    if group_type.cross_pairs() % 3:
-        return ValidationReport.failed("divisibility", f"{group_type.cross_pairs()} cross pairs, not a multiple of 3")
+    cross = group_type.cross_pairs()
+    if cross % 3:
+        return ValidationReport.failed("divisibility", f"{cross} cross pairs, not a multiple of 3")
+    for size, _count in group_type.parts:
+        # A group's s(n - s) pairs to the rest lie in s(n - s)/2 blocks,
+        # each of which covers its own cross pair among the other groups.
+        outward = size * (n - size)
+        if outward // 2 > cross - outward:
+            return ValidationReport.failed(
+                "pair-bound",
+                f"a group of size {size} meets {outward // 2} blocks, more than the "
+                f"{cross - outward} cross pairs among the other groups",
+            )
     return ValidationReport.passed()
 
 
@@ -168,7 +182,8 @@ def sts_as_gdd(d: Design) -> Gdd:
 def inflate(g: Gdd, w: int) -> Gdd:
     """Wilson weighting: point p becomes points p*w..p*w+w-1, and every
     block {a, b, c} becomes the w^2 blocks (a*w + x, b*w + y, c*w + z) of
-    the Latin square z = x + y mod w."""
+    the Latin square z = x + y mod w, increasing as a < b < c is.  The
+    result keeps ``g.seed``."""
     if w < 1:
         raise ValueError("inflate needs w >= 1")
     blocks = []
@@ -178,7 +193,7 @@ def inflate(g: Gdd, w: int) -> Gdd:
                 blocks.append((a * w + x, b * w + y, c * w + (x + y) % w))
     groups = tuple(tuple(p * w + j for p in grp for j in range(w)) for grp in g.groups)
     group_type = GroupType.of(*((size * w, count) for size, count in g.group_type.parts))
-    return Gdd(group_type, groups, Design.from_blocks(g.design.n * w, blocks))
+    return Gdd(group_type, groups, Design(g.design.n * w, tuple(sorted(blocks))), seed=g.seed)
 
 
 def hill_climb_gdd(req: GddRequest) -> Gdd:
@@ -208,9 +223,13 @@ def hill_climb_gdd(req: GddRequest) -> Gdd:
     ends with six or twelve live pairs that the moves only trade back and
     forth between a few configurations.  That happened to 4.5 % of the
     seeds of 12^3 18^1, 0.9 % of 12^4 and 1 % or less of every other type.
-    Past the cap the climb raises BudgetExceededError with ``used`` and
-    ``budget`` set to the moves made.  Restarting with another seed is the
-    caller's policy.  The returned GDD records ``req.seed``.
+    Of the masters ``build_gdd`` climbs instead, 4 of 1000 seeds of 4^4 6^1
+    and 8 of 1000 of 6^3 8^1 got stuck, each still stuck at 100 moves per
+    cross pair; none of 1000 of 4^3 6^1, nor of 200-300 each of 4^6 6^1,
+    4^7 6^1, 4^9 6^1, 6^5 8^1 and 6^7 8^1, did.  Past the cap the climb
+    raises BudgetExceededError with ``used`` and ``budget`` set to the
+    moves made.  Restarting with another seed is the caller's policy.  The
+    returned GDD records ``req.seed``.
     """
     group_type = req.group_type
     rep = necessary_conditions(group_type)
@@ -318,8 +337,8 @@ def hill_climb_gdd(req: GddRequest) -> Gdd:
             elif wy >= 0:
                 drop(y, z, wy)
         add(x, y, z)
-    blocks = [(a, b, c) for a in range(n) for b in range(a + 1, n) if (c := third[a * n + b]) > b]
-    return Gdd(group_type, groups, Design.from_blocks(n, blocks), seed=req.seed)
+    blocks = tuple((a, b, c) for a in range(n) for b in range(a + 1, n) if (c := third[a * n + b]) > b)  # sorted
+    return Gdd(group_type, groups, Design(n, blocks), seed=req.seed)
 
 
 def _closed_form(group_type: GroupType) -> Optional[tuple[Callable[[], Gdd], int]]:
@@ -337,6 +356,16 @@ def _closed_form(group_type: GroupType) -> Optional[tuple[Callable[[], Gdd], int
     return None
 
 
+def _climbed_type(group_type: GroupType) -> tuple[GroupType, int]:
+    """(type to climb, weight): every size divided by 3 and weight 3 when
+    that type meets ``necessary_conditions``, else the type, weight 1."""
+    if all(size % 3 == 0 for size, _count in group_type.parts):
+        master = GroupType.of(*((size // 3, count) for size, count in group_type.parts))
+        if necessary_conditions(master):
+            return master, 3
+    return group_type, 1
+
+
 def climbs(group_type: GroupType) -> bool:
     """Whether ``build_gdd`` realises the type by the hill climb, so that
     the result depends on the seed.  Only such builds are worth caching."""
@@ -352,8 +381,10 @@ def build_gdd(req: GddRequest) -> Gdd:
     minus a point inflated by g/2.  Any other type comes from the hill
     climb, which checks ``necessary_conditions`` (a closed type always
     meets them), tried on CLIMB_ATTEMPTS consecutive seeds from
-    ``req.seed``; the returned GDD's ``seed`` is the seed that succeeded,
-    and if none does, the BudgetExceededError sums ``used`` and ``budget``.
+    ``req.seed``, on the type ``_climbed_type`` names, inflated back (12^u
+    18^1 climbs 4^u 6^1, a ninth of the cross pairs).  The returned GDD's
+    ``seed`` is the seed that succeeded, and if none does, the
+    BudgetExceededError sums ``used`` and ``budget``.
     The result is re-validated, and its groups must be ``canonical_groups``
     of the type: callers lay fills out on that layout without reading
     ``groups``.
@@ -364,16 +395,19 @@ def build_gdd(req: GddRequest) -> Gdd:
         master, w = route
         built = inflate(master(), w)
     else:
+        climbed, w = _climbed_type(group_type)
         failed = []
         for attempt in range(CLIMB_ATTEMPTS):
             try:
-                built = hill_climb_gdd(GddRequest(group_type, req.seed + attempt))
+                built = hill_climb_gdd(GddRequest(climbed, req.seed + attempt))
                 break
             except BudgetExceededError as exc:
                 failed.append(exc)
         else:
             message = f"could not realise {group_type.key()} in {CLIMB_ATTEMPTS} attempts: {failed[-1]}"
             raise BudgetExceededError(message, used=sum(e.used for e in failed), budget=sum(e.budget for e in failed))
+        if w > 1:
+            built = inflate(built, w)
 
     rep = validate_gdd(built)
     if not rep:

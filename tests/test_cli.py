@@ -105,7 +105,7 @@ class TestVerify:
         cache = tmp_path / "cache"
         assert main(["--cache-dir", str(cache), "build", "55", "--out", str(tmp_path / "sts-55.json")]) == 0
         capsys.readouterr()
-        code, kv = run_cli(capsys, "verify", cache / "sts-55-seed0-f3.json")
+        code, kv = run_cli(capsys, "verify", cache / "sts-55-seed0-f4.json")
         assert code == 0
         assert kv["STS"] == "ok" and kv["CERTIFICATE"] == "absent" and kv["VERDICT"] == "pass"
 

@@ -115,11 +115,13 @@ class TestCertifiedSts:
             (49, "gdd-fill(n=49, type=3:12^4)"),
             (73, "gdd-fill(n=73, type=3:12^6)"),
             (55, "gdd-fill(n=55, type=3:12^3+18^1, seed=2)"),
+            (79, "gdd-fill(n=79, type=3:18^3+24^1, seed=2)"),
         ],
     )
     def test_provenance_names_a_seed_only_when_the_climb_ran(self, n, provenance):
         """The Bose route (12^3, 12^5) and an STS minus a point (12^4, 12^6)
-        use no seed; the climb (12^3 18^1) does."""
+        use no seed; the master climbs (4^3 6^1 for 12^3 18^1, 6^3 8^1 for
+        18^3 24^1) do."""
         assert certified_sts(n, seed=2).provenance == provenance
 
     def test_order7_rejected(self):
@@ -195,20 +197,20 @@ class TestCertifiedStsCache:
         uncached = certified_sts(55, seed=5)
         seeds = count_climbs(monkeypatch)
         assert certified_sts(55, seed=5, cache_dir=tmp_path) == uncached
-        assert cache_names(tmp_path) == ["sts-55-seed5-f3.json"]
+        assert cache_names(tmp_path) == ["sts-55-seed5-f4.json"]
         assert certified_sts(55, seed=5, cache_dir=tmp_path) == uncached
         assert seeds == [5]
         # a different seed rebuilds, as an uncached build would, into its own file
         other = certified_sts(55, seed=99, cache_dir=tmp_path)
         assert seeds == [5, 99]
-        assert cache_names(tmp_path) == ["sts-55-seed5-f3.json", "sts-55-seed99-f3.json"]
+        assert cache_names(tmp_path) == ["sts-55-seed5-f4.json", "sts-55-seed99-f4.json"]
         assert other != uncached
         monkeypatch.undo()
         assert other == certified_sts(55, seed=99)
 
     def test_the_cache_file_is_a_design_document_without_a_certificate(self, tmp_path):
         built = certified_sts(55, cache_dir=tmp_path)
-        doc = DesignDocument.load(tmp_path / "sts-55-seed0-f3.json")
+        doc = DesignDocument.load(tmp_path / "sts-55-seed0-f4.json")
         assert doc == DesignDocument(built.design, provenance="gdd-fill(n=55, type=3:12^3+18^1, seed=0)")
 
     def test_hits_name_the_seed_that_succeeded(self, tmp_path, monkeypatch):
@@ -218,7 +220,7 @@ class TestCertifiedStsCache:
         fresh = certified_sts(55, seed=7)
         assert fresh.provenance == "gdd-fill(n=55, type=3:12^3+18^1, seed=8 (requested 7))"
         assert certified_sts(55, seed=7, cache_dir=tmp_path) == fresh
-        assert DesignDocument.load(tmp_path / "sts-55-seed7-f3.json").provenance == fresh.provenance
+        assert DesignDocument.load(tmp_path / "sts-55-seed7-f4.json").provenance == fresh.provenance
         del seeds[:]
         assert certified_sts(55, seed=7, cache_dir=tmp_path) == fresh
         assert seeds == []
@@ -227,7 +229,7 @@ class TestCertifiedStsCache:
         uncached = certified_sts(37, seed=5)
         assert certified_sts(37, seed=5, cache_dir=tmp_path) == uncached
         assert cache_names(tmp_path) == []
-        planted = tmp_path / "sts-37-seed5-f3.json"
+        planted = tmp_path / "sts-37-seed5-f4.json"
         design = Design(37, uncached.design.blocks[:-1])
         DesignDocument(design, provenance="planted").save(planted)
         text = planted.read_text(encoding="utf-8")
@@ -245,7 +247,7 @@ class TestCertifiedStsCache:
         stale = Design.from_blocks(49, fills + list(climbed.design.blocks))
         assert validate_sts(stale) and verify_certificate(stale, uncached.certificate)
         assert stale != uncached.design
-        planted = tmp_path / "sts-49-seed0-f3.json"
+        planted = tmp_path / "sts-49-seed0-f4.json"
         DesignDocument(stale, provenance="gdd-fill(n=49, type=3:12^4, seed=0)").save(planted)
         text = planted.read_text(encoding="utf-8")
         assert certified_sts(49, cache_dir=tmp_path) == uncached
@@ -260,10 +262,10 @@ class TestCertifiedStsCache:
         Seed 1's design is a certified STS(55) too, and the certificate
         holds no GDD block, so only the provenance tells it apart."""
         uncached = certified_sts(55)
-        path = tmp_path / "sts-55-seed0-f3.json"
+        path = tmp_path / "sts-55-seed0-f4.json"
         if kind == "seed 1's file":
             certified_sts(55, seed=1, cache_dir=tmp_path)
-            shutil.copyfile(tmp_path / "sts-55-seed1-f3.json", path)
+            shutil.copyfile(tmp_path / "sts-55-seed1-f4.json", path)
         else:
             DesignDocument(uncached.design, provenance="anything").save(path)
         seeds = count_climbs(monkeypatch)
@@ -293,7 +295,7 @@ class TestCertifiedStsCache:
     @pytest.mark.parametrize("kind", ["broken JSON", "over-deep nesting", "missing block", "wrong n", "relabeled"])
     def test_a_bad_file_is_rebuilt_with_one_climb(self, tmp_path, monkeypatch, kind):
         uncached = certified_sts(55)
-        path = tmp_path / "sts-55-seed0-f3.json"
+        path = tmp_path / "sts-55-seed0-f4.json"
         path.write_text(self._planted(kind, uncached), encoding="utf-8")
         seeds = count_climbs(monkeypatch)
         assert certified_sts(55, cache_dir=tmp_path) == uncached
@@ -314,11 +316,30 @@ class TestCertifiedStsCache:
         seeds = count_climbs(monkeypatch)
         assert certified_sts(55, cache_dir=tmp_path) == uncached
         assert seeds == [0]
-        assert cache_names(tmp_path) == [old.name, "sts-55-seed0-f3.json"]
+        assert cache_names(tmp_path) == [old.name, "sts-55-seed0-f4.json"]
         assert json.loads(old.read_text(encoding="utf-8")) == payload
 
+    def test_a_format_3_file_is_ignored(self, tmp_path, monkeypatch):
+        """Format 3 climbed 12^3 18^1 itself, so its seed-0 file holds a
+        certified STS(55) that the composed certificate verifies on, yet it
+        is neither read nor removed: format 4 climbs 4^3 6^1."""
+        uncached = certified_sts(55)
+        climbed = gdd_module.hill_climb_gdd(GddRequest(GroupType.of((12, 3), (18, 1)), 0))
+        fills = [blk for blk in uncached.design.blocks if len({min(p // 12, 3) for p in blk}) < 3]
+        stale = Design.from_blocks(55, fills + list(climbed.design.blocks))
+        assert validate_sts(stale) and verify_certificate(stale, uncached.certificate)
+        assert stale != uncached.design
+        old = tmp_path / "sts-55-seed0-f3.json"
+        DesignDocument(stale, provenance=uncached.provenance).save(old)
+        text = old.read_text(encoding="utf-8")
+        seeds = count_climbs(monkeypatch)
+        assert certified_sts(55, cache_dir=tmp_path) == uncached
+        assert seeds == [0]
+        assert cache_names(tmp_path) == [old.name, "sts-55-seed0-f4.json"]
+        assert old.read_text(encoding="utf-8") == text
+
     def test_a_directory_at_the_target_is_skipped(self, tmp_path, monkeypatch):
-        target = tmp_path / "sts-55-seed0-f3.json"
+        target = tmp_path / "sts-55-seed0-f4.json"
         target.mkdir()
         uncached = certified_sts(55)
         seeds = count_climbs(monkeypatch)
@@ -344,13 +365,44 @@ class TestCertifiedStsCache:
 
 
 def test_only_orders_25_mod_72_and_the_mixed_types_climb():
-    """The paper's types climb for 12^u with u = 2 (mod 6), n = 25 (mod 72),
-    and for every 12^u 18^1 (k = (n - 1)/6 odd); the rest are closed form."""
+    """The composed types climb for 12^u with u = 2 (mod 6), n = 25 (mod 72),
+    and for every k = (n - 1)/6 odd: 12^u 18^1, or 18^m 24^1 for n = 7
+    (mod 36); the rest are closed form."""
     for n in range(13, 1010, 6):
         if n in BASE_ORDERS:
             continue
         k = (n - 1) // 6
         assert gdd_module.climbs(_composed_type(n)) == (n % 72 == 25 or k % 2 == 1), n
+        if k % 2:
+            u, m = (n - 19) // 12, (n - 25) // 18
+            mixed = ((18, m), (24, 1)) if n % 36 == 7 else ((12, u), (18, 1))
+            assert _composed_type(n) == GroupType.of(*mixed), n
+
+
+def test_odd_k_orders_climb_a_ninth_of_the_type(monkeypatch):
+    """A spy on the hill climb over every composed order up to 300: an
+    order with k odd asks only for types on (n - 1)/3 points, n = 25
+    (mod 72) only for its full type 12^u, and the other orders for none."""
+    real_climb = gdd_module.hill_climb_gdd
+    asked = []
+
+    def climb(req):
+        asked.append(req.group_type)
+        return real_climb(req)
+
+    monkeypatch.setattr(gdd_module, "hill_climb_gdd", climb)
+    for n in range(13, 301, 6):
+        if n in BASE_ORDERS:
+            continue
+        del asked[:]
+        cd = certified_sts(n)
+        assert validate_sts(cd.design) and verify_certificate(cd.design, cd.certificate), n
+        if (n - 1) // 6 % 2:
+            assert asked and {t.total_points for t in asked} == {(n - 1) // 3}, n
+        elif n % 72 == 25:
+            assert asked and set(asked) == {_composed_type(n)}, n
+        else:
+            assert asked == [], n
 
 
 @pytest.mark.skipif(os.environ.get("NONSEQ_STS_LONG") != "1", reason="long; set NONSEQ_STS_LONG=1 to run")
@@ -358,6 +410,14 @@ def test_large_closed_form_orders_name_no_seed():
     for n, key in ((985, "3:12^82"), (1009, "3:12^84")):
         cd = certified_sts(n)
         assert cd.provenance == f"gdd-fill(n={n}, type={key})"
+        assert validate_sts(cd.design) and verify_certificate(cd.design, cd.certificate)
+
+
+@pytest.mark.skipif(os.environ.get("NONSEQ_STS_LONG") != "1", reason="long; set NONSEQ_STS_LONG=1 to run")
+def test_large_orders_7_mod_36_climb_a_master():
+    for n, key in ((943, "3:18^51+24^1"), (979, "3:18^53+24^1")):
+        cd = certified_sts(n)
+        assert cd.provenance.startswith(f"gdd-fill(n={n}, type={key}, seed=")
         assert validate_sts(cd.design) and verify_certificate(cd.design, cd.certificate)
 
 

@@ -188,6 +188,14 @@ class TestVerifyApc:
         apc = AlmostParallelClass.from_blocks([(0, 1, 3), (1, 2, 4)], 5)
         assert not verify_apc(d, apc)
 
+    def test_a_missed_point_that_is_not_an_int(self):
+        """``True == 1``, yet the class missing 1 does not miss ``True``."""
+        cd = base_case(13)
+        entry = cd.certificate.entries[1]
+        assert verify_apc(cd.design, entry)
+        rep = verify_apc(cd.design, AlmostParallelClass(entry.blocks, True))
+        assert (rep.ok, rep.category, rep.detail) == (False, "apc", "missed point True is outside 0..12")
+
 
 class TestVerifyCertificate:
     def test_translated_certificate(self, sts13, sts13_certificate):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nonseq_sts import DesignDocument, DocumentError, base_case, certified_sts, validate_sts, verify_certificate
 from nonseq_sts import designs
+from nonseq_sts import documents as documents_module
 from nonseq_sts.designs import AlmostParallelClass, Design, NonseqCertificate
 from nonseq_sts.documents import _read_block
 
@@ -326,15 +327,20 @@ block_members = (
 )
 
 
-@st.composite
-def blocks_to_read(draw):
-    """An order n and a value to read as one of its blocks: a valid block,
-    3 integers in -1..n (often a repeat or just out of range), or any
-    short list or JSON value."""
-    n = draw(st.integers(0, 9))
+def block_values(n: int):
+    """Values to read as a block of order n: a valid block, 3 integers in
+    -1..n (often a repeat or just out of range), or any short list or JSON
+    value."""
     near = st.lists(st.integers(-1, n), min_size=3, max_size=3)
     valid = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True) if n >= 3 else near
-    return n, draw(st.one_of(valid, near, st.lists(block_members, max_size=4), json_values))
+    return st.one_of(valid, near, st.lists(block_members, max_size=4), json_values)
+
+
+@st.composite
+def blocks_to_read(draw):
+    """An order n and a value to read as one of its blocks."""
+    n = draw(st.integers(0, 9))
+    return n, draw(block_values(n))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -349,6 +355,60 @@ def test_block_reader_matches_the_plain_reader(drawn):
         assert str(raised.value) == str(exc)
     else:
         assert _read_block(blk, n) == expected
+
+
+@st.composite
+def block_lists_to_read(draw):
+    """An order n and a document's block list: valid blocks, sorted or
+    not, most of the time, else any values ``block_values`` draws."""
+    n = draw(st.integers(0, 9))
+    valid = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True) if n >= 3 else st.nothing()
+    sorted_valid = valid.map(sorted)
+    return n, draw(st.lists(st.one_of(sorted_valid, sorted_valid, valid, block_values(n)), max_size=6))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(block_lists_to_read())
+def test_blocks_load_as_the_plain_reader_reads_them(drawn):
+    """``from_dict`` passes the document's block lists to the constructor
+    as they are, and reads them one by one only when it refuses them: the
+    document, and a certificate entry holding the same list, load the
+    blocks the plain reader sorts, or raise its text for the first bad
+    block."""
+    n, blocks = drawn
+    as_design = {"schema": 1, "n": n, "blocks": blocks}
+    as_entry = {"schema": 1, "n": n, "blocks": [], "certificate": [{"missed": 0, "blocks": blocks}]}
+    try:
+        expected = [read_block_plainly(blk, n) for blk in blocks]
+    except DocumentError as exc:
+        for raw in (as_design, as_entry) if n else (as_design,):
+            with pytest.raises(DocumentError) as raised:
+                DesignDocument.from_dict(raw)
+            assert str(raised.value) == str(exc)
+        return
+    assert DesignDocument.from_dict(as_design).design == Design(n, tuple(expected))
+    if len(set(expected)) == len(expected) and n:
+        assert DesignDocument.from_dict(as_entry).certificate.entries[0].blocks == frozenset(expected)
+
+
+def test_sorted_blocks_are_checked_once_on_load(tmp_path, monkeypatch, doc13):
+    """A saved document's blocks meet the constructor's column check once
+    and no per-block reader, which reads only certificate blocks; blocks
+    written unsorted by hand are read one by one and load sorted."""
+    path = tmp_path / "sts-13.json"
+    doc13.save(path)
+    checked, read = [], []
+    check, read_block = designs._sorted_int_triples, documents_module._read_block
+    monkeypatch.setattr(designs, "_sorted_int_triples", lambda blocks: checked.append(blocks) or check(blocks))
+    monkeypatch.setattr(documents_module, "_read_block", lambda blk, n: read.append(blk) or read_block(blk, n))
+    assert DesignDocument.load(path) == doc13
+    assert checked == [doc13.design.blocks]
+    assert len(read) == sum(len(apc.blocks) for apc in doc13.certificate.entries.values())
+    raw = doc13.to_dict()
+    raw["blocks"] = [blk[::-1] for blk in raw["blocks"]]
+    del read[:]
+    assert DesignDocument.from_dict(raw) == doc13
+    assert read[: len(raw["blocks"])] == raw["blocks"]
 
 
 def containers(value):

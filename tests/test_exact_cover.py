@@ -190,6 +190,15 @@ class TestSegmentPartitionable:
         assert not segment_partitionable(d, [-1, 0, 1])  # no block covers the stray point
         assert not segment_partitionable(d, [-1, 0, 1, 2, 3, 4])
 
+    @pytest.mark.parametrize("point", [True, 1.0, 2.0], ids=["True", "1.0", "2.0"])
+    def test_points_that_are_not_ints(self, point):
+        """``True == 1`` and ``1.0 == 1`` would otherwise pass for point 1,
+        and the segment would partition."""
+        d = Design.from_blocks(3, [(0, 1, 2)])
+        others = [p for p in (0, 1, 2) if p != point]
+        with pytest.raises(ValueError, match=f"segment point {point!r} is not an int"):
+            segment_partitionable(d, [point, *others])
+
     def test_agrees_with_enumeration_on_all_order7_segments(self, sts7):
         for perm in permutations(range(7)):
             for i in range(7):

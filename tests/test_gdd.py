@@ -1,5 +1,7 @@
 """GDD builders: direct constructions, inflation, hill climbing."""
 
+import re
+
 import pytest
 
 from nonseq_sts import (
@@ -23,6 +25,7 @@ from nonseq_sts import (
     Gdd,
 )
 from nonseq_sts import gdd as gdd_module
+from nonseq_sts.constructions import _composed_type
 
 
 def cross_pair_count(gdd) -> int:
@@ -121,6 +124,11 @@ class TestInflate:
         g = bose_gdd(3)
         assert inflate(g, 1) == g
 
+    def test_the_seed_is_kept(self):
+        climbed = hill_climb_gdd(GddRequest(GroupType.of((6, 4)), seed=3))
+        assert inflate(climbed, 2).seed == 3
+        assert inflate(bose_gdd(3), 2).seed is None
+
     @pytest.mark.parametrize("w", [1, 2, 3, 4])
     def test_inflation_preserves_validity(self, w):
         for g in (td3(2), bose_gdd(3)):
@@ -159,6 +167,36 @@ class TestNecessaryConditions:
         assert necessary_conditions(GroupType.of((12, 4)))
         assert necessary_conditions(GroupType.of((12, 3), (18, 1)))
         assert necessary_conditions(GroupType.of((1, 1)))  # empty decomposition
+
+    @pytest.mark.parametrize("parts", [((2, 3), (8, 1)), ((6, 3), (24, 1))], ids=["2^3+8^1", "6^3+24^1"])
+    def test_pair_bound(self, monkeypatch, parts):
+        """g^u m^1 needs m <= g(u - 1).  Both types meet the degree and
+        divisibility conditions, yet have no GDD; both are refused before
+        the climb draws its generator, let alone makes a move."""
+        group_type = GroupType.of(*parts)
+        rep = necessary_conditions(group_type)
+        assert rep.category == "pair-bound"
+        drawn = []
+        monkeypatch.setattr(gdd_module.random, "Random", lambda seed: drawn.append(seed))
+        with pytest.raises(ValueError, match="fails necessary conditions: " + re.escape(rep.detail)):
+            build_gdd(GddRequest(group_type))
+        assert drawn == []
+
+    def test_every_type_a_route_uses_passes(self):
+        """The paper's composed types and the masters they climb, and the
+        closed-form masters: Bose 3^u (odd u), an STS minus a point 2^u
+        (u != 2 mod 3) and td3's 1^3."""
+        for n in range(55, 1010, 6):
+            group_type = _composed_type(n)
+            assert necessary_conditions(group_type), n
+            climbed, _w = gdd_module._climbed_type(group_type)
+            assert necessary_conditions(climbed), n
+        for u in range(3, 60):
+            if u % 2:
+                assert necessary_conditions(GroupType.of((3, u))), u
+            if u % 3 != 2:
+                assert necessary_conditions(GroupType.of((2, u))), u
+        assert necessary_conditions(GroupType.of((1, 3)))
 
 
 class TestHillClimb:
@@ -201,7 +239,7 @@ class TestHillClimb:
 
     @pytest.mark.parametrize(
         "parts",
-        [((2, 4),), ((6, 3),), ((6, 4),), ((12, 4),), ((12, 3), (18, 1)), ((12, 8),)],
+        [((2, 4),), ((6, 3),), ((6, 4),), ((12, 4),), ((12, 3), (18, 1)), ((12, 8),), ((4, 4), (6, 1)), ((6, 3), (8, 1))],
         ids=lambda parts: "+".join(f"{s}^{c}" for s, c in parts),
     )
     def test_seed_sweep(self, parts):
@@ -273,13 +311,43 @@ class TestBuildGdd:
 
     @pytest.mark.parametrize(
         "parts",
-        [((1, 7),), ((6, 8),), ((12, 8),), ((12, 3), (18, 1))],
+        [((1, 7),), ((6, 8),), ((12, 8),), ((12, 3), (18, 1)), ((18, 3), (24, 1))],
         ids=lambda parts: "+".join(f"{s}^{c}" for s, c in parts),
     )
     def test_a_climbed_type_records_its_seed(self, parts):
         assert gdd_module.climbs(GroupType.of(*parts))
         built = build_gdd(GddRequest(GroupType.of(*parts), seed=5))
         assert 5 <= built.seed < 5 + gdd_module.CLIMB_ATTEMPTS
+
+    @pytest.mark.parametrize(
+        "parts,master",
+        [
+            (((12, 3), (18, 1)), ((4, 3), (6, 1))),
+            (((12, 4), (18, 1)), ((4, 4), (6, 1))),
+            (((18, 3), (24, 1)), ((6, 3), (8, 1))),
+            (((18, 5), (24, 1)), ((6, 5), (8, 1))),
+            (((12, 5), (18, 1)), ((12, 5), (18, 1))),  # 4^5 6^1 fails the divisibility condition
+            (((12, 8),), ((12, 8),)),  # 4^8 too
+        ],
+        ids=lambda parts: "+".join(f"{s}^{c}" for s, c in parts),
+    )
+    def test_multiples_of_3_climb_the_type_a_third_the_size(self, monkeypatch, parts, master):
+        """Where the type with every size divided by 3 meets the necessary
+        conditions, only it is climbed, and the GDD is its inflation by 3,
+        named by the master climb's seed."""
+        real_climb = gdd_module.hill_climb_gdd
+        climbed = []
+
+        def climb(req):
+            climbed.append(req)
+            return real_climb(req)
+
+        monkeypatch.setattr(gdd_module, "hill_climb_gdd", climb)
+        built = build_gdd(GddRequest(GroupType.of(*parts), seed=5))
+        assert {req.group_type for req in climbed} == {GroupType.of(*master)}
+        assert built.seed == climbed[-1].seed
+        if master != parts:
+            assert built == inflate(real_climb(climbed[-1]), 3)
 
     def test_give_up_error_sums_the_attempts(self, monkeypatch):
         def stuck_climb(req, **kwargs):
@@ -307,7 +375,7 @@ class TestBuildGdd:
 
     @pytest.mark.parametrize(
         "parts",
-        [((12, 3),), ((12, 5),), ((12, 4),), ((12, 3), (18, 1)), ((6, 4),)],
+        [((12, 3),), ((12, 5),), ((12, 4),), ((12, 3), (18, 1)), ((6, 4),), ((18, 3), (24, 1)), ((12, 5), (18, 1))],
         ids=lambda parts: "+".join(f"{s}^{c}" for s, c in parts),
     )
     def test_groups_are_canonical_on_both_routes(self, parts):
