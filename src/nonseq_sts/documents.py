@@ -31,11 +31,14 @@ that a broken design can be loaded and then reported on; a certificate
 entry that lists a block twice is refused, as it would otherwise fold
 away.  Every JSON file is read by ``read_json`` and written by
 ``replace_file``; the design cache of ``constructions.certified_sts`` holds
-design documents too.
+design documents too.  ``load`` pauses the cyclic garbage collector: the
+lists and tuples it allocates hold no cycles, yet at order 493 they set off
+about 350 collections per load.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from collections import Counter
@@ -157,7 +160,20 @@ class DesignDocument:
 
     @classmethod
     def load(cls, path: os.PathLike | str) -> "DesignDocument":
-        return cls.from_dict(read_json(path))
+        """The document in the file at ``path``, read with the cyclic
+        collector paused: the loaded lists and tuples hold no cycles, yet
+        unpaused the seed-0 order-493 load runs about 320 gen-0, 30 gen-1
+        and 2 full collections (85 and 7 at order 253).  Only a pause this
+        load made is undone; the pause is process-wide, so a
+        ``gc.disable()`` made by another thread during a load is undone
+        when the load ends."""
+        paused = gc.isenabled()
+        gc.disable()
+        try:
+            return cls.from_dict(read_json(path))
+        finally:
+            if paused:
+                gc.enable()
 
 
 def read_json(path: os.PathLike | str):

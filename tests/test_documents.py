@@ -1,6 +1,8 @@
 """JSON round trips and structural validation of documents."""
 
+import gc
 import json
+import threading
 import tracemalloc
 
 import pytest
@@ -189,6 +191,108 @@ def test_save_streams_without_the_dict(tmp_path, doc253):
     dict_peak = traced_peak(doc253.to_dict)
     assert save_peak < dict_peak / 4, (save_peak, dict_peak)
     assert json.loads(path.read_text()) == doc253.to_dict()
+
+
+def test_a_load_runs_no_collection(tmp_path, doc253):
+    """The order-253 load allocates tens of thousands of lists and tuples
+    with the collector paused, so no collection runs (unpaused, about 85
+    gen-0 and 7 gen-1 collections run), and the loaded document is the
+    saved one."""
+    path = tmp_path / "sts-253.json"
+    doc253.save(path)
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        loaded = DesignDocument.load(path)
+        during_load = len(started)  # allocates nothing the collector tracks
+        DesignDocument.from_dict(documents_module.read_json(path))
+    finally:
+        gc.callbacks.remove(count)
+    assert during_load == 0
+    assert len(started) > 1, "the same reads unpaused run collections"
+    assert loaded == doc253
+
+
+def _write_bad_block(doc, path):
+    raw = doc.to_dict()
+    raw["blocks"][0] = [0, 0, 1]
+    path.write_text(json.dumps(raw))
+
+
+LOADS = {
+    "valid": (DesignDocument.save, None),
+    "not JSON": (lambda doc, path: path.write_text("{not JSON"), DocumentError),
+    "bad block": (_write_bad_block, DocumentError),
+    "missing": (lambda doc, path: None, OSError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("load", sorted(LOADS))
+def test_load_leaves_the_collector_as_it_found_it(tmp_path, doc13, enabled, load):
+    write, error = LOADS[load]
+    path = tmp_path / "doc.json"
+    write(doc13, path)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            assert DesignDocument.load(path) == doc13
+        else:
+            with pytest.raises(error):
+                DesignDocument.load(path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("pauser_ends_first", [True, False])
+def test_overlapping_loads_leave_the_collector_enabled(tmp_path, monkeypatch, doc13, pauser_ends_first):
+    """Two threads' loads overlap inside ``read_json``.  The first pauses the
+    collector, the second finds it paused; whichever ends first, the
+    collector is enabled once both have returned."""
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    entered = {path: threading.Event() for path in paths}
+    release = {path: threading.Event() for path in paths}
+    read_json = documents_module.read_json
+
+    def waiting_read_json(path):
+        entered[path].set()
+        assert release[path].wait(10)
+        return read_json(path)
+
+    loaded = {}
+
+    def load(path):
+        loaded[path] = DesignDocument.load(path)
+
+    for path in paths:
+        doc13.save(path)
+    monkeypatch.setattr(documents_module, "read_json", waiting_read_json)
+    threads = {path: threading.Thread(target=load, args=(path,)) for path in paths}
+    assert gc.isenabled()
+    try:
+        for path in paths:
+            threads[path].start()
+            assert entered[path].wait(10)
+        assert not gc.isenabled()
+        for path in paths if pauser_ends_first else paths[::-1]:
+            release[path].set()
+            threads[path].join(10)
+            assert not threads[path].is_alive()
+            # only the load that paused the collector enables it again
+            assert gc.isenabled() is (path == paths[0] or len(loaded) == 2)
+    finally:
+        for event in release.values():
+            event.set()
+    assert gc.isenabled()
+    assert loaded == {path: doc13 for path in paths}
 
 
 def test_block_shape_is_checked_once_per_design(tmp_path, monkeypatch):
@@ -460,7 +564,9 @@ def test_mutated_files_load_or_raise_document_error(tmp_path_factory, raw, data)
     stop = data.draw(st.integers(start, len(text)))
     path = tmp_path_factory.mktemp("docs") / "mutated.json"
     path.write_bytes(text[:start] + data.draw(st.binary(max_size=4)) + text[stop:])
+    enabled = gc.isenabled()
     try:
         DesignDocument.load(path)
     except DocumentError:
         pass
+    assert gc.isenabled() is enabled
