@@ -42,7 +42,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         if args.a is None:
             built = certified_sts(args.n, seed=args.seed, cache_dir=args.cache_dir)
         else:
-            built = certified_psts(args.n, args.a, x0=args.x0, seed=args.seed, cache_dir=args.cache_dir)
+            built = certified_psts(args.n, args.a, seed=args.seed, cache_dir=args.cache_dir)
     except (BudgetExceededError, CertificationError) as exc:
         return _fail(str(exc), 1)
     out = args.out
@@ -164,8 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build a certified nonsequenceable STS(n) or PSTS(n)")
     p.add_argument("n", type=int, help="order, must be 1 (mod 6) and not 7")
-    p.add_argument("--a", type=int, default=None, help="remove a blocks from one almost parallel class")
-    p.add_argument("--x0", type=int, default=0, help="point whose class loses blocks (with --a)")
+    p.add_argument("--a", type=int, default=None, help="delete a blocks, unused by the certificate where possible")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output file (default sts-N.json / psts-N-aA.json)")
     p.set_defaults(func=cmd_build)

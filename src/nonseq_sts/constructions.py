@@ -19,6 +19,10 @@ certificate depends only on the type, as every GDD lays its groups out as
 is trusted: every composed design is re-validated and every certificate
 re-verified before being returned.
 
+A partial system deletes blocks that no certificate entry uses (the GDD
+blocks, say), so the parent certificate stays whole; 13 and 19 have none
+and delete from a class, then re-certify.
+
 Only composed designs whose GDD was climbed (``gdd.climbs``) are cached,
 as design documents without a certificate (``sts-55-seed0-f4.json``).  A
 cached design is used only if it is a Steiner triple system of the order
@@ -195,6 +199,8 @@ def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] 
     seed, or ``seed=s (requested r)`` with r < s < r + CLIMB_ATTEMPTS) is a
     miss, and an unwritable cache is skipped, so a hit is what an uncached
     build returns.  Closed-form orders never touch the cache."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     if n % 6 != 1:
         raise ValueError(f"n must be 1 (mod 6), got {n}")
     if n == 7:
@@ -259,46 +265,33 @@ def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] 
     return CertifiedDesign(design, cert, provenance)
 
 
-def certified_psts(
-    n: int,
-    a: int,
-    x0: int = 0,
-    seed: int = 0,
-    cache_dir: Optional[os.PathLike | str] = None,
-) -> CertifiedDesign:
-    """A nonsequenceable partial system of size n(n-1)/6 - a, obtained by
-    deleting ``a`` blocks of the class missing ``x0`` and re-certifying the
-    remainder from the parent certificate.
-
-    The deleted blocks are chosen deterministically to damage as few other
-    certificate entries as possible (ties broken by canonical block order);
-    blocks shared between classes would otherwise knock out entries that
-    the deletion did not need to touch.  Parent entries that avoid the
-    deleted blocks are kept after ``verify_apc`` re-checks them; only the
-    damaged points are searched afresh.  If fewer than n-1 points of the
-    reduced design admit almost parallel classes, certification fails and
-    the failure is surfaced, not hidden.  Like ``certified_sts``, the
-    result is re-validated and its certificate re-verified before it is
-    returned.
-    """
-    if n % 6 != 1 or n == 7:
-        raise ValueError(f"n must be 1 (mod 6) and not 7, got {n}")
+def certified_psts(n: int, a: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] = None) -> CertifiedDesign:
+    """A nonsequenceable partial system of size n(n-1)/6 - a, cut from
+    ``certified_sts(n)``.  If at least ``a`` blocks are in no certificate
+    entry (all orders but 13 and 19), the first ``a`` in sorted order go
+    and the parent certificate is kept whole: a class avoiding every
+    deleted block is still a class of the smaller design, so nothing is
+    searched.  Otherwise the class missing 0 loses ``a`` blocks, least
+    damage to other entries first, and ``certify_nonsequenceable`` keeps
+    the parent entries that still verify and searches the rest; under n-1
+    certifiable points raise ``CertificationError``.  The result is
+    re-validated and re-verified."""
+    if type(n) is not int or type(a) is not int:
+        raise ValueError(f"n and a must be ints, got {n!r} and {a!r}")
     if not 0 <= a <= (n - 1) // 3:
         raise ValueError(f"a must be between 0 and (n-1)/3 = {(n - 1) // 3}, got {a}")
-    if not 0 <= x0 < n:
-        raise ValueError(f"x0 must be a point of the design, got {x0}")
     certified = certified_sts(n, seed=seed, cache_dir=cache_dir)
-    provenance = f"block-removal(n={n}, a={a}, x0={x0}) from {certified.provenance}"
-    design, cert = certified.design, certified.certificate
-    if a > 0:
-        entries = cert.entries
-
-        def damage(blk) -> int:
-            return sum(1 for missed, apc in entries.items() if missed != x0 and blk in apc.blocks)
-
-        removal_order = sorted(entries[x0].blocks, key=lambda blk: (damage(blk), blk))
-        removed = set(removal_order[:a])
-        design = Design(n, tuple(blk for blk in design.blocks if blk not in removed))
+    cert = certified.certificate
+    entries = cert.entries
+    used = frozenset().union(*(apc.blocks for apc in entries.values()))
+    removed = sorted(blk for blk in certified.design.blocks if blk not in used)[:a]
+    route = "unused-block-removal"
+    if len(removed) < a:
+        route = "block-removal"  # least damage to the other entries first
+        removed = sorted(entries[0].blocks, key=lambda blk: (sum(blk in c.blocks for c in entries.values()), blk))[:a]
+    removed = set(removed)
+    design = Design(n, tuple(blk for blk in certified.design.blocks if blk not in removed))
+    if route == "block-removal":
         cert = certify_nonsequenceable(design, known=entries)
 
     rep = validate_psts(design)
@@ -307,4 +300,4 @@ def certified_psts(
     rep = verify_certificate(design, cert)
     if not rep:
         raise RuntimeError(f"internal error: re-certified design of order {n} does not verify ({rep})")
-    return CertifiedDesign(design, cert, provenance)
+    return CertifiedDesign(design, cert, f"{route}(n={n}, a={a}) from {certified.provenance}")

@@ -26,6 +26,7 @@ from nonseq_sts import (
     verify_apc,
     verify_certificate,
 )
+from nonseq_sts import constructions, sequencing
 from nonseq_sts import gdd as gdd_module
 from nonseq_sts.constructions import BASE_ORDERS, _composed_type
 from nonseq_sts.designs import AlmostParallelClass, Design
@@ -411,6 +412,9 @@ def test_large_closed_form_orders_name_no_seed():
         cd = certified_sts(n)
         assert cd.provenance == f"gdd-fill(n={n}, type={key})"
         assert validate_sts(cd.design) and verify_certificate(cd.design, cd.certificate)
+    cd = certified_psts(985, 328)
+    assert cd.certificate == certified_sts(985).certificate
+    assert cd.design.size == 985 * 984 // 6 - 328 and validate_psts(cd.design)
 
 
 @pytest.mark.skipif(os.environ.get("NONSEQ_STS_LONG") != "1", reason="long; set NONSEQ_STS_LONG=1 to run")
@@ -421,16 +425,21 @@ def test_large_orders_7_mod_36_climb_a_master():
         assert validate_sts(cd.design) and verify_certificate(cd.design, cd.certificate)
 
 
+UNUSED_BLOCK_CASES = [(n, a) for n in (25, 31, 37, 43, 49) for a in range((n - 1) // 3 + 1)]
+
+
 class TestCertifiedPsts:
     def test_a_zero_keeps_the_certificate(self):
         cd = certified_psts(13, 0)
         full = certified_sts(13)
         assert cd.design == full.design
         assert cd.certificate == full.certificate
-        assert cd.provenance.startswith("block-removal(n=13, a=0")
+        assert cd.provenance == "unused-block-removal(n=13, a=0) from base-case(13)"
 
     def test_removal_is_contained_in_one_class(self):
-        for n, a in ((13, 1), (19, 4), (37, 6)):
+        """Orders 13 and 19 have no block outside every entry, so they
+        delete from the class missing 0."""
+        for n, a in ((13, 1), (19, 4), (19, 6)):
             full = certified_sts(n)
             cd = certified_psts(n, a)
             removed = full.design.block_set - cd.design.block_set
@@ -451,11 +460,36 @@ class TestCertifiedPsts:
         with pytest.raises(ValueError):
             certified_psts(13, -1)
 
-    def test_alternative_anchor_point(self):
-        cd = certified_psts(19, 2, x0=7)
-        removed = certified_sts(19).design.block_set - cd.design.block_set
-        assert removed <= certified_sts(19).certificate.entries[7].blocks
-        assert verify_certificate(cd.design, cd.certificate)
+    @pytest.mark.parametrize("n,a", UNUSED_BLOCK_CASES, ids=[f"n{n}-a{a}" for n, a in UNUSED_BLOCK_CASES])
+    def test_unused_blocks_go_and_the_certificate_stays(self, n, a, monkeypatch):
+        """Every order but 13 and 19 has at least (n-1)/3 blocks in no
+        entry: deleting them keeps the parent certificate and searches
+        nothing."""
+
+        def no_search(d, point):
+            raise AssertionError(f"find_apc({point}) called")
+
+        monkeypatch.setattr(sequencing, "find_apc", no_search)
+        parent = certified_sts(n)
+        cd = certified_psts(n, a)
+        assert cd.certificate == parent.certificate
+        removed = parent.design.block_set - cd.design.block_set
+        assert len(removed) == a and cd.design.size == n * (n - 1) // 6 - a
+        assert not any(removed & apc.blocks for apc in parent.certificate.entries.values())
+        assert validate_psts(cd.design)
+        assert cd.provenance == f"unused-block-removal(n={n}, a={a}) from {parent.provenance}"
+
+    @pytest.mark.parametrize("n,a", [(13.0, 0), (19, True), (19, 2.0), (True, 0), ("19", 1), (37.0, None)])
+    def test_non_int_arguments_are_refused_first(self, n, a, monkeypatch):
+        """A non-int order or a (float, bool, str) is a ValueError before any build."""
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a design")
+
+        monkeypatch.setattr(constructions, "base_case", no_build)
+        monkeypatch.setattr(constructions, "build_gdd", no_build)
+        with pytest.raises(ValueError, match=r"must be (an int|ints), got"):
+            certified_sts(n) if a is None else certified_psts(n, a)
 
     @pytest.mark.parametrize("a", range(7))
     def test_order19_every_a(self, a):
