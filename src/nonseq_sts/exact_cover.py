@@ -21,8 +21,8 @@ Two engines, one job each, on the same rows: ``_design_matrix`` links a
 design's distinct blocks once per live design, and keeps them as
 ``_Matrix.rows`` for ``SegmentOracle``.
 Every one-off partition question (an almost parallel class for
-``find_apc``, one segment of any size for ``segment_partitionable`` and
-through it ``is_admissible``, a point's complement for the sequence
+``find_apc``, a segment of 6 or more points for ``segment_partitionable``
+and through it ``is_admissible``, a point's complement for the sequence
 search's endpoint filter) runs on that dancing-links matrix: columns
 0..n-1, one row per block in sorted order, linked on the first question
 and freed with the design.  A question covers every column
@@ -365,8 +365,10 @@ def find_apc(d: Design, missed: int) -> Optional[AlmostParallelClass]:
 def segment_partitionable(d: Design, segment: Iterable[int]) -> bool:
     """Whether some set of d's blocks, each inside ``segment``, partitions it.
 
-    Always False when the segment size is not a multiple of 3.  Otherwise,
-    whatever its size, the restarted search of ``_first_partition``, whose
+    Always False when the segment size is not a multiple of 3.  Three
+    points partition exactly when they are a block: one ``d.block_set``
+    lookup, no matrix, and False with a stray point, which is in no block.
+    Larger segments run the restarted search of ``_first_partition``, whose
     None means no partition exists.  A point that is not an ``int`` (a
     ``bool`` or a float, say) is refused with a ValueError.
     """
@@ -376,6 +378,8 @@ def segment_partitionable(d: Design, segment: Iterable[int]) -> bool:
         raise ValueError(f"segment point {bad!r} is not an int")
     if len(seg) % 3:
         return False
+    if len(seg) == 3:
+        return tuple(sorted(seg)) in d.block_set
     return _first_partition(d, seg)[0] is not None
 
 

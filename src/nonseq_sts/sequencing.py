@@ -42,17 +42,19 @@ def _check_permutation(d: Design, seq: Sequence[int]) -> tuple[int, ...]:
 def is_admissible(d: Design, seq: Sequence[int], policy: SegmentPolicy | str = SegmentPolicy.ALL_INTERVALS) -> bool:
     """Whether no proper segment of the sequence is partitionable into blocks.
 
-    Segments are scanned longest first: on certified designs the length
-    n-1 suffix or prefix is partitionable, so rejection is immediate.  Each
-    segment, whatever its length, is one ``segment_partitionable`` call, a
-    dancing-links search on the design's shared matrix with the points
-    outside the segment covered, so no memo grows with the design.
+    Segments are scanned cheapest first.  A 3-point segment is one block
+    lookup, and about three in five random orders of a certified design
+    have a block as a window, so those go first.  Then lengths n-1 down
+    to 6: on certified designs the length n-1 suffix or prefix is
+    partitionable, so one search refuses.  Each of these is a dancing-links
+    search on the design's shared matrix, so no memo grows with the
+    design.  The order changes only how soon the answer comes.
     """
     policy = SegmentPolicy(policy)
     order = _check_permutation(d, seq)
     n = d.n
-    for length in range(n - 1, 0, -1):
-        if length % 3:
+    for length in (3, *range(n - 1, 5, -1)):
+        if length % 3 or length >= n:
             continue
         if policy is SegmentPolicy.PREFIXES_AND_SUFFIXES:
             starts = (0, n - length)

@@ -190,6 +190,16 @@ class TestSegmentPartitionable:
         assert not segment_partitionable(d, [-1, 0, 1])  # no block covers the stray point
         assert not segment_partitionable(d, [-1, 0, 1, 2, 3, 4])
 
+    def test_three_points_are_a_lookup(self):
+        """Every 3-point set over the points and the strays -1 and n, blocks
+        and non-blocks alike, agrees with enumeration and links no matrix."""
+        n = 8
+        d = Design.from_blocks(n, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 6, 7)])
+        assert d not in exact_cover._design_matrices
+        for seg in combinations(range(-1, n + 1), 3):
+            assert segment_partitionable(d, seg) == partitionable_by_enumeration(d.blocks, seg), seg
+        assert d not in exact_cover._design_matrices
+
     @pytest.mark.parametrize("point", [True, 1.0, 2.0], ids=["True", "1.0", "2.0"])
     def test_points_that_are_not_ints(self, point):
         """``True == 1`` and ``1.0 == 1`` would otherwise pass for point 1,

@@ -43,6 +43,28 @@ def sts7():
     return Design.from_blocks(7, STS7_BLOCKS)
 
 
+@st.composite
+def small_designs(draw, max_n: int = 8):
+    """(n, blocks) on up to ``max_n`` points: a greedy partial system, or a
+    sparse or dense set of distinct triples (the dense ones give most of
+    the designs with no admissible sequence)."""
+    n = draw(st.integers(0, max_n))
+    triples = list(combinations(range(n), 3))
+    drawn = draw(st.lists(st.sampled_from(triples), unique=True)) if triples else []
+    kind = draw(st.sampled_from(["partial", "sparse", "dense"]))
+    if kind == "sparse":
+        return n, drawn
+    if kind == "dense":
+        return n, [blk for blk in triples if blk not in drawn]
+    blocks, pairs = [], set()
+    for blk in drawn:
+        bp = set(combinations(blk, 2))
+        if not pairs & bp:
+            pairs |= bp
+            blocks.append(blk)
+    return n, blocks
+
+
 class TestIsAdmissible:
     @pytest.mark.parametrize("policy", BOTH_POLICIES)
     def test_published_order7_sequence(self, sts7, policy):
@@ -53,6 +75,14 @@ class TestIsAdmissible:
         assert not is_admissible(d, [3, 0, 1, 2][::-1])
         assert not is_admissible(d, [0, 1, 2, 3])
         assert is_admissible(d, [0, 1, 3, 2])
+
+    def test_interleaved_blocks_without_a_block_window(self):
+        """Two blocks interleaved as a 6-point prefix: no 3-point window is a
+        block, so only the longer segments refuse the sequence."""
+        d = Design.from_blocks(7, [(0, 1, 2), (3, 4, 5)])
+        for policy in BOTH_POLICIES:
+            assert not is_admissible(d, [0, 3, 1, 4, 2, 5, 6], policy)
+            assert is_admissible(d, [0, 3, 1, 6, 4, 2, 5], policy)
 
     def test_whole_sequence_is_not_proper(self):
         d = Design.from_blocks(3, [(0, 1, 2)])
@@ -113,29 +143,37 @@ class TestIsAdmissible:
         one dancing-links search decides it in milliseconds."""
         d = certified_sts(109).design
         seq = [p for p in range(109) if p != last] + [last]
+        # no 3-window is a block, so the refusal comes from the n-1 prefix
+        assert not any(tuple(sorted(seq[i : i + 3])) in d.block_set for i in range(107))
         assert not is_admissible(d, seq)
 
+    @pytest.mark.parametrize("policy", BOTH_POLICIES)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(design=small_designs(), data=st.data())
+    def test_agrees_with_enumeration_on_small_designs(self, policy, design, data):
+        """Partial, sparse and dense designs, where a 3-point window may or
+        may not be a block, on drawn orderings of their points."""
+        n, blocks = design
+        all_intervals = policy is SegmentPolicy.ALL_INTERVALS
+        d = Design.from_blocks(n, blocks)
+        memo: dict = {}
+        for seq in data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=6)):
+            expected = admissible_by_enumeration(n, d.blocks, seq, all_intervals, memo)
+            assert is_admissible(d, seq, policy) == expected, seq
 
-@st.composite
-def small_designs(draw, max_n: int = 8):
-    """(n, blocks) on up to ``max_n`` points: a greedy partial system, or a
-    sparse or dense set of distinct triples (the dense ones give most of
-    the designs with no admissible sequence)."""
-    n = draw(st.integers(0, max_n))
-    triples = list(combinations(range(n), 3))
-    drawn = draw(st.lists(st.sampled_from(triples), unique=True)) if triples else []
-    kind = draw(st.sampled_from(["partial", "sparse", "dense"]))
-    if kind == "sparse":
-        return n, drawn
-    if kind == "dense":
-        return n, [blk for blk in triples if blk not in drawn]
-    blocks, pairs = [], set()
-    for blk in drawn:
-        bp = set(combinations(blk, 2))
-        if not pairs & bp:
-            pairs |= bp
-            blocks.append(blk)
-    return n, blocks
+    @pytest.mark.parametrize("policy", BOTH_POLICIES)
+    def test_a_block_window_refuses_without_dancing_links(self, monkeypatch, policy):
+        """A sequence that opens with a block is refused by a lookup, before
+        the n-1 prefix or any other segment reaches dancing links."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a dancing-links question was asked")
+
+        d = base_case(13).design
+        blk = d.blocks[5]
+        seq = [*blk, *(p for p in range(13) if p not in blk)]
+        monkeypatch.setattr(exact_cover, "_first_partition", unreachable)
+        assert not is_admissible(d, seq, policy)
 
 
 class TestFindAdmissibleSequence:
