@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build a certified nonsequenceable STS(n) or PSTS(n)")
     p.add_argument("n", type=int, help="order, must be 1 (mod 6) and not 7")
-    p.add_argument("--a", type=int, default=None, help="delete a blocks, unused by the certificate where possible")
+    p.add_argument("--a", type=int, default=None, help="delete a blocks, unused by the certificate first")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output file (default sts-N.json / psts-N-aA.json)")
     p.set_defaults(func=cmd_build)

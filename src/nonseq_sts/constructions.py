@@ -4,7 +4,8 @@ Five starter systems (orders 13, 19, 25, 31, 43) are developed from
 difference base blocks; each carries an almost parallel class whose
 translates miss every point in turn, giving a full certificate.  The
 order-25 starter list is arithmetically short by one orbit and is
-completed by residual-difference search before development.
+completed by residual-difference search before development.  Order 19's
+class is not the paper's: it avoids the orbit of (0, 1, 6).
 
 Larger orders n = 1 (mod 6) are composed: take a 3-GDD of type 12^u
 (n = 12u + 1), 12^u 18^1 (n = 12u + 19) or, for n = 7 (mod 36), 18^m 24^1
@@ -19,9 +20,8 @@ certificate depends only on the type, as every GDD lays its groups out as
 is trusted: every composed design is re-validated and every certificate
 re-verified before being returned.
 
-A partial system deletes blocks that no certificate entry uses (the GDD
-blocks, say), so the parent certificate stays whole; 13 and 19 have none
-and delete from a class, then re-certify.
+A partial system deletes blocks that no certificate entry uses first (the
+GDD blocks, say) and keeps the parent entries that avoid them: no search.
 
 Only composed designs whose GDD was climbed (``gdd.climbs``) are cached,
 as design documents without a certificate (``sts-55-seed0-f4.json``).  A
@@ -50,7 +50,7 @@ from .designs import (
 from .differences import AbelianGroup, CyclicGroup, ProductGroup, complete_base_blocks, develop, translate_apc
 from .documents import DesignDocument, DocumentError
 from .gdd import CLIMB_ATTEMPTS, GddRequest, build_gdd, canonical_groups, climbs
-from .sequencing import certify_nonsequenceable
+from .sequencing import CertificationError
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ _STARTERS: dict[int, tuple[AbelianGroup, tuple, tuple]] = {
     19: (
         CyclicGroup(19),
         ((0, 1, 6), (0, 2, 10), (0, 3, 7)),
-        ((1, 3, 11), (2, 15, 16), (4, 17, 18), (5, 8, 12), (6, 9, 13), (7, 10, 14)),
+        ((1, 13, 16), (2, 5, 9), (3, 12, 14), (4, 7, 11), (6, 15, 17), (8, 10, 18)),
     ),
     25: (
         ProductGroup(5, 5),
@@ -267,37 +267,30 @@ def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] 
 
 def certified_psts(n: int, a: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] = None) -> CertifiedDesign:
     """A nonsequenceable partial system of size n(n-1)/6 - a, cut from
-    ``certified_sts(n)``.  If at least ``a`` blocks are in no certificate
-    entry (all orders but 13 and 19), the first ``a`` in sorted order go
-    and the parent certificate is kept whole: a class avoiding every
-    deleted block is still a class of the smaller design, so nothing is
-    searched.  Otherwise the class missing 0 loses ``a`` blocks, least
-    damage to other entries first, and ``certify_nonsequenceable`` keeps
-    the parent entries that still verify and searches the rest; under n-1
-    certifiable points raise ``CertificationError``.  The result is
-    re-validated and re-verified."""
+    ``certified_sts(n)``.  The first ``a`` blocks in sorted order go,
+    blocks in no certificate entry first, and the parent entries that avoid
+    them are kept, as classes of the smaller design: nothing is searched.
+    Every order but 13 has (n-1)/3 unused blocks and keeps every entry; 13
+    has one class per point, so a search could add none.  Under n-1 kept
+    entries raise ``CertificationError``.  The result is re-validated and
+    re-verified."""
     if type(n) is not int or type(a) is not int:
         raise ValueError(f"n and a must be ints, got {n!r} and {a!r}")
     if not 0 <= a <= (n - 1) // 3:
         raise ValueError(f"a must be between 0 and (n-1)/3 = {(n - 1) // 3}, got {a}")
     certified = certified_sts(n, seed=seed, cache_dir=cache_dir)
-    cert = certified.certificate
-    entries = cert.entries
+    entries = certified.certificate.entries
     used = frozenset().union(*(apc.blocks for apc in entries.values()))
-    removed = sorted(blk for blk in certified.design.blocks if blk not in used)[:a]
-    route = "unused-block-removal"
-    if len(removed) < a:
-        route = "block-removal"  # least damage to the other entries first
-        removed = sorted(entries[0].blocks, key=lambda blk: (sum(blk in c.blocks for c in entries.values()), blk))[:a]
-    removed = set(removed)
+    removed = set(sorted(certified.design.blocks, key=used.__contains__)[:a])
+    cert = NonseqCertificate({p: apc for p, apc in entries.items() if removed.isdisjoint(apc.blocks)})
+    if len(cert) < n - 1:
+        raise CertificationError(p for p in range(n) if p not in cert.entries)
     design = Design(n, tuple(blk for blk in certified.design.blocks if blk not in removed))
-    if route == "block-removal":
-        cert = certify_nonsequenceable(design, known=entries)
 
     rep = validate_psts(design)
     if not rep:
         raise RuntimeError(f"internal error: reduced design of order {n} is invalid ({rep})")
     rep = verify_certificate(design, cert)
     if not rep:
-        raise RuntimeError(f"internal error: re-certified design of order {n} does not verify ({rep})")
-    return CertifiedDesign(design, cert, f"{route}(n={n}, a={a}) from {certified.provenance}")
+        raise RuntimeError(f"internal error: kept certificate of order {n} does not verify ({rep})")
+    return CertifiedDesign(design, cert, f"block-removal(n={n}, a={a}) from {certified.provenance}")

@@ -407,9 +407,10 @@ class SegmentOracle:
     def mask_partitionable(self, mask: int) -> bool:
         """Partition decision for a point set given as a bitmask whose
         population count is a multiple of 3: some block through its lowest
-        point must leave a partitionable rest.  Open sets wait on a stack,
-        not in nested calls, and meet their memo misses, each an
-        ``on_miss`` call, in the order of the plain recursion."""
+        point must leave a partitionable rest, so with none it is False and
+        no miss.  Open sets wait on a stack, not in nested calls, and meet
+        their memo misses, each an ``on_miss`` call, in the order of the
+        plain recursion."""
         memo = self._memo
         result = memo.get(mask)
         if result is not None:
@@ -417,9 +418,13 @@ class SegmentOracle:
         blocks_at, on_miss = self._blocks_at, self._on_miss
         stack: list[tuple[int, Iterator[int]]] = []  # open sets, each with its blocks left to try
         while True:
-            if result is None:  # mask is a miss: open it
-                on_miss()
-                stack.append((mask, iter(blocks_at[(mask & -mask).bit_length() - 1])))
+            if result is None:  # mask is a miss: open it, if a block heads it
+                heads = blocks_at[(mask & -mask).bit_length() - 1]  # mask 0 is in the memo
+                if heads:
+                    on_miss()
+                    stack.append((mask, iter(heads)))
+                elif not stack:
+                    return False
                 result = False
             top, blocks = stack[-1]
             if not result:

@@ -24,8 +24,10 @@ class SegmentPolicy(Enum):
 
 class CertificationError(RuntimeError):
     """Certification failed; carries the points that admit no almost
-    parallel class.  More than one such point means the certificate
-    criterion is inapplicable, not that the design is sequenceable."""
+    parallel class; from ``certified_psts``, the points whose entry used a
+    deleted block (at order 13, those with no class).  More than one means
+    the certificate criterion is inapplicable, not that the design is
+    sequenceable."""
 
     def __init__(self, missing: Sequence[int]):
         self.missing = tuple(missing)
@@ -186,8 +188,8 @@ def certify_nonsequenceable(
 
     Only the points that ``_class_candidates`` allows are searched.
 
-    ``known`` maps points to candidate classes, such as the entries of a
-    parent design's certificate.  A candidate is kept only if it misses its
+    ``known`` maps points to candidate classes, such as a document's
+    certificate entries.  A candidate is kept only if it misses its
     key point and ``verify_apc`` accepts it for ``d``; every other point is
     searched.  A valid class proves that its point has one, so the set of
     certified points, and with it the verdict, is the same with or without

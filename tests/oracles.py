@@ -106,12 +106,16 @@ def fresh_first_partition(d, points: set[int], node_budget=None, first_cap=256):
 def recursive_mask_partitionable(blocks_at, memo: dict, on_miss, mask: int) -> bool:
     """``SegmentOracle.mask_partitionable`` as a plain recursion over the
     oracle's ``blocks_at`` (block bitmasks filed under their lowest point),
-    with its own ``memo`` and ``on_miss``: one nested call per block taken."""
+    with its own ``memo`` and ``on_miss``: one nested call per block taken.
+    A nonempty set whose lowest point heads no block is False, unmemoized
+    and uncounted."""
     hit = memo.get(mask)
     if hit is not None:
         return hit
-    on_miss()
     pivot = (mask & -mask).bit_length() - 1  # the lowest point must be covered
+    if not blocks_at[pivot]:  # mask is not 0: the memo holds it
+        return False
+    on_miss()
     result = False
     for bmask in blocks_at[pivot]:
         if bmask & mask == bmask and recursive_mask_partitionable(blocks_at, memo, on_miss, mask & ~bmask):

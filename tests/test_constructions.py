@@ -26,13 +26,20 @@ from nonseq_sts import (
     verify_apc,
     verify_certificate,
 )
-from nonseq_sts import constructions, sequencing
+from nonseq_sts import constructions, exact_cover
 from nonseq_sts import gdd as gdd_module
 from nonseq_sts.constructions import BASE_ORDERS, _composed_type
 from nonseq_sts.designs import AlmostParallelClass, Design
 
 from oracles import brute_force_apcs
 from reference_systems import BASES, EXPECTED_SIZES, apc_point_blocks
+
+
+ORDER19_CLASS = ((1, 13, 16), (2, 5, 9), (3, 12, 14), (4, 7, 11), (6, 15, 17), (8, 10, 18))
+
+
+def no_search(*args, **kwargs):
+    raise AssertionError("an exact-cover search ran")
 
 
 def assert_canonical_classes(cd):
@@ -54,10 +61,19 @@ class TestBaseCases:
 
     @pytest.mark.parametrize("n", sorted(EXPECTED_SIZES))
     def test_published_class_is_the_certificate_entry_for_zero(self, n):
+        """The paper's class is a class of the design; it is entry 0 at
+        every order but 19, whose entry avoids the orbit of (0, 1, 6)."""
         cd = base_case(n)
         published = AlmostParallelClass.from_blocks(apc_point_blocks(n), 0)
         assert verify_apc(cd.design, published)
-        assert cd.certificate.entries[0] == published
+        expected = AlmostParallelClass.from_blocks(ORDER19_CLASS, 0) if n == 19 else published
+        assert cd.certificate.entries[0] == expected
+
+    def test_order19_certificate_leaves_an_orbit_unused(self):
+        cd = base_case(19)
+        orbit = {tuple(sorted((x + t) % 19 for x in (0, 1, 6))) for t in range(19)}
+        assert len(orbit) == 19 and orbit <= cd.design.block_set
+        assert not any(orbit & apc.blocks for apc in cd.certificate.entries.values())
 
     def test_order25_is_completed_development(self):
         cd = base_case(25)
@@ -425,7 +441,8 @@ def test_large_orders_7_mod_36_climb_a_master():
         assert validate_sts(cd.design) and verify_certificate(cd.design, cd.certificate)
 
 
-UNUSED_BLOCK_CASES = [(n, a) for n in (25, 31, 37, 43, 49) for a in range((n - 1) // 3 + 1)]
+UNUSED_BLOCK_CASES = [(n, a) for n in (19, 25, 31, 37, 43, 49, 55, 79) for a in range((n - 1) // 3 + 1)]
+CRITERION_5_CASES = [(n, a) for n in (13, 19, 37) for a in range((n - 1) // 3 + 1)]
 
 
 class TestCertifiedPsts:
@@ -434,20 +451,27 @@ class TestCertifiedPsts:
         full = certified_sts(13)
         assert cd.design == full.design
         assert cd.certificate == full.certificate
-        assert cd.provenance == "unused-block-removal(n=13, a=0) from base-case(13)"
+        assert cd.provenance == "block-removal(n=13, a=0) from base-case(13)"
 
-    def test_removal_is_contained_in_one_class(self):
-        """Orders 13 and 19 have no block outside every entry, so they
-        delete from the class missing 0."""
-        for n, a in ((13, 1), (19, 4), (19, 6)):
-            full = certified_sts(n)
-            cd = certified_psts(n, a)
-            removed = full.design.block_set - cd.design.block_set
-            assert len(removed) == a
-            assert removed <= full.certificate.entries[0].blocks
-            assert cd.design.size == n * (n - 1) // 6 - a
-            assert validate_psts(cd.design).ok
-            assert verify_certificate(cd.design, cd.certificate)
+    def test_order13_deletes_its_first_block(self):
+        """Order 13 has no unused block, so a = 1 deletes the first block,
+        (0, 1, 4).  Only entry 6 uses it; the other 12 entries are kept."""
+        full = certified_sts(13)
+        cd = certified_psts(13, 1)
+        assert full.design.block_set - cd.design.block_set == {(0, 1, 4)}
+        assert [p for p, apc in full.certificate.entries.items() if (0, 1, 4) in apc.blocks] == [6]
+        assert cd.certificate.entries == {p: apc for p, apc in full.certificate.entries.items() if p != 6}
+        assert validate_psts(cd.design) and verify_certificate(cd.design, cd.certificate)
+
+    def test_every_order_but_13_has_enough_unused_blocks(self):
+        """The invariant that spares every build a search: each order from
+        19 to 229 has at least (n-1)/3 blocks in no certificate entry, so
+        it deletes only those.  Order 13 has none."""
+        for n in range(13, 230, 6):
+            cd = certified_sts(n)
+            used = frozenset().union(*(apc.blocks for apc in cd.certificate.entries.values()))
+            unused = cd.design.size - len(used)
+            assert unused == 0 if n == 13 else unused >= (n - 1) // 3, n
 
     def test_certificates_never_reference_removed_blocks(self):
         cd = certified_psts(19, 5)
@@ -462,14 +486,11 @@ class TestCertifiedPsts:
 
     @pytest.mark.parametrize("n,a", UNUSED_BLOCK_CASES, ids=[f"n{n}-a{a}" for n, a in UNUSED_BLOCK_CASES])
     def test_unused_blocks_go_and_the_certificate_stays(self, n, a, monkeypatch):
-        """Every order but 13 and 19 has at least (n-1)/3 blocks in no
-        entry: deleting them keeps the parent certificate and searches
-        nothing."""
-
-        def no_search(d, point):
-            raise AssertionError(f"find_apc({point}) called")
-
-        monkeypatch.setattr(sequencing, "find_apc", no_search)
+        """Every order but 13 has at least (n-1)/3 blocks in no entry:
+        deleting them keeps the parent certificate and searches nothing.
+        Order 19 leaves an orbit unused, 55 and 79 their GDD blocks beside
+        18- and 24-group fills."""
+        monkeypatch.setattr(exact_cover, "_first_partition", no_search)
         parent = certified_sts(n)
         cd = certified_psts(n, a)
         assert cd.certificate == parent.certificate
@@ -477,7 +498,21 @@ class TestCertifiedPsts:
         assert len(removed) == a and cd.design.size == n * (n - 1) // 6 - a
         assert not any(removed & apc.blocks for apc in parent.certificate.entries.values())
         assert validate_psts(cd.design)
-        assert cd.provenance == f"unused-block-removal(n={n}, a={a}) from {parent.provenance}"
+        assert cd.provenance == f"block-removal(n={n}, a={a}) from {parent.provenance}"
+
+    @pytest.mark.parametrize("n,a", CRITERION_5_CASES, ids=[f"n{n}-a{a}" for n, a in CRITERION_5_CASES])
+    def test_criterion_5_cases_search_nothing(self, n, a, monkeypatch):
+        """Acceptance criterion 5's cases, with every exact-cover search
+        patched to raise: at 13, a >= 2 the kept entries still fall short."""
+        monkeypatch.setattr(exact_cover, "_first_partition", no_search)
+        if n == 13 and a >= 2:
+            with pytest.raises(CertificationError):
+                certified_psts(n, a)
+            return
+        cd = certified_psts(n, a)
+        assert cd.design.size == n * (n - 1) // 6 - a
+        assert len(cd.certificate) >= n - 1
+        assert verify_certificate(cd.design, cd.certificate)
 
     @pytest.mark.parametrize("n,a", [(13.0, 0), (19, True), (19, 2.0), (True, 0), ("19", 1), (37.0, None)])
     def test_non_int_arguments_are_refused_first(self, n, a, monkeypatch):
@@ -499,9 +534,7 @@ class TestCertifiedPsts:
 
     @pytest.mark.parametrize("a", range(13))
     def test_order37_certificate_classes_are_canonical(self, a):
-        """Kept parent classes and searched ones alike are sorted triples of
-        the reduced design, so the damage ranking's ``blk in apc.blocks``
-        compares like with like."""
+        """The kept parent classes are sorted triples of the reduced design."""
         assert_canonical_classes(certified_psts(37, a))
 
     def test_order13_single_removal(self):
@@ -511,13 +544,13 @@ class TestCertifiedPsts:
 
     @pytest.mark.parametrize(
         "a,missing",
-        [(2, (0, 9, 10)), (3, (0, 3, 9, 10, 12)), (4, (0, 1, 3, 4, 9, 10, 12))],
+        [(2, (1, 6, 10, 11)), (3, (1, 5, 6, 10, 11)), (4, (1, 5, 6, 8, 9, 10, 11, 12))],
         ids=["2", "3", "4"],
     )
     def test_order13_deeper_removals_surface_failure(self, a, missing):
-        """The order-13 system is rigid (one class per point); deleting two
-        or more of a class's blocks leaves under n-1 certifiable points, and
-        the operation reports that instead of hiding it."""
+        """The order-13 system is rigid (one class per point); deleting any
+        two or more blocks leaves under n-1 certifiable points, and the
+        operation names the points whose entry used a deleted block."""
         with pytest.raises(CertificationError) as exc:
             certified_psts(13, a)
         assert exc.value.missing == missing

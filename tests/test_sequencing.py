@@ -318,6 +318,23 @@ class TestFindAdmissibleSequence:
             assert oracle.mask_partitionable(mask) == segment_partitionable(d, points)
         assert len(misses) == len(oracle._memo) - 1  # the empty set is seeded
 
+    def test_sparse_design_memo_stays_small(self, monkeypatch):
+        """On one block among 1100 points nearly every segment's lowest
+        point heads no block.  Such a segment is answered before the memo;
+        stored, they made 201 850 decisions and +36 MB."""
+        from nonseq_sts import sequencing
+
+        oracles = []
+
+        def keep(d, on_miss):
+            oracles.append(SegmentOracle(d, on_miss))
+            return oracles[-1]
+
+        monkeypatch.setattr(sequencing, "SegmentOracle", keep)
+        seq = find_admissible_sequence(Design.from_blocks(1100, [(0, 1, 2)]))
+        assert seq == (0, 1, 3, 2, *range(4, 1100))
+        assert len(oracles[0]._memo) < 5000
+
     def test_order109_is_bounded(self):
         """A few endpoint questions on the certified STS(109) take
         dancing links tens of seconds each; the budget cuts them short."""
@@ -443,8 +460,8 @@ class TestCertify:
 def removal_design(n: int, a: int):
     """The certified STS(n) and what is left of it after deleting ``a``
     blocks of its class missing 0, least damage to the other entries
-    first, as ``certified_psts`` deletes them at orders 13 and 19.  At
-    other orders this design damages entries, so it exercises the search."""
+    first.  ``certified_psts`` deletes unused blocks first instead; this
+    design damages entries, so it exercises the search from ``known=``."""
     parent = certified_sts(n)
     entries = parent.certificate.entries
 
@@ -453,11 +470,6 @@ def removal_design(n: int, a: int):
 
     removed = set(sorted(entries[0].blocks, key=lambda blk: (damage(blk), blk))[:a])
     return parent, Design.from_blocks(n, (blk for blk in parent.design.blocks if blk not in removed))
-
-
-@pytest.mark.parametrize("n,a", [(13, 0), (13, 1), (19, 3), (19, 6)])
-def test_removal_design_matches_certified_psts(n, a):
-    assert removal_design(n, a)[1] == certified_psts(n, a).design
 
 
 def certified_points(d, known=None):
@@ -525,12 +537,22 @@ class TestRecertifyFromKnownClasses:
 
 
 class TestOrder13RemovalsAreSequenceable:
-    """The three order-13 removal designs that fail certification have
-    admissible sequences: they are sequenceable, not merely uncertified."""
+    """The order-13 removal designs that fail certification have admissible
+    sequences: they are sequenceable, not merely uncertified.  That holds
+    for the class deletion and for ``certified_psts``' deletion of the
+    first ``a`` blocks alike."""
 
     @pytest.mark.parametrize("a", [2, 3, 4])
     def test_search_finds_an_admissible_sequence(self, a):
         _, d = removal_design(13, a)
+        seq = find_admissible_sequence(d)
+        assert seq is not None
+        assert admissible_by_enumeration(13, d.blocks, seq)
+
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    def test_first_blocks_deleted_leave_an_admissible_sequence(self, a):
+        """What ``certified_psts(13, a)`` deletes before it refuses."""
+        d = Design(13, certified_sts(13).design.blocks[a:])
         seq = find_admissible_sequence(d)
         assert seq is not None
         assert admissible_by_enumeration(13, d.blocks, seq)
