@@ -9,7 +9,6 @@ errors go to stderr.  Exit codes are stable: 0 success, 1 a check failed,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -25,8 +24,6 @@ from .sequencing import (
     find_admissible_sequence,
 )
 
-CACHE_ENV = "NONSEQ_STS_CACHE"
-
 
 def _emit(key: str, value) -> None:
     print(f"{key}: {value}")
@@ -40,9 +37,9 @@ def _fail(message: str, code: int) -> int:
 def cmd_build(args: argparse.Namespace) -> int:
     try:
         if args.a is None:
-            built = certified_sts(args.n, seed=args.seed, cache_dir=args.cache_dir)
+            built = certified_sts(args.n, seed=args.seed)
         else:
-            built = certified_psts(args.n, args.a, seed=args.seed, cache_dir=args.cache_dir)
+            built = certified_psts(args.n, args.a, seed=args.seed)
     except (BudgetExceededError, CertificationError) as exc:
         return _fail(str(exc), 1)
     out = args.out
@@ -129,7 +126,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         if n % 6 != 1 or n < 13:
             continue
         try:
-            built = certified_sts(n, seed=args.seed, cache_dir=args.cache_dir)
+            built = certified_sts(n, seed=args.seed)
         except (ValueError, BudgetExceededError) as exc:
             _emit(str(n), f"fail ({exc})")
             failures += 1
@@ -154,11 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nonseq-sts",
         description="Construct and verify nonsequenceable (partial) Steiner triple systems.",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help=f"cache of designs built on climbed GDDs (default: ${CACHE_ENV} or ~/.cache/nonseq-sts)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -197,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cache_dir is None:
-        args.cache_dir = Path(os.environ.get(CACHE_ENV) or Path.home() / ".cache" / "nonseq-sts")
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # DocumentError is a ValueError

@@ -7,35 +7,26 @@ order-25 starter list is arithmetically short by one orbit and is
 completed by residual-difference search before development.  Order 19's
 class is not the paper's: it avoids the orbit of (0, 1, 6).
 
-Larger orders n = 1 (mod 6) are composed: take a 3-GDD of type 12^u
-(n = 12u + 1), 12^u 18^1 (n = 12u + 19) or, for n = 7 (mod 36), 18^m 24^1
-(n = 18m + 25), adjoin one new point X, and fill each group of size g
-plus X with the certified starter of order g + 1 (13, 19 or 25).  The
-relabeling keeps the group's order and ends at X, the largest point, so
-it is increasing and keeps blocks sorted.  Certificates compose by the
-same recipe: an almost parallel class missing y in y's own fill system,
-unioned with the classes missing X in every other fill system.  The
-certificate depends only on the type, as every GDD lays its groups out as
-``gdd.canonical_groups``; the GDD supplies the remaining blocks.  Nothing
-is trusted: every composed design is re-validated and every certificate
-re-verified before being returned.
+Larger orders n = 1 (mod 6) are composed: take a 3-GDD on n - 1 points
+(``_composed_type``: the first closed-form uniform type 12^u, 18^u, 24^u,
+30^u or 42^u, else 12^u 18^1 or 18^m 24^1), adjoin one new point X, and
+fill each group of size g plus X with the certified starter of order
+g + 1.  The relabeling keeps the group's order and ends at X, the largest
+point, so it is increasing and keeps blocks sorted.  Certificates compose
+by the same recipe: an almost parallel class missing y in y's own fill
+system, unioned with the classes missing X in every other fill system.
+The certificate depends only on the type, as every GDD lays its groups
+out as ``gdd.canonical_groups``; the GDD supplies the remaining blocks.
+Nothing is trusted: every composed design is re-validated and every
+certificate re-verified before being returned.
 
 A partial system deletes blocks that no certificate entry uses first (the
 GDD blocks, say) and keeps the parent entries that avoid them: no search.
-
-Only composed designs whose GDD was climbed (``gdd.climbs``) are cached,
-as design documents without a certificate (``sts-55-seed0-f4.json``).  A
-cached design is used only if it is a Steiner triple system of the order
-asked for, the freshly composed certificate verifies on it, and its
-provenance is one a build with the requested seed can write.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import suppress
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 from .designs import (
@@ -48,8 +39,7 @@ from .designs import (
     verify_certificate,
 )
 from .differences import AbelianGroup, CyclicGroup, ProductGroup, complete_base_blocks, develop, translate_apc
-from .documents import DesignDocument, DocumentError
-from .gdd import CLIMB_ATTEMPTS, GddRequest, build_gdd, canonical_groups, climbs
+from .gdd import GddRequest, build_gdd, canonical_groups, climbs
 from .sequencing import CertificationError
 
 
@@ -132,10 +122,6 @@ _STARTERS: dict[int, tuple[AbelianGroup, tuple, tuple]] = {
 
 BASE_ORDERS = tuple(sorted(_STARTERS))
 
-# Part of every cache file name; files of another format are never read.
-# Bump it whenever the climb realises a given seed differently.
-_CACHE_FORMAT = 4
-
 
 def base_case(n: int) -> CertifiedDesign:
     """Develop a starter system and certify it by translating its almost
@@ -159,16 +145,20 @@ def base_case(n: int) -> CertifiedDesign:
 
 
 def _composed_type(n: int) -> GroupType:
-    """The GDD type an order is composed from: the paper's 12^u for
-    n = 12u + 1, else 12^u 18^1 for n = 12u + 19, except 18^m 24^1 with
-    m = (n - 25)/18 at n = 7 (mod 36), where the master 4^u 6^1 that
-    12^u 18^1 climbs does not exist (6^m 8^1 does)."""
-    k = (n - 1) // 6
-    if k % 2 == 0:
-        return GroupType.of((12, k // 2))
+    """The GDD type an order is composed from: the first uniform type
+    g^((n-1)/g), g + 1 a starter order, that ``climbs`` says is closed
+    form (12 first, so the paper's 12^u wherever it is closed).  Failing
+    that, 12^u 18^1 (n = 12u + 19), or 18^m 24^1 (n = 18m + 25) at n = 7
+    (mod 36), where the master 4^u 6^1 that 12^u 18^1 climbs does not
+    exist (6^m 8^1 does).  Every even (n-1)/6 has a uniform type: 12^u
+    with u = 2 (mod 6) becomes 24^(u/2)."""
+    for order in BASE_ORDERS:
+        g = order - 1
+        if (n - 1) % g == 0 and not climbs(uniform := GroupType.of((g, (n - 1) // g))):
+            return uniform
     if n % 36 == 7:
         return GroupType.of((18, (n - 25) // 18), (24, 1))
-    return GroupType.of((12, (k - 3) // 2), (18, 1))
+    return GroupType.of((12, (n - 19) // 12), (18, 1))
 
 
 def _provenance(n: int, group_type: GroupType, used: Optional[int], requested: int) -> str:
@@ -180,27 +170,17 @@ def _provenance(n: int, group_type: GroupType, used: Optional[int], requested: i
     return text + ")"
 
 
-def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] = None) -> CertifiedDesign:
+def certified_sts(n: int, seed: int = 0, cache_dir=None) -> CertifiedDesign:
     """A nonsequenceable Steiner triple system of any order n = 1 (mod 6)
     except the impossible n = 7, with a certificate covering all n points.
-    Deterministic for a fixed seed.  When the GDD was climbed, the
-    provenance names the seed it came from: ``seed=11 (requested 10)`` when
-    the climb got stuck on seed 10 and the retry on 11 succeeded.  A
-    closed-form GDD (Bose, or an STS minus a point) uses no seed, and its
-    provenance names none.  Only 12^u with u = 2 (mod 6) climbs its own
-    type; 12^u 18^1 and 18^m 24^1 climb a master a ninth the size.
-
-    Given ``cache_dir``, a design built on a climbed GDD is saved there,
-    with its provenance and without its certificate, as the design
-    document ``sts-{n}-seed{seed}-f4.json``, which the next call with the
-    same order and seed reads back.  A file that cannot be read, fails
-    ``validate_sts`` or the composed certificate, or whose provenance is
-    not one this seed's build can write (``seed=s`` with s the requested
-    seed, or ``seed=s (requested r)`` with r < s < r + CLIMB_ATTEMPTS) is a
-    miss, and an unwritable cache is skipped, so a hit is what an uncached
-    build returns.  Closed-form orders never touch the cache."""
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, got {n!r}")
+    Only an order whose GDD type ``climbs`` (the mixed 12^u 18^1 and 18^m
+    24^1 types, 37 orders up to 1009) reads ``seed``, and its provenance
+    names the seed the climb came from: ``seed=11 (requested 10)`` when the
+    climb got stuck on seed 10 and the retry on 11 succeeded.  Every other
+    order is seed-free, and its provenance names no seed.  Deterministic
+    for a fixed seed.  ``cache_dir`` is accepted and ignored."""
+    if type(n) is not int or type(seed) is not int:
+        raise ValueError(f"n and seed must be ints, got {n!r} and {seed!r}")
     if n % 6 != 1:
         raise ValueError(f"n must be 1 (mod 6), got {n}")
     if n == 7:
@@ -235,20 +215,6 @@ def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] 
             entries[y] = AlmostParallelClass(own_class[y] | others, y)
     cert = NonseqCertificate(entries)
 
-    path = None
-    if cache_dir is not None and climbs(group_type):
-        path = Path(cache_dir) / f"sts-{n}-seed{seed}-f{_CACHE_FORMAT}.json"
-        writable = {_provenance(n, group_type, used, seed) for used in range(seed, seed + CLIMB_ATTEMPTS)}
-        with suppress(OSError, DocumentError):  # an unreadable file is a miss
-            cached = DesignDocument.load(path)
-            if (
-                cached.provenance in writable
-                and cached.design.n == n
-                and validate_sts(cached.design)
-                and verify_certificate(cached.design, cert)
-            ):
-                return CertifiedDesign(cached.design, cert, cached.provenance)
-
     gdd = build_gdd(GddRequest(group_type, seed))
     design = Design(n, tuple(sorted(blocks + list(gdd.design.blocks))))  # every triple is increasing
     rep = validate_sts(design)
@@ -257,15 +223,10 @@ def certified_sts(n: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] 
     rep = verify_certificate(design, cert)
     if not rep:
         raise RuntimeError(f"internal error: composed certificate of order {n} does not verify ({rep})")
-    provenance = _provenance(n, group_type, gdd.seed, seed)
-    if path is not None:
-        with suppress(OSError):  # an unwritable cache is skipped, as an unreadable one is a miss
-            path.parent.mkdir(parents=True, exist_ok=True)
-            DesignDocument(design, provenance=provenance).save(path)
-    return CertifiedDesign(design, cert, provenance)
+    return CertifiedDesign(design, cert, _provenance(n, group_type, gdd.seed, seed))
 
 
-def certified_psts(n: int, a: int, seed: int = 0, cache_dir: Optional[os.PathLike | str] = None) -> CertifiedDesign:
+def certified_psts(n: int, a: int, seed: int = 0, cache_dir=None) -> CertifiedDesign:
     """A nonsequenceable partial system of size n(n-1)/6 - a, cut from
     ``certified_sts(n)``.  The first ``a`` blocks in sorted order go,
     blocks in no certificate entry first, and the parent entries that avoid
@@ -273,12 +234,12 @@ def certified_psts(n: int, a: int, seed: int = 0, cache_dir: Optional[os.PathLik
     Every order but 13 has (n-1)/3 unused blocks and keeps every entry; 13
     has one class per point, so a search could add none.  Under n-1 kept
     entries raise ``CertificationError``.  The result is re-validated and
-    re-verified."""
+    re-verified.  ``cache_dir`` is accepted and ignored."""
     if type(n) is not int or type(a) is not int:
         raise ValueError(f"n and a must be ints, got {n!r} and {a!r}")
     if not 0 <= a <= (n - 1) // 3:
         raise ValueError(f"a must be between 0 and (n-1)/3 = {(n - 1) // 3}, got {a}")
-    certified = certified_sts(n, seed=seed, cache_dir=cache_dir)
+    certified = certified_sts(n, seed=seed)
     entries = certified.certificate.entries
     used = frozenset().union(*(apc.blocks for apc in entries.values()))
     removed = set(sorted(certified.design.blocks, key=used.__contains__)[:a])

@@ -30,8 +30,7 @@ the rule ``Design`` enforces); semantic validation is the verifiers' job so
 that a broken design can be loaded and then reported on; a certificate
 entry that lists a block twice is refused, as it would otherwise fold
 away.  Every JSON file is read by ``read_json`` and written by
-``replace_file``; the design cache of ``constructions.certified_sts`` holds
-design documents too.  ``load`` pauses the cyclic garbage collector: the
+``replace_file``.  ``load`` pauses the cyclic garbage collector: the
 lists and tuples it allocates hold no cycles, yet at order 493 they set off
 about 350 collections per load.
 """

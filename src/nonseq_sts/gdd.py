@@ -16,8 +16,7 @@ moves turns a stuck seed into a BudgetExceededError, on which
 ``build_gdd`` retries the next seed.  The climb runs on the type a third
 the size when one exists (``_climbed_type``), then inflates it by 3.
 Every route lays its groups out as ``canonical_groups`` of the type, which
-``build_gdd`` checks.  This layer does no I/O: caching certified designs
-is ``constructions.certified_sts``'s business.
+``build_gdd`` checks.  This layer does no I/O.
 """
 
 from __future__ import annotations
@@ -368,7 +367,7 @@ def _climbed_type(group_type: GroupType) -> tuple[GroupType, int]:
 
 def climbs(group_type: GroupType) -> bool:
     """Whether ``build_gdd`` realises the type by the hill climb, so that
-    the result depends on the seed.  Only such builds are worth caching."""
+    the result depends on the seed."""
     return _closed_form(group_type) is None
 
 

@@ -62,23 +62,30 @@ class TestBuild:
             return real_climb(req, **kwargs)
 
         monkeypatch.setattr(gdd_module, "hill_climb_gdd", climb_failing_first_seed)
-        argv = ["--cache-dir", tmp_path / "cache", "build", 55, "--seed", 2, "--out", tmp_path / "sts-55.json"]
-        expected = "gdd-fill(n=55, type=3:12^3+18^1, seed=3 (requested 2))"
-        code, kv = run_cli(capsys, *argv)
+        code, kv = run_cli(capsys, "build", 67, "--seed", 2, "--out", tmp_path / "sts-67.json")
+        expected = "gdd-fill(n=67, type=3:12^4+18^1, seed=3 (requested 2))"
         assert code == 0 and kv["PROVENANCE"] == expected
-        # the second build is a cache hit and says the same
-        code, kv = run_cli(capsys, *argv)
-        assert code == 0 and kv["PROVENANCE"] == expected
-        assert json.loads((tmp_path / "sts-55.json").read_text())["provenance"] == expected
+        assert json.loads((tmp_path / "sts-67.json").read_text())["provenance"] == expected
 
-    def test_build_with_an_unwritable_cache_exits_0(self, capsys, tmp_path):
-        """The GDD of order 55 is climbed; a cache under a regular file
-        cannot hold it, so the store is skipped and the design is built."""
-        (tmp_path / "file").write_text("")
-        argv = ["--cache-dir", tmp_path / "file" / "cache", "build", 55, "--out", tmp_path / "sts-55.json"]
-        code, kv = run_cli(capsys, *argv)
-        assert code == 0 and kv["PROVENANCE"] == "gdd-fill(n=55, type=3:12^3+18^1, seed=0)"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "sts-55.json"]
+    @pytest.mark.parametrize(
+        "argv,written",
+        [
+            (["build", 67, "--out", "out/sts-67.json"], ["out/sts-67.json"]),
+            (["catalog", "--max", 67, "--dir", "out"], [f"out/sts-{n}.json" for n in range(13, 68, 6)]),
+        ],
+        ids=["build", "catalog"],
+    )
+    def test_writes_nothing_it_was_not_asked_to(self, capsys, tmp_path, monkeypatch, argv, written):
+        """With HOME and the working directory in a fresh directory, the
+        only files there afterwards are the ones --out or --dir named."""
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "home").mkdir()
+        (tmp_path / "out").mkdir()
+        code, _kv = run_cli(capsys, *argv)
+        assert code == 0
+        files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if not p.is_dir())
+        assert files == sorted(written)
 
     def test_build_7_exits_2(self, capsys, tmp_path):
         assert main(["build", "7", "--out", str(tmp_path / "x.json")]) == 2
@@ -94,20 +101,12 @@ class TestBuild:
 class TestVerify:
     def test_build_then_verify(self, capsys, tmp_path):
         out = tmp_path / "sts-37.json"
-        assert main(["--cache-dir", str(tmp_path / "cache"), "build", "37", "--out", str(out)]) == 0
+        assert main(["build", "37", "--out", str(out)]) == 0
         capsys.readouterr()
         code, kv = run_cli(capsys, "verify", out)
         assert code == 0
         assert kv["PSTS"] == "ok" and kv["STS"] == "ok"
         assert kv["CERTIFICATE"] == "ok" and kv["VERDICT"] == "pass"
-
-    def test_a_cache_file_verifies_without_a_certificate(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        assert main(["--cache-dir", str(cache), "build", "55", "--out", str(tmp_path / "sts-55.json")]) == 0
-        capsys.readouterr()
-        code, kv = run_cli(capsys, "verify", cache / "sts-55-seed0-f4.json")
-        assert code == 0
-        assert kv["STS"] == "ok" and kv["CERTIFICATE"] == "absent" and kv["VERDICT"] == "pass"
 
     def test_a_block_listed_twice_in_an_entry_exits_2(self, capsys, tmp_path):
         cd = base_case(13)
@@ -386,7 +385,6 @@ class TestCatalog:
     def test_small_range(self, capsys, tmp_path):
         code, kv = run_cli(
             capsys,
-            "--cache-dir", tmp_path / "cache",
             "catalog", "--min", 13, "--max", 38, "--dir", tmp_path / "out",
         )
         assert code == 0

@@ -1,22 +1,16 @@
 """Certified builders: starter systems, group-divisible composition, removals."""
 
-import json
 import os
-import shutil
 from itertools import combinations
 
 import pytest
 
 from nonseq_sts import (
-    BudgetExceededError,
     CertificationError,
     CyclicGroup,
-    DesignDocument,
-    GddRequest,
     GroupType,
     ProductGroup,
     base_case,
-    build_gdd,
     certified_psts,
     certified_sts,
     find_apc,
@@ -29,7 +23,7 @@ from nonseq_sts import (
 from nonseq_sts import constructions, exact_cover
 from nonseq_sts import gdd as gdd_module
 from nonseq_sts.constructions import BASE_ORDERS, _composed_type
-from nonseq_sts.designs import AlmostParallelClass, Design
+from nonseq_sts.designs import AlmostParallelClass
 
 from oracles import brute_force_apcs
 from reference_systems import BASES, EXPECTED_SIZES, apc_point_blocks
@@ -114,15 +108,14 @@ class TestCertifiedSts:
         assert len(cd.certificate) == 37
         assert verify_certificate(cd.design, cd.certificate)
 
-    # seed 10 hung in the hill climb before its moves were capped
     @pytest.mark.parametrize("seed", [0, 10])
-    def test_order55_mixed_type(self, seed):
-        cd = certified_sts(55, seed=seed)
-        assert cd.design.size == 495 == 55 * 54 // 6
+    def test_order67_mixed_type(self, seed):
+        cd = certified_sts(67, seed=seed)
+        assert cd.design.size == 737 == 67 * 66 // 6
         assert validate_sts(cd.design).ok
-        assert len(cd.certificate) == 55
+        assert len(cd.certificate) == 67
         assert verify_certificate(cd.design, cd.certificate)
-        assert "12^3+18^1" in cd.provenance
+        assert "12^4+18^1" in cd.provenance
 
     @pytest.mark.parametrize(
         "n,provenance",
@@ -131,14 +124,16 @@ class TestCertifiedSts:
             (61, "gdd-fill(n=61, type=3:12^5)"),
             (49, "gdd-fill(n=49, type=3:12^4)"),
             (73, "gdd-fill(n=73, type=3:12^6)"),
-            (55, "gdd-fill(n=55, type=3:12^3+18^1, seed=2)"),
+            (55, "gdd-fill(n=55, type=3:18^3)"),
+            (97, "gdd-fill(n=97, type=3:24^4)"),
+            (67, "gdd-fill(n=67, type=3:12^4+18^1, seed=2)"),
             (79, "gdd-fill(n=79, type=3:18^3+24^1, seed=2)"),
         ],
     )
     def test_provenance_names_a_seed_only_when_the_climb_ran(self, n, provenance):
-        """The Bose route (12^3, 12^5) and an STS minus a point (12^4, 12^6)
-        use no seed; the master climbs (4^3 6^1 for 12^3 18^1, 6^3 8^1 for
-        18^3 24^1) do."""
+        """The Bose route (12^3, 12^5, 18^3) and an STS minus a point (12^4,
+        12^6, 24^4) use no seed; the master climbs (4^4 6^1 for 12^4 18^1,
+        6^3 8^1 for 18^3 24^1) do."""
         assert certified_sts(n, seed=2).provenance == provenance
 
     def test_order7_rejected(self):
@@ -151,11 +146,13 @@ class TestCertifiedSts:
             certified_sts(n)
 
     def test_seed_determinism(self):
-        a = certified_sts(55, seed=3)
-        b = certified_sts(55, seed=3)
+        a = certified_sts(67, seed=3)
+        b = certified_sts(67, seed=3)
         assert a.design == b.design and a.certificate == b.certificate
+        assert a.design != certified_sts(67, seed=4).design
 
-    @pytest.mark.parametrize("n", [37, 61, 49, 73, 55])  # Bose 12^3 and 12^5, STS minus a point 12^4 and 12^6, climbed 12^3 18^1
+    # Bose 12^3, 12^5 and 18^3, STS minus a point 12^4, 12^6 and 24^4, climbed 12^4 18^1
+    @pytest.mark.parametrize("n", [37, 61, 55, 49, 73, 97, 67])
     def test_certificate_classes_are_canonical(self, n):
         """The fill relabeling is increasing, so composed class blocks are
         sorted triples of the design without any re-sort.  ``verify_apc``
@@ -186,220 +183,37 @@ class TestCertifiedSts:
                 assert same_fill == inside
 
 
-def count_climbs(monkeypatch, fail_seed=None) -> list:
-    """Spy on the hill climb: the returned list collects every seed it is
-    asked for.  ``fail_seed`` gets stuck, so the build retries the next."""
-    real_climb = gdd_module.hill_climb_gdd
-    seeds = []
-
-    def climb(req):
-        seeds.append(req.seed)
-        if req.seed == fail_seed:
-            raise BudgetExceededError("forced failure")
-        return real_climb(req)
-
-    monkeypatch.setattr(gdd_module, "hill_climb_gdd", climb)
-    return seeds
+CLIMBED_ORDERS = (
+    67, 79, 103, 115, 139, 175, 187, 223, 247, 259, 283, 319, 355, 367, 403, 427, 439, 475, 499,
+    535, 583, 607, 619, 643, 655, 679, 727, 763, 787, 823, 835, 859, 895, 907, 943, 979, 1003,
+)
 
 
-def cache_names(cache_dir) -> list:
-    return sorted(p.name for p in cache_dir.iterdir())
-
-
-class TestCertifiedStsCache:
-    """Designs built on a climbed GDD are cached as design documents;
-    every hit is checked against a freshly composed certificate."""
-
-    def test_a_hit_is_the_uncached_build_without_a_climb(self, tmp_path, monkeypatch):
-        uncached = certified_sts(55, seed=5)
-        seeds = count_climbs(monkeypatch)
-        assert certified_sts(55, seed=5, cache_dir=tmp_path) == uncached
-        assert cache_names(tmp_path) == ["sts-55-seed5-f4.json"]
-        assert certified_sts(55, seed=5, cache_dir=tmp_path) == uncached
-        assert seeds == [5]
-        # a different seed rebuilds, as an uncached build would, into its own file
-        other = certified_sts(55, seed=99, cache_dir=tmp_path)
-        assert seeds == [5, 99]
-        assert cache_names(tmp_path) == ["sts-55-seed5-f4.json", "sts-55-seed99-f4.json"]
-        assert other != uncached
-        monkeypatch.undo()
-        assert other == certified_sts(55, seed=99)
-
-    def test_the_cache_file_is_a_design_document_without_a_certificate(self, tmp_path):
-        built = certified_sts(55, cache_dir=tmp_path)
-        doc = DesignDocument.load(tmp_path / "sts-55-seed0-f4.json")
-        assert doc == DesignDocument(built.design, provenance="gdd-fill(n=55, type=3:12^3+18^1, seed=0)")
-
-    def test_hits_name_the_seed_that_succeeded(self, tmp_path, monkeypatch):
-        """Seed 7 gets stuck: the build that fills the cache and the hit
-        that reads it both name seed 8, as an uncached build does."""
-        seeds = count_climbs(monkeypatch, fail_seed=7)
-        fresh = certified_sts(55, seed=7)
-        assert fresh.provenance == "gdd-fill(n=55, type=3:12^3+18^1, seed=8 (requested 7))"
-        assert certified_sts(55, seed=7, cache_dir=tmp_path) == fresh
-        assert DesignDocument.load(tmp_path / "sts-55-seed7-f4.json").provenance == fresh.provenance
-        del seeds[:]
-        assert certified_sts(55, seed=7, cache_dir=tmp_path) == fresh
-        assert seeds == []
-
-    def test_a_bose_order_writes_nothing_and_ignores_a_planted_file(self, tmp_path):
-        uncached = certified_sts(37, seed=5)
-        assert certified_sts(37, seed=5, cache_dir=tmp_path) == uncached
-        assert cache_names(tmp_path) == []
-        planted = tmp_path / "sts-37-seed5-f4.json"
-        design = Design(37, uncached.design.blocks[:-1])
-        DesignDocument(design, provenance="planted").save(planted)
-        text = planted.read_text(encoding="utf-8")
-        assert certified_sts(37, seed=5, cache_dir=tmp_path) == uncached
-        assert cache_names(tmp_path) == [planted.name]
-        assert planted.read_text(encoding="utf-8") == text
-
-    def test_a_closed_form_order_writes_nothing_and_ignores_a_stale_file(self, tmp_path):
-        """Order 49 (12^4) was climbed before it had a closed form.  A file
-        that build left behind holds a certified STS(49) that the composed
-        certificate verifies on, yet it is never read, and nothing is written."""
-        uncached = certified_sts(49)
-        climbed = gdd_module.hill_climb_gdd(GddRequest(GroupType.of((12, 4)), 0))
-        fills = [blk for blk in uncached.design.blocks if len({p // 12 for p in blk}) < 3]
-        stale = Design.from_blocks(49, fills + list(climbed.design.blocks))
-        assert validate_sts(stale) and verify_certificate(stale, uncached.certificate)
-        assert stale != uncached.design
-        planted = tmp_path / "sts-49-seed0-f4.json"
-        DesignDocument(stale, provenance="gdd-fill(n=49, type=3:12^4, seed=0)").save(planted)
-        text = planted.read_text(encoding="utf-8")
-        assert certified_sts(49, cache_dir=tmp_path) == uncached
-        assert cache_names(tmp_path) == [planted.name]
-        assert planted.read_text(encoding="utf-8") == text
-        assert certified_sts(73, cache_dir=tmp_path) == certified_sts(73)
-        assert cache_names(tmp_path) == [planted.name]
-
-    @pytest.mark.parametrize("kind", ["seed 1's file", "anything"])
-    def test_a_provenance_this_seed_cannot_write_is_a_miss(self, tmp_path, monkeypatch, kind):
-        """A hit must name the requested seed, or a retry seed after it.
-        Seed 1's design is a certified STS(55) too, and the certificate
-        holds no GDD block, so only the provenance tells it apart."""
-        uncached = certified_sts(55)
-        path = tmp_path / "sts-55-seed0-f4.json"
-        if kind == "seed 1's file":
-            certified_sts(55, seed=1, cache_dir=tmp_path)
-            shutil.copyfile(tmp_path / "sts-55-seed1-f4.json", path)
-        else:
-            DesignDocument(uncached.design, provenance="anything").save(path)
-        seeds = count_climbs(monkeypatch)
-        assert certified_sts(55, cache_dir=tmp_path) == uncached
-        assert seeds == [0]
-        assert DesignDocument.load(path).provenance == uncached.provenance
-        assert certified_sts(55, cache_dir=tmp_path) == uncached
-        assert seeds == [0]
-
-    @staticmethod
-    def _planted(kind: str, built) -> str:
-        """The text of a bad cache file for ``built``, an order-55 design."""
-        doc = DesignDocument(built.design, provenance=built.provenance).to_dict()
-        if kind == "broken JSON":
-            return "{ not json"
-        if kind == "over-deep nesting":
-            return "[" * 100000 + "]" * 100000
-        if kind == "missing block":  # a GDD block, which no certificate entry holds
-            doc["blocks"].remove(next(blk for blk in doc["blocks"] if len({p // 12 for p in blk}) == 3))
-        elif kind == "wrong n":
-            doc = DesignDocument(base_case(13).design, provenance=built.provenance).to_dict()
-        elif kind == "relabeled":  # still an STS(55), but the certificate does not fit it
-            swap = {0: 54, 54: 0}
-            doc["blocks"] = [[swap.get(p, p) for p in blk] for blk in doc["blocks"]]
-        return json.dumps(doc)
-
-    @pytest.mark.parametrize("kind", ["broken JSON", "over-deep nesting", "missing block", "wrong n", "relabeled"])
-    def test_a_bad_file_is_rebuilt_with_one_climb(self, tmp_path, monkeypatch, kind):
-        uncached = certified_sts(55)
-        path = tmp_path / "sts-55-seed0-f4.json"
-        path.write_text(self._planted(kind, uncached), encoding="utf-8")
-        seeds = count_climbs(monkeypatch)
-        assert certified_sts(55, cache_dir=tmp_path) == uncached
-        assert seeds == [0]
-        assert DesignDocument.load(path).design == uncached.design  # overwritten with the good design
-        assert certified_sts(55, cache_dir=tmp_path) == uncached
-        assert seeds == [0]
-
-    def test_an_old_gdd_cache_file_is_ignored(self, tmp_path, monkeypatch):
-        """A GDD cache file of an earlier version, at its old name, is
-        neither read nor removed; the design is built and cached anew."""
-        gdd = build_gdd(GddRequest(GroupType.of((12, 3), (18, 1))))
-        old = tmp_path / "3-12^3+18^1-seed0.json"
-        payload = {"format": 2, "key": "3:12^3+18^1", "seed": 0, "groups": [list(g) for g in gdd.groups]}
-        payload["blocks"] = [list(blk) for blk in gdd.design.blocks]
-        old.write_text(json.dumps(payload), encoding="utf-8")
-        uncached = certified_sts(55)
-        seeds = count_climbs(monkeypatch)
-        assert certified_sts(55, cache_dir=tmp_path) == uncached
-        assert seeds == [0]
-        assert cache_names(tmp_path) == [old.name, "sts-55-seed0-f4.json"]
-        assert json.loads(old.read_text(encoding="utf-8")) == payload
-
-    def test_a_format_3_file_is_ignored(self, tmp_path, monkeypatch):
-        """Format 3 climbed 12^3 18^1 itself, so its seed-0 file holds a
-        certified STS(55) that the composed certificate verifies on, yet it
-        is neither read nor removed: format 4 climbs 4^3 6^1."""
-        uncached = certified_sts(55)
-        climbed = gdd_module.hill_climb_gdd(GddRequest(GroupType.of((12, 3), (18, 1)), 0))
-        fills = [blk for blk in uncached.design.blocks if len({min(p // 12, 3) for p in blk}) < 3]
-        stale = Design.from_blocks(55, fills + list(climbed.design.blocks))
-        assert validate_sts(stale) and verify_certificate(stale, uncached.certificate)
-        assert stale != uncached.design
-        old = tmp_path / "sts-55-seed0-f3.json"
-        DesignDocument(stale, provenance=uncached.provenance).save(old)
-        text = old.read_text(encoding="utf-8")
-        seeds = count_climbs(monkeypatch)
-        assert certified_sts(55, cache_dir=tmp_path) == uncached
-        assert seeds == [0]
-        assert cache_names(tmp_path) == [old.name, "sts-55-seed0-f4.json"]
-        assert old.read_text(encoding="utf-8") == text
-
-    def test_a_directory_at_the_target_is_skipped(self, tmp_path, monkeypatch):
-        target = tmp_path / "sts-55-seed0-f4.json"
-        target.mkdir()
-        uncached = certified_sts(55)
-        seeds = count_climbs(monkeypatch)
-        assert certified_sts(55, cache_dir=tmp_path) == uncached
-        assert seeds == [0]
-        assert cache_names(tmp_path) == [target.name]
-        assert list(target.iterdir()) == []
-
-    def test_a_cache_under_a_regular_file_is_skipped(self, tmp_path):
-        """Such a cache can be neither read nor written: the build climbs,
-        stores nothing and returns what an uncached build does."""
-        blocker = tmp_path / "file"
-        blocker.write_text("")
-        assert certified_sts(55, cache_dir=blocker / "cache") == certified_sts(55)
-        assert cache_names(tmp_path) == ["file"]
-
-    def test_a_partial_system_reads_the_cached_parent(self, tmp_path, monkeypatch):
-        certified_sts(55, cache_dir=tmp_path)
-        uncached = certified_psts(55, 2)
-        seeds = count_climbs(monkeypatch)
-        assert certified_psts(55, 2, cache_dir=tmp_path) == uncached
-        assert seeds == []
-
-
-def test_only_orders_25_mod_72_and_the_mixed_types_climb():
-    """The composed types climb for 12^u with u = 2 (mod 6), n = 25 (mod 72),
-    and for every k = (n - 1)/6 odd: 12^u 18^1, or 18^m 24^1 for n = 7
-    (mod 36); the rest are closed form."""
+def test_each_order_takes_the_first_closed_uniform_starter_type():
+    """Over every composed order up to 1009 the type is the first g^u,
+    g + 1 a starter order, that is closed form, else the mixed type; only
+    the listed 37 orders climb."""
+    climbed = []
     for n in range(13, 1010, 6):
         if n in BASE_ORDERS:
             continue
-        k = (n - 1) // 6
-        assert gdd_module.climbs(_composed_type(n)) == (n % 72 == 25 or k % 2 == 1), n
-        if k % 2:
-            u, m = (n - 19) // 12, (n - 25) // 18
-            mixed = ((18, m), (24, 1)) if n % 36 == 7 else ((12, u), (18, 1))
+        uniform = [GroupType.of((g, (n - 1) // g)) for g in (12, 18, 24, 30, 42) if (n - 1) % g == 0]
+        closed = [t for t in uniform if not gdd_module.climbs(t)]
+        if closed:
+            assert _composed_type(n) == closed[0], n
+        else:
+            mixed = ((18, (n - 25) // 18), (24, 1)) if n % 36 == 7 else ((12, (n - 19) // 12), (18, 1))
             assert _composed_type(n) == GroupType.of(*mixed), n
+            climbed.append(n)
+        assert gdd_module.climbs(_composed_type(n)) == (not closed), n
+    assert tuple(climbed) == CLIMBED_ORDERS
+    assert [_composed_type(n).key() for n in (55, 97, 151, 295)] == ["3:18^3", "3:24^4", "3:30^5", "3:42^7"]
 
 
-def test_odd_k_orders_climb_a_ninth_of_the_type(monkeypatch):
-    """A spy on the hill climb over every composed order up to 300: an
-    order with k odd asks only for types on (n - 1)/3 points, n = 25
-    (mod 72) only for its full type 12^u, and the other orders for none."""
+def test_only_the_listed_orders_climb(monkeypatch):
+    """A spy on the hill climb over every composed order up to 300: a
+    listed order asks only for its master, on (n - 1)/3 points, and every
+    other order asks for nothing."""
     real_climb = gdd_module.hill_climb_gdd
     asked = []
 
@@ -414,17 +228,15 @@ def test_odd_k_orders_climb_a_ninth_of_the_type(monkeypatch):
         del asked[:]
         cd = certified_sts(n)
         assert validate_sts(cd.design) and verify_certificate(cd.design, cd.certificate), n
-        if (n - 1) // 6 % 2:
+        if n in CLIMBED_ORDERS:
             assert asked and {t.total_points for t in asked} == {(n - 1) // 3}, n
-        elif n % 72 == 25:
-            assert asked and set(asked) == {_composed_type(n)}, n
         else:
             assert asked == [], n
 
 
 @pytest.mark.skipif(os.environ.get("NONSEQ_STS_LONG") != "1", reason="long; set NONSEQ_STS_LONG=1 to run")
 def test_large_closed_form_orders_name_no_seed():
-    for n, key in ((985, "3:12^82"), (1009, "3:12^84")):
+    for n, key in ((985, "3:12^82"), (1009, "3:12^84"), (889, "3:24^37"), (961, "3:24^40")):
         cd = certified_sts(n)
         assert cd.provenance == f"gdd-fill(n={n}, type={key})"
         assert validate_sts(cd.design) and verify_certificate(cd.design, cd.certificate)
@@ -443,6 +255,9 @@ def test_large_orders_7_mod_36_climb_a_master():
 
 UNUSED_BLOCK_CASES = [(n, a) for n in (19, 25, 31, 37, 43, 49, 55, 79) for a in range((n - 1) // 3 + 1)]
 CRITERION_5_CASES = [(n, a) for n in (13, 19, 37) for a in range((n - 1) // 3 + 1)]
+NON_INT_CASES = [(13.0, 0, 0), (19, True, 0), (19, 2.0, 0), (True, 0, 0), ("19", 1, 0), (37.0, None, 0)] + [
+    (103, None, "2"), (37, None, "2"), (103, None, 1.5), (37, None, True), (19, 2, "2"), (67, 2, 1.0)
+]
 
 
 class TestCertifiedPsts:
@@ -514,9 +329,14 @@ class TestCertifiedPsts:
         assert len(cd.certificate) >= n - 1
         assert verify_certificate(cd.design, cd.certificate)
 
-    @pytest.mark.parametrize("n,a", [(13.0, 0), (19, True), (19, 2.0), (True, 0), ("19", 1), (37.0, None)])
-    def test_non_int_arguments_are_refused_first(self, n, a, monkeypatch):
-        """A non-int order or a (float, bool, str) is a ValueError before any build."""
+    @pytest.mark.parametrize(
+        "n,a,seed",
+        NON_INT_CASES,
+        ids=[f"{n}-{a}" if seed == 0 else f"{n}-{a}-seed{seed!r}" for n, a, seed in NON_INT_CASES],
+    )
+    def test_non_int_arguments_are_refused_first(self, n, a, seed, monkeypatch):
+        """A non-int order, a or seed (float, bool, str) is a ValueError
+        before any build, at closed-form orders too, which read no seed."""
 
         def no_build(*args, **kwargs):
             raise AssertionError("built a design")
@@ -524,7 +344,7 @@ class TestCertifiedPsts:
         monkeypatch.setattr(constructions, "base_case", no_build)
         monkeypatch.setattr(constructions, "build_gdd", no_build)
         with pytest.raises(ValueError, match=r"must be (an int|ints), got"):
-            certified_sts(n) if a is None else certified_psts(n, a)
+            certified_sts(n, seed=seed) if a is None else certified_psts(n, a, seed=seed)
 
     @pytest.mark.parametrize("a", range(7))
     def test_order19_every_a(self, a):

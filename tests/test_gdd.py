@@ -349,6 +349,14 @@ class TestBuildGdd:
         if master != parts:
             assert built == inflate(real_climb(climbed[-1]), 3)
 
+    def test_the_seed_that_hung_builds(self):
+        """Seed 10 of 12^3 18^1 hung in the hill climb before its moves were
+        capped.  No order composes this type any more; ``build_gdd`` still
+        realises it from the master 4^3 6^1."""
+        g = build_gdd(GddRequest(GroupType.of((12, 3), (18, 1)), 10))
+        assert validate_gdd(g).ok
+        assert 10 <= g.seed < 10 + gdd_module.CLIMB_ATTEMPTS
+
     def test_give_up_error_sums_the_attempts(self, monkeypatch):
         def stuck_climb(req, **kwargs):
             raise BudgetExceededError(f"seed {req.seed} stuck", used=7, budget=10)
