@@ -87,6 +87,14 @@ class TestBuild:
         files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if not p.is_dir())
         assert files == sorted(written)
 
+    def test_cache_dir_is_no_longer_an_option(self, capsys, tmp_path):
+        argv = ["--cache-dir", str(tmp_path / "cache"), "build", "67", "--out", str(tmp_path / "sts-67.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_build_7_exits_2(self, capsys, tmp_path):
         assert main(["build", "7", "--out", str(tmp_path / "x.json")]) == 2
 
@@ -107,6 +115,14 @@ class TestVerify:
         assert code == 0
         assert kv["PSTS"] == "ok" and kv["STS"] == "ok"
         assert kv["CERTIFICATE"] == "ok" and kv["VERDICT"] == "pass"
+
+    def test_a_document_without_a_certificate_verifies(self, capsys, tmp_path):
+        path = tmp_path / "sts-67.json"
+        cd = nonseq_sts.certified_sts(67)
+        DesignDocument(cd.design, provenance=cd.provenance).save(path)
+        code, kv = run_cli(capsys, "verify", path)
+        assert code == 0
+        assert kv["STS"] == "ok" and kv["CERTIFICATE"] == "absent" and kv["VERDICT"] == "pass"
 
     def test_a_block_listed_twice_in_an_entry_exits_2(self, capsys, tmp_path):
         cd = base_case(13)

@@ -8,6 +8,7 @@ import pytest
 from nonseq_sts import (
     CertificationError,
     CyclicGroup,
+    DesignDocument,
     GroupType,
     ProductGroup,
     base_case,
@@ -253,7 +254,72 @@ def test_large_orders_7_mod_36_climb_a_master():
         assert validate_sts(cd.design) and verify_certificate(cd.design, cd.certificate)
 
 
-UNUSED_BLOCK_CASES = [(n, a) for n in (19, 25, 31, 37, 43, 49, 55, 79) for a in range((n - 1) // 3 + 1)]
+def count_climbs(monkeypatch) -> list:
+    """Spy on the hill climb: the returned list collects every seed it is asked for."""
+    real_climb = gdd_module.hill_climb_gdd
+    seeds = []
+
+    def climb(req):
+        seeds.append(req.seed)
+        return real_climb(req)
+
+    monkeypatch.setattr(gdd_module, "hill_climb_gdd", climb)
+    return seeds
+
+
+def tree(root) -> list:
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
+
+
+class TestCacheDirIsIgnored:
+    """``cache_dir`` is still accepted, because callers pass it, but no build
+    reads or writes anything there: every call composes its design afresh."""
+
+    @pytest.mark.parametrize("n", [67, 55, 37])  # climbed 12^4 18^1, closed 18^3, Bose 12^3
+    def test_a_build_writes_nothing(self, tmp_path, n):
+        assert certified_sts(n, seed=5, cache_dir=tmp_path) == certified_sts(n, seed=5)
+        assert tree(tmp_path) == []
+
+    @pytest.mark.parametrize("kind", ["another seed's design", "broken JSON", "a directory"])
+    def test_a_file_at_the_old_cache_name_is_neither_read_nor_changed(self, tmp_path, monkeypatch, kind):
+        """Order 67 climbs.  Seed 1's design is a certified STS(67) too, so a
+        build that read the planted file would return it; every build climbs
+        seed 0 instead and leaves the file as it was."""
+        uncached = certified_sts(67)
+        path = tmp_path / "sts-67-seed0-f4.json"
+        if kind == "another seed's design":
+            other = certified_sts(67, seed=1).design
+            assert other != uncached.design
+            DesignDocument(other, provenance=uncached.provenance).save(path)
+        elif kind == "broken JSON":
+            path.write_text("{ not json", encoding="utf-8")
+        else:
+            path.mkdir()
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        seeds = count_climbs(monkeypatch)
+        assert certified_sts(67, cache_dir=tmp_path) == uncached
+        assert certified_sts(67, cache_dir=tmp_path) == uncached
+        assert seeds == [0, 0]
+        assert tree(tmp_path) == [path.name]
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_a_cache_under_a_regular_file_is_no_error(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert certified_sts(67, cache_dir=blocker / "cache") == certified_sts(67)
+        assert certified_psts(67, 3, cache_dir=blocker / "cache") == certified_psts(67, 3)
+        assert tree(tmp_path) == ["file"]
+
+    def test_a_partial_system_builds_its_parent_afresh(self, tmp_path, monkeypatch):
+        uncached = certified_psts(67, 2)
+        seeds = count_climbs(monkeypatch)
+        assert certified_psts(67, 2, cache_dir=tmp_path) == uncached
+        assert certified_psts(67, 2, cache_dir=tmp_path) == uncached
+        assert seeds == [0, 0]
+        assert tree(tmp_path) == []
+
+
+UNUSED_BLOCK_CASES =[(n, a) for n in (19, 25, 31, 37, 43, 49, 55, 79) for a in range((n - 1) // 3 + 1)]
 CRITERION_5_CASES = [(n, a) for n in (13, 19, 37) for a in range((n - 1) // 3 + 1)]
 NON_INT_CASES = [(13.0, 0, 0), (19, True, 0), (19, 2.0, 0), (True, 0, 0), ("19", 1, 0), (37.0, None, 0)] + [
     (103, None, "2"), (37, None, "2"), (103, None, 1.5), (37, None, True), (19, 2, "2"), (67, 2, 1.0)

@@ -58,3 +58,20 @@ def test_tracer_wraps_every_listed_function_and_restores_it(tmp_path):
     for owner, attr, original in wrapped:
         assert vars(owner)[attr] is original, (owner, attr)
 
+
+
+def test_a_build_given_cache_dir_loads_and_saves_nothing(tmp_path):
+    """Order 67 is climbed: each build reaches ``build_gdd`` and neither
+    reads nor writes a document, whatever ``cache_dir`` names."""
+    tracer = load_tracer_module().Tracer()
+    try:
+        tracer.install()
+        first = nonseq_sts.certified_sts(67, cache_dir=tmp_path)
+        assert nonseq_sts.certified_sts(67, cache_dir=tmp_path) == first
+        names = [span[0] for span in tracer.spans]
+    finally:
+        tracer.uninstall()
+    assert names.count("constructions.certified_sts") == 2
+    assert names.count("gdd.build_gdd") == 2
+    assert "documents.load" not in names and "documents.save" not in names
+    assert list(tmp_path.iterdir()) == []
