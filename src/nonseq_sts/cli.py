@@ -36,11 +36,8 @@ def _fail(message: str, code: int) -> int:
 
 def cmd_build(args: argparse.Namespace) -> int:
     try:
-        if args.a is None:
-            built = certified_sts(args.n, seed=args.seed)
-        else:
-            built = certified_psts(args.n, args.a, seed=args.seed)
-    except (BudgetExceededError, CertificationError) as exc:
+        built = certified_sts(args.n) if args.a is None else certified_psts(args.n, args.a)
+    except CertificationError as exc:
         return _fail(str(exc), 1)
     out = args.out
     if out is None:
@@ -125,12 +122,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     for n in range(args.min, args.max + 1):
         if n % 6 != 1 or n < 13:
             continue
-        try:
-            built = certified_sts(n, seed=args.seed)
-        except (ValueError, BudgetExceededError) as exc:
-            _emit(str(n), f"fail ({exc})")
-            failures += 1
-            continue
+        built = certified_sts(n)
         sts = validate_sts(built.design)
         path = outdir / f"sts-{n}.json"
         DesignDocument(built.design, certificate=built.certificate, provenance=built.provenance).save(path)
@@ -157,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build a certified nonsequenceable STS(n) or PSTS(n)")
     p.add_argument("n", type=int, help="order, must be 1 (mod 6) and not 7")
     p.add_argument("--a", type=int, default=None, help="delete a blocks, unused by the certificate first")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output file (default sts-N.json / psts-N-aA.json)")
     p.set_defaults(func=cmd_build)
 
@@ -180,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min", type=int, default=13)
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--dir", required=True, help="directory for the emitted documents")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_catalog)
 
     return parser

@@ -7,18 +7,14 @@ order-25 starter list is arithmetically short by one orbit and is
 completed by residual-difference search before development.  Order 19's
 class is not the paper's: it avoids the orbit of (0, 1, 6).
 
-Larger orders n = 1 (mod 6) are composed: take a 3-GDD on n - 1 points
-(``_composed_type``: the first closed-form uniform type 12^u, 18^u, 24^u,
-30^u or 42^u, else 12^u 18^1 or 18^m 24^1), adjoin one new point X, and
-fill each group of size g plus X with the certified starter of order
-g + 1.  The relabeling keeps the group's order and ends at X, the largest
-point, so it is increasing and keeps blocks sorted.  Certificates compose
-by the same recipe: an almost parallel class missing y in y's own fill
-system, unioned with the classes missing X in every other fill system.
-The certificate depends only on the type, as every GDD lays its groups
-out as ``gdd.canonical_groups``; the GDD supplies the remaining blocks.
-Nothing is trusted: every composed design is re-validated and every
-certificate re-verified before being returned.
+Larger orders are composed (``_compose``): a closed-form 3-GDD of type
+12^t, or 24^(t/2) when t = 2 (mod 6), plus a hole of h points, h = 1 at
+n = 1 (mod 12) and 7 otherwise, t = (n - h)/12.  Each group plus the hole
+is filled with an STS(g + h) whose hole carries a subsystem: the starter of
+order g + 1, or an STS(g + 7) with the Fano plane on its hole
+(``_HOLE_FILLS``).  Certificates compose from the fills' classes.  Nothing
+is trusted: every composed design is re-validated and every certificate
+re-verified before being returned.
 
 A partial system deletes blocks that no certificate entry uses first (the
 GDD blocks, say) and keeps the parent entries that avoid them: no search.
@@ -27,10 +23,11 @@ GDD blocks, say) and keeps the parent entries that avoid them: no search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator
 
 from .designs import (
     AlmostParallelClass,
+    Block,
     Design,
     GroupType,
     NonseqCertificate,
@@ -39,7 +36,7 @@ from .designs import (
     verify_certificate,
 )
 from .differences import AbelianGroup, CyclicGroup, ProductGroup, complete_base_blocks, develop, translate_apc
-from .gdd import GddRequest, build_gdd, canonical_groups, climbs
+from .gdd import GddRequest, build_gdd, canonical_groups
 from .sequencing import CertificationError
 
 
@@ -144,41 +141,119 @@ def base_case(n: int) -> CertifiedDesign:
     return CertifiedDesign(design, cert, f"base-case({n})")
 
 
-def _composed_type(n: int) -> GroupType:
-    """The GDD type an order is composed from: the first uniform type
-    g^((n-1)/g), g + 1 a starter order, that ``climbs`` says is closed
-    form (12 first, so the paper's 12^u wherever it is closed).  Failing
-    that, 12^u 18^1 (n = 12u + 19), or 18^m 24^1 (n = 18m + 25) at n = 7
-    (mod 36), where the master 4^u 6^1 that 12^u 18^1 climbs does not
-    exist (6^m 8^1 does).  Every even (n-1)/6 has a uniform type: 12^u
-    with u = 2 (mod 6) becomes 24^(u/2)."""
-    for order in BASE_ORDERS:
-        g = order - 1
-        if (n - 1) % g == 0 and not climbs(uniform := GroupType.of((g, (n - 1) // g))):
-            return uniform
-    if n % 36 == 7:
-        return GroupType.of((18, (n - 25) // 18), (24, 1))
-    return GroupType.of((12, (n - 19) // 12), (18, 1))
+# An STS(g + 7) per g whose last 7 points, the hole, carry the Fano plane
+# (i, i+1, i+3) mod 7, in base-32 digits, three per block: the blocks; P, a
+# partition of 0..g-1; and the class missing each point, as the other points.
+# Order 19 is Z_3 x Z_4 with the triangles {i, 4+i, 8+i}, {i, 4+(i+1)%4,
+# 8+(i+2)%4} and a 1-factor per hole point; order 31 a hill-climbed 1^24 7^1.
+_HOLE_FILLS = {
+    12: (
+        "01c02d03e04805a06f07g09h0bi12i13h14f15916b17d18e1ag23f24c25e26a27829g2bh34935i36g37b38d3ac"
+        "45d46e47h4ai4bg56h57f58g5bc67i68c69d79c7ae89i8ah8bf9af9beabdcdfceicghdegdhiefhfgi",
+        "04815926a37b",
+        "15923f4bg68c7aedhi05a2bh38d46e79cfgi01c34958g67iabdefh02d16b47h58g9afcei01c25e37b69d8ahfgi"
+        "01c26a38d47h9befgi04813h25e79cabdfgi02d1ag34956h8bfcei02d1593ac4bg67iefh01c26a35i47h8bfdeg"
+        "01c27835i4bg69defh03e14f26a58g79cdhi02d15937b46e8ahfgi01c23f4bg56h7ae89i01c27834956habdfgi"
+        "01c25e36g47h89iabd01c23f45d67i8ah9be01c25e38d4bg67i9af02d18e36g47h5bc9af",
+    ),
+    24: (
+        "01s02r03m04t05c06p07o08j09d0ae0bg0fq0hi0kn0lu12u13814p15d16r1791ab1ct1ei1fo1gj1hm1kq1ln23s"
+        "24a25926c2782bf2dg2eq2ht2ij2ko2lm2np34n35r36t37g39q3aj3bl3ch3do3eu3fi3kp45m46g47r48k49b4cl"
+        "4di4eo4fs4hq4ju56s57n58f5ao5bt5ej5gp5hu5ik5lq67l68q69e6ah6bd6fk6iu6jo6mn7am7bc7dq7es7fu7hp"
+        "7it7jk89l8au8bo8cm8dr8eh8gt8ip8ns9as9ck9fp9gi9hr9jt9mo9nuacpadfagqainaktalrbepbhjbirbkubms"
+        "bnqcducencfrcgsciocjqdekdhndjsdltdmpeflegremtfghfjmfntgklgmugnohkshloilsimqjlpjnrkmroproqu"
+        "ostpqsptuqrtrsu",
+        "03m15d27846g9ckainbhjefl",
+        "12u34n56s7bc8eh9jtadfgklimqopr04t2lm3eu5ao68q7jk9fpbircgsdhn01s34n5ao68q7it9hrbepcdufjmgkl"
+        "01s24a58f67l9gibkucjqdhnemtopr01s2593bl68q7jkaincduemtfghopr01s24a37g6iu8eh9ckbnqdltfjmopr"
+        "01s24a37g58f9ckbirdhnemtjlpoqu01s24a35r6iu8bo9fpcjqdhnemtgkl01s24a35r6fk7bc9gidhnemtjlpoqu"
+        "01s24a36t57n8cmbirdekfghjlpoqu01s2593bl48k6jo7hpcduegrfntimq01s24a35r6fk7dq8ip9jtcengmuhlo"
+        "01s24a37g5ik69e8drbnqfjmhloptu01s24a36t5ej7hp89lbkucfrgnoimq01s24a3ch57n68q9gibkudltfjmopr"
+        "03m1kq2594ju6bd7it8nsacpegrhlo01s24a35r6fk7it8eh9mobnqcdujlp01s24a3do57n69e8gtbkucfrimqjlp"
+        "01s24a35r67l8gt9ckbepdhnfjmoqu01s24a35r69e7hp8bocdufntgklimq03m1gj25947r6ah8ipbnqcdueflost"
+        "01s24a35r6jo7fu8gt9ckbepdhnimq01s24a36t5lq7jk8dr9nubepciofgh01s24a35r6iu7dq8gt9ckbepfjmhlo"
+        "01s24a36t5ik7hp89lbnqcduegrfjm01s24a35r67l8cm9gibhjdekfntoqu01s24a35r6jo7it89lbkucendmpfgh"
+        "01s25934n6bd7it8ehacpfjmgkloqu04t1ab2lm37g5hu68q9fpciodekjnr01s24a35r69e7bc8ipdhnfjmgkloqu"
+        "01s25934n6bd7jk8ipagqcfremthlo",
+    ),
+}
 
 
-def _provenance(n: int, group_type: GroupType, used: Optional[int], requested: int) -> str:
-    """The provenance of a composed design whose GDD came from seed ``used``
-    (None for a closed form) when ``requested`` was asked for."""
-    text = f"gdd-fill(n={n}, type={group_type.key()}"
-    if used is not None:
-        text += f", seed={used}" if used == requested else f", seed={used} (requested {requested})"
-    return text + ")"
+def _triples(digits: str) -> Iterator[Block]:
+    points = [int(c, 32) for c in digits]
+    return zip(points[0::3], points[1::3], points[2::3])
+
+
+def _fill(g: int, h: int) -> tuple[tuple[Block, ...], list[frozenset], frozenset]:
+    """(blocks, classes, P) of an STS(g + h) whose last h points, the hole,
+    carry a subsystem: ``classes[p]`` misses p, and P partitions 0..g-1.
+    A one-point hole is the starter of order g + 1, P its class missing g."""
+    if h == 1:
+        starter = base_case(g + 1)
+        classes = [starter.certificate.entries[p].blocks for p in range(g + 1)]
+        return starter.design.blocks, classes, classes[g]
+    blocks, part, classes = _HOLE_FILLS[g]
+    w = g + h - 1
+    return (
+        tuple(_triples(blocks)),
+        [frozenset(_triples(classes[p * w : (p + 1) * w])) for p in range(g + h)],
+        frozenset(_triples(part)),
+    )
+
+
+def _composed_type(n: int) -> tuple[GroupType, int]:
+    """(type, h): the hole h = 1 at n = 1 (mod 12), else 7, and with
+    t = (n - h)/12 the type 12^t, or 24^(t/2) when t = 2 (mod 6), where 12^t
+    is not closed form.  Every such type with t >= 3 is closed form."""
+    t = (n - 1) // 12
+    return GroupType.of((24, t // 2)) if t % 6 == 2 else GroupType.of((12, t)), 1 if n % 12 == 1 else 7
+
+
+def _compose(group_type: GroupType, h: int) -> CertifiedDesign:
+    """Adjoin a hole of h points to the uniform GDD and fill each group G_i
+    plus the hole with ``_fill``.  With P_i the relabeled P, y in G_i takes
+    fill i's class missing y and every P_j, j != i; a hole point takes fill
+    0's class missing it and every P_j, j != 0.  This verifies the fills'
+    classes."""
+    g = group_type.parts[0][0]
+    n = group_type.total_points + h
+    fill, classes, part = _fill(g, h)
+    inner = [blk for blk in fill if blk[0] < g]  # the blocks outside the hole
+    hole = list(range(n - h, n))
+    labels = [[*grp, *hole] for grp in canonical_groups(group_type)]  # increasing, so blocks stay sorted
+
+    def relabel(label, blks):
+        return frozenset((label[a], label[b], label[c]) for a, b, c in blks)
+
+    parts = [relabel(label, part) for label in labels]
+    every = frozenset().union(*parts)
+    blocks = []
+    entries = {}
+    for i, label in enumerate(labels):  # group 0's fill brings the hole's blocks and classes
+        blocks.extend((label[a], label[b], label[c]) for a, b, c in (fill if i == 0 else inner))
+        others = every - parts[i]
+        for y in range(g + h if i == 0 else g):
+            entries[label[y]] = AlmostParallelClass(relabel(label, classes[y]) | others, label[y])
+    cert = NonseqCertificate(entries)
+
+    gdd = build_gdd(GddRequest(group_type))
+    design = Design(n, tuple(sorted(blocks + list(gdd.design.blocks))))  # every triple is increasing
+    rep = validate_sts(design)
+    if not rep:
+        raise RuntimeError(f"internal error: composed design of order {n} is invalid ({rep})")
+    rep = verify_certificate(design, cert)
+    if not rep:
+        raise RuntimeError(f"internal error: composed certificate of order {n} does not verify ({rep})")
+    hole_text = "" if h == 1 else f", hole={h}"
+    return CertifiedDesign(design, cert, f"gdd-fill(n={n}, type={group_type.key()}{hole_text})")
 
 
 def certified_sts(n: int, seed: int = 0, cache_dir=None) -> CertifiedDesign:
     """A nonsequenceable Steiner triple system of any order n = 1 (mod 6)
-    except the impossible n = 7, with a certificate covering all n points.
-    Only an order whose GDD type ``climbs`` (the mixed 12^u 18^1 and 18^m
-    24^1 types, 37 orders up to 1009) reads ``seed``, and its provenance
-    names the seed the climb came from: ``seed=11 (requested 10)`` when the
-    climb got stuck on seed 10 and the retry on 11 succeeded.  Every other
-    order is seed-free, and its provenance names no seed.  Deterministic
-    for a fixed seed.  ``cache_dir`` is accepted and ignored."""
+    except the impossible n = 7, with a certificate covering all n points:
+    a starter, else ``_compose`` on ``_composed_type(n)``.  Every route is
+    closed form, so the result depends on n alone.  ``seed`` and
+    ``cache_dir`` are accepted and ignored."""
     if type(n) is not int or type(seed) is not int:
         raise ValueError(f"n and seed must be ints, got {n!r} and {seed!r}")
     if n % 6 != 1:
@@ -189,41 +264,7 @@ def certified_sts(n: int, seed: int = 0, cache_dir=None) -> CertifiedDesign:
         raise ValueError(f"smallest supported order is 13, got {n}")
     if n in _STARTERS:
         return base_case(n)
-    group_type = _composed_type(n)
-
-    x = n - 1
-    fills = {size: base_case(size + 1) for size, _count in group_type.parts}
-    groups = canonical_groups(group_type)
-    blocks = []
-    missing_x: list[frozenset] = []  # per group, the relabeled class missing X
-    own_class: dict[int, frozenset] = {}  # point -> relabeled class missing it
-    for grp in groups:
-        fill = fills[len(grp)]
-        label = sorted(grp) + [x]  # increasing, so relabeled blocks stay sorted
-        blocks.extend((label[a], label[b], label[c]) for a, b, c in fill.design.blocks)
-        for local_missed, apc in fill.certificate.entries.items():
-            relabeled = frozenset((label[a], label[b], label[c]) for a, b, c in apc.blocks)
-            if local_missed == len(grp):
-                missing_x.append(relabeled)
-            else:
-                own_class[label[local_missed]] = relabeled
-
-    entries = {x: AlmostParallelClass(frozenset().union(*missing_x), x)}
-    for i, grp in enumerate(groups):
-        others = frozenset().union(*(cls for j, cls in enumerate(missing_x) if j != i))
-        for y in grp:
-            entries[y] = AlmostParallelClass(own_class[y] | others, y)
-    cert = NonseqCertificate(entries)
-
-    gdd = build_gdd(GddRequest(group_type, seed))
-    design = Design(n, tuple(sorted(blocks + list(gdd.design.blocks))))  # every triple is increasing
-    rep = validate_sts(design)
-    if not rep:
-        raise RuntimeError(f"internal error: composed design of order {n} is invalid ({rep})")
-    rep = verify_certificate(design, cert)
-    if not rep:
-        raise RuntimeError(f"internal error: composed certificate of order {n} does not verify ({rep})")
-    return CertifiedDesign(design, cert, _provenance(n, group_type, gdd.seed, seed))
+    return _compose(*_composed_type(n))
 
 
 def certified_psts(n: int, a: int, seed: int = 0, cache_dir=None) -> CertifiedDesign:
@@ -234,12 +275,12 @@ def certified_psts(n: int, a: int, seed: int = 0, cache_dir=None) -> CertifiedDe
     Every order but 13 has (n-1)/3 unused blocks and keeps every entry; 13
     has one class per point, so a search could add none.  Under n-1 kept
     entries raise ``CertificationError``.  The result is re-validated and
-    re-verified.  ``cache_dir`` is accepted and ignored."""
-    if type(n) is not int or type(a) is not int:
-        raise ValueError(f"n and a must be ints, got {n!r} and {a!r}")
+    re-verified.  ``seed`` and ``cache_dir`` are accepted and ignored."""
+    if type(n) is not int or type(a) is not int or type(seed) is not int:
+        raise ValueError(f"n, a and seed must be ints, got {n!r}, {a!r} and {seed!r}")
     if not 0 <= a <= (n - 1) // 3:
         raise ValueError(f"a must be between 0 and (n-1)/3 = {(n - 1) // 3}, got {a}")
-    certified = certified_sts(n, seed=seed)
+    certified = certified_sts(n)
     entries = certified.certificate.entries
     used = frozenset().union(*(apc.blocks for apc in entries.values()))
     removed = set(sorted(certified.design.blocks, key=used.__contains__)[:a])

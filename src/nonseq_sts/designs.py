@@ -355,10 +355,14 @@ def verify_apc(d: Design, apc: AlmostParallelClass) -> ValidationReport:
 def verify_certificate(d: Design, cert: NonseqCertificate) -> ValidationReport:
     """Check that the certificate has >= n-1 entries, each a valid almost
     parallel class of ``d`` missing exactly its key point.  A failure's
-    detail names the entry count, or the lowest failing entry and why it
-    fails: ``entry k: class misses m`` or ``entry k: <verify_apc detail>``."""
+    detail names the entry count, a key that is not an ``int``, or the
+    lowest failing entry and why it fails: ``entry k: class misses m`` or
+    ``entry k: <verify_apc detail>``."""
     if len(cert.entries) < d.n - 1:
         return ValidationReport.failed("certificate", f"{len(cert.entries)} entries, need at least {d.n - 1}")
+    for key in cert.entries:
+        if type(key) is not int:
+            return ValidationReport.failed("certificate", f"entry {key!r}: key is not an int point")
     for missed, apc in sorted(cert.entries.items()):
         if apc.missed != missed:
             return ValidationReport.failed("certificate", f"entry {missed}: class misses {apc.missed}")

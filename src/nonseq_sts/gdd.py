@@ -8,15 +8,15 @@ quasigroup (type 3^u, odd u), Skolem's triples over a half-idempotent one
 (an STS of order 1 mod 6), an STS(2u + 1) without one point (type 2^u,
 u != 2 mod 3), and Wilson-style inflation replacing every point by w
 points and every block by the w^2 blocks of the cyclic Latin square
-z = x + y mod w; td3(w) is a single block inflated by w.  A type that no
-inflated closed form reaches (``climbs``: mixed types, and of the paper's
-12^u only u = 2 mod 6) goes to Stinson's live-point hill climb: each move
-costs O(1) and adds 0 or 3 covered cross pairs, and a hard cap on total
-moves turns a stuck seed into a BudgetExceededError, on which
-``build_gdd`` retries the next seed.  The climb runs on the type a third
-the size when one exists (``_climbed_type``), then inflates it by 3.
-Every route lays its groups out as ``canonical_groups`` of the type, which
-``build_gdd`` checks.  This layer does no I/O.
+z = x + y mod w; td3(w) is a single block inflated by w.  ``_closed_form``
+names the types these reach; every type a build composes from is one.  Any
+other type goes to Stinson's live-point hill climb: each move costs O(1)
+and adds 0 or 3 covered cross pairs, and a hard cap on total moves turns a
+stuck seed into a BudgetExceededError, on which ``build_gdd`` retries the
+next seed.  The climb runs on the type a third the size when one exists
+(``_climbed_type``), then inflates it by 3.  Every route lays its groups
+out as ``canonical_groups`` of the type, which ``build_gdd`` checks.
+This layer does no I/O.
 """
 
 from __future__ import annotations
@@ -365,19 +365,13 @@ def _climbed_type(group_type: GroupType) -> tuple[GroupType, int]:
     return group_type, 1
 
 
-def climbs(group_type: GroupType) -> bool:
-    """Whether ``build_gdd`` realises the type by the hill climb, so that
-    the result depends on the seed."""
-    return _closed_form(group_type) is None
-
-
 def build_gdd(req: GddRequest) -> Gdd:
     """Realise the requested group type, verified, via the cheapest route.
 
-    A type that ``climbs`` rejects is a single part g^u, u >= 3, built in
-    closed form with ``seed`` None: the Bose type-3^u GDD inflated by g/3
-    when u is odd and 3 | g, else (g even, u != 2 (mod 3)) an STS(2u + 1)
-    minus a point inflated by g/2.  Any other type comes from the hill
+    A type ``_closed_form`` accepts is a single part g^u, u >= 3, built
+    with ``seed`` None: the Bose type-3^u GDD inflated by g/3 when u is odd
+    and 3 | g, else (g even, u != 2 (mod 3)) an STS(2u + 1) minus a point
+    inflated by g/2.  Any other type comes from the hill
     climb, which checks ``necessary_conditions`` (a closed type always
     meets them), tried on CLIMB_ATTEMPTS consecutive seeds from
     ``req.seed``, on the type ``_climbed_type`` names, inflated back (12^u

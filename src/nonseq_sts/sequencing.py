@@ -109,8 +109,12 @@ def find_admissible_sequence(
 
     Segment contents are tracked as prefix bitmasks, so each check is one
     subtraction plus a memoized partition decision.  The prefix is its own
-    backtracking stack, so no order meets Python's recursion limit.
+    backtracking stack, so no order meets Python's recursion limit.  A
+    ``node_budget`` that is not an ``int`` of at least 0 is a ValueError
+    before any search.
     """
+    if type(node_budget) is not int or node_budget < 0:
+        raise ValueError(f"node_budget must be an int >= 0, got {node_budget!r}")
     policy = SegmentPolicy(policy)
     n = d.n
     if n <= 1:

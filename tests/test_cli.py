@@ -50,22 +50,18 @@ class TestBuild:
         assert code == 0
         assert kv["BLOCKS"] == "25"
 
-    def test_build_names_the_seed_used(self, capsys, tmp_path, monkeypatch):
-        from nonseq_sts import BudgetExceededError
-        from nonseq_sts import gdd as gdd_module
-
-        real_climb = gdd_module.hill_climb_gdd
-
-        def climb_failing_first_seed(req, **kwargs):
-            if req.seed == 2:
-                raise BudgetExceededError("forced failure")
-            return real_climb(req, **kwargs)
-
-        monkeypatch.setattr(gdd_module, "hill_climb_gdd", climb_failing_first_seed)
-        code, kv = run_cli(capsys, "build", 67, "--seed", 2, "--out", tmp_path / "sts-67.json")
-        expected = "gdd-fill(n=67, type=3:12^4+18^1, seed=3 (requested 2))"
-        assert code == 0 and kv["PROVENANCE"] == expected
-        assert json.loads((tmp_path / "sts-67.json").read_text())["provenance"] == expected
+    @pytest.mark.parametrize(
+        "argv", [["build", "67", "--seed", "2"], ["catalog", "--max", "13", "--seed", "2"]], ids=["build", "catalog"]
+    )
+    def test_seed_is_no_longer_an_option(self, capsys, tmp_path, argv):
+        """No build reads a seed, so neither command takes one."""
+        out = ["--out", str(tmp_path / "sts-67.json")] if argv[0] == "build" else ["--dir", str(tmp_path / "d")]
+        argv = argv + out
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv,written",

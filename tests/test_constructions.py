@@ -8,8 +8,10 @@ import pytest
 from nonseq_sts import (
     CertificationError,
     CyclicGroup,
+    Design,
     DesignDocument,
     GroupType,
+    NonseqCertificate,
     ProductGroup,
     base_case,
     certified_psts,
@@ -109,14 +111,21 @@ class TestCertifiedSts:
         assert len(cd.certificate) == 37
         assert verify_certificate(cd.design, cd.certificate)
 
-    @pytest.mark.parametrize("seed", [0, 10])
-    def test_order67_mixed_type(self, seed):
-        cd = certified_sts(67, seed=seed)
+    def test_order67_has_a_seven_point_hole(self):
+        """12^5 on 0..59 and the hole 60..66, which carries the Fano plane
+        once; each group plus the hole carries an STS(19)."""
+        cd = certified_sts(67)
         assert cd.design.size == 737 == 67 * 66 // 6
         assert validate_sts(cd.design).ok
         assert len(cd.certificate) == 67
         assert verify_certificate(cd.design, cd.certificate)
-        assert "12^4+18^1" in cd.provenance
+        assert cd.provenance == "gdd-fill(n=67, type=3:12^5, hole=7)"
+        hole = set(range(60, 67))
+        assert sum(set(blk) <= hole for blk in cd.design.blocks) == 7
+        for i in range(5):
+            label = {p: k for k, p in enumerate([*range(12 * i, 12 * i + 12), *sorted(hole)])}
+            inside = [[label[p] for p in blk] for blk in cd.design.blocks if set(blk) <= label.keys()]
+            assert validate_sts(Design.from_blocks(19, inside))
 
     @pytest.mark.parametrize(
         "n,provenance",
@@ -125,16 +134,16 @@ class TestCertifiedSts:
             (61, "gdd-fill(n=61, type=3:12^5)"),
             (49, "gdd-fill(n=49, type=3:12^4)"),
             (73, "gdd-fill(n=73, type=3:12^6)"),
-            (55, "gdd-fill(n=55, type=3:18^3)"),
             (97, "gdd-fill(n=97, type=3:24^4)"),
-            (67, "gdd-fill(n=67, type=3:12^4+18^1, seed=2)"),
-            (79, "gdd-fill(n=79, type=3:18^3+24^1, seed=2)"),
+            (55, "gdd-fill(n=55, type=3:12^4, hole=7)"),
+            (67, "gdd-fill(n=67, type=3:12^5, hole=7)"),
+            (79, "gdd-fill(n=79, type=3:12^6, hole=7)"),
+            (103, "gdd-fill(n=103, type=3:24^4, hole=7)"),
         ],
     )
-    def test_provenance_names_a_seed_only_when_the_climb_ran(self, n, provenance):
-        """The Bose route (12^3, 12^5, 18^3) and an STS minus a point (12^4,
-        12^6, 24^4) use no seed; the master climbs (4^4 6^1 for 12^4 18^1,
-        6^3 8^1 for 18^3 24^1) do."""
+    def test_provenance_names_the_type_and_a_seven_point_hole(self, n, provenance):
+        """A one-point hole (n = 1 mod 12) is not named; no provenance
+        names a seed."""
         assert certified_sts(n, seed=2).provenance == provenance
 
     def test_order7_rejected(self):
@@ -146,14 +155,12 @@ class TestCertifiedSts:
         with pytest.raises(ValueError):
             certified_sts(n)
 
-    def test_seed_determinism(self):
-        a = certified_sts(67, seed=3)
-        b = certified_sts(67, seed=3)
-        assert a.design == b.design and a.certificate == b.certificate
-        assert a.design != certified_sts(67, seed=4).design
+    @pytest.mark.parametrize("n", [37, 67, 103])
+    def test_the_seed_is_ignored(self, n):
+        assert certified_sts(n, seed=3) == certified_sts(n, seed=4) == certified_sts(n)
 
-    # Bose 12^3, 12^5 and 18^3, STS minus a point 12^4, 12^6 and 24^4, climbed 12^4 18^1
-    @pytest.mark.parametrize("n", [37, 61, 55, 49, 73, 97, 67])
+    # Bose 12^3 and 12^5, STS minus a point 12^4, 12^6 and 24^4; with a 7-point hole 12^4, 12^5, 24^4
+    @pytest.mark.parametrize("n", [37, 61, 49, 73, 97, 55, 67, 103])
     def test_certificate_classes_are_canonical(self, n):
         """The fill relabeling is increasing, so composed class blocks are
         sorted triples of the design without any re-sort.  ``verify_apc``
@@ -184,87 +191,76 @@ class TestCertifiedSts:
                 assert same_fill == inside
 
 
-CLIMBED_ORDERS = (
-    67, 79, 103, 115, 139, 175, 187, 223, 247, 259, 283, 319, 355, 367, 403, 427, 439, 475, 499,
-    535, 583, 607, 619, 643, 655, 679, 727, 763, 787, 823, 835, 859, 895, 907, 943, 979, 1003,
-)
-
-
-def test_each_order_takes_the_first_closed_uniform_starter_type():
-    """Over every composed order up to 1009 the type is the first g^u,
-    g + 1 a starter order, that is closed form, else the mixed type; only
-    the listed 37 orders climb."""
-    climbed = []
+def test_each_order_follows_the_rule():
+    """Over every composed order up to 1009 the type is 12^t, t = (n - h)/12
+    with the hole h = 1 or 7, or 24^(t/2) when t = 2 (mod 6); every one is
+    closed form."""
     for n in range(13, 1010, 6):
         if n in BASE_ORDERS:
             continue
-        uniform = [GroupType.of((g, (n - 1) // g)) for g in (12, 18, 24, 30, 42) if (n - 1) % g == 0]
-        closed = [t for t in uniform if not gdd_module.climbs(t)]
-        if closed:
-            assert _composed_type(n) == closed[0], n
-        else:
-            mixed = ((18, (n - 25) // 18), (24, 1)) if n % 36 == 7 else ((12, (n - 19) // 12), (18, 1))
-            assert _composed_type(n) == GroupType.of(*mixed), n
-            climbed.append(n)
-        assert gdd_module.climbs(_composed_type(n)) == (not closed), n
-    assert tuple(climbed) == CLIMBED_ORDERS
-    assert [_composed_type(n).key() for n in (55, 97, 151, 295)] == ["3:18^3", "3:24^4", "3:30^5", "3:42^7"]
+        h = 1 if n % 12 == 1 else 7
+        t = (n - h) // 12
+        expected = GroupType.of((24, t // 2)) if t % 6 == 2 else GroupType.of((12, t))
+        assert _composed_type(n) == (expected, h) and expected.total_points == n - h, n
+        assert gdd_module._closed_form(expected) is not None, n
 
 
-def test_only_the_listed_orders_climb(monkeypatch):
-    """A spy on the hill climb over every composed order up to 300: a
-    listed order asks only for its master, on (n - 1)/3 points, and every
-    other order asks for nothing."""
-    real_climb = gdd_module.hill_climb_gdd
+def test_no_order_climbs(monkeypatch):
+    """A spy on the hill climb over every composed order up to 301 sees no
+    call, and no provenance names a seed."""
     asked = []
-
-    def climb(req):
-        asked.append(req.group_type)
-        return real_climb(req)
-
-    monkeypatch.setattr(gdd_module, "hill_climb_gdd", climb)
-    for n in range(13, 301, 6):
+    monkeypatch.setattr(gdd_module, "hill_climb_gdd", asked.append)
+    for n in range(37, 302, 6):
         if n in BASE_ORDERS:
             continue
-        del asked[:]
         cd = certified_sts(n)
         assert validate_sts(cd.design) and verify_certificate(cd.design, cd.certificate), n
-        if n in CLIMBED_ORDERS:
-            assert asked and {t.total_points for t in asked} == {(n - 1) // 3}, n
-        else:
-            assert asked == [], n
+        assert "seed" not in cd.provenance, n
+    assert asked == []
+
+
+@pytest.mark.parametrize("g", [12, 24])
+def test_each_hole_fill_is_certified(g):
+    """The fill is an STS(g + 7) whose last 7 points carry the Fano plane,
+    P partitions 0..g-1 into its blocks, and each class verifies."""
+    blocks, classes, part = constructions._fill(g, 7)
+    fill = Design(g + 7, blocks)
+    assert validate_sts(fill)
+    fano = {tuple(sorted(g + (i + k) % 7 for k in (0, 1, 3))) for i in range(7)}
+    assert {blk for blk in blocks if blk[0] >= g} == fano
+    assert part <= fill.block_set and sorted(p for blk in part for p in blk) == list(range(g))
+    assert len(classes) == g + 7
+    certificate = NonseqCertificate({p: AlmostParallelClass(cls, p) for p, cls in enumerate(classes)})
+    assert verify_certificate(fill, certificate)
+
+
+@pytest.mark.parametrize("g,n", [(12, 55), (24, 103)])
+def test_a_fill_class_with_a_missing_block_is_refused(g, n, monkeypatch):
+    """Swap two points between blocks of point 0's class: the class still
+    misses 0 and covers the rest, but uses triples that are no blocks."""
+    blocks, part, classes = constructions._HOLE_FILLS[g]
+    w = g + 6
+    first = classes[:w]
+    mutated = first[:2] + first[3] + first[2] + first[4:]
+    assert set(mutated) == set(first) and mutated != first
+    monkeypatch.setitem(constructions._HOLE_FILLS, g, (blocks, part, mutated + classes[w:]))
+    with pytest.raises(RuntimeError, match=f"composed certificate of order {n} does not verify"):
+        certified_sts(n)
 
 
 @pytest.mark.skipif(os.environ.get("NONSEQ_STS_LONG") != "1", reason="long; set NONSEQ_STS_LONG=1 to run")
-def test_large_closed_form_orders_name_no_seed():
-    for n, key in ((985, "3:12^82"), (1009, "3:12^84"), (889, "3:24^37"), (961, "3:24^40")):
+def test_large_orders():
+    cases = (
+        (985, "3:12^82"), (1009, "3:12^84"), (889, "3:24^37"), (961, "3:24^40"),
+        (943, "3:12^78, hole=7"), (967, "3:24^40, hole=7"), (979, "3:12^81, hole=7"), (1003, "3:12^83, hole=7"),
+    )
+    for n, key in cases:
         cd = certified_sts(n)
         assert cd.provenance == f"gdd-fill(n={n}, type={key})"
         assert validate_sts(cd.design) and verify_certificate(cd.design, cd.certificate)
     cd = certified_psts(985, 328)
     assert cd.certificate == certified_sts(985).certificate
     assert cd.design.size == 985 * 984 // 6 - 328 and validate_psts(cd.design)
-
-
-@pytest.mark.skipif(os.environ.get("NONSEQ_STS_LONG") != "1", reason="long; set NONSEQ_STS_LONG=1 to run")
-def test_large_orders_7_mod_36_climb_a_master():
-    for n, key in ((943, "3:18^51+24^1"), (979, "3:18^53+24^1")):
-        cd = certified_sts(n)
-        assert cd.provenance.startswith(f"gdd-fill(n={n}, type={key}, seed=")
-        assert validate_sts(cd.design) and verify_certificate(cd.design, cd.certificate)
-
-
-def count_climbs(monkeypatch) -> list:
-    """Spy on the hill climb: the returned list collects every seed it is asked for."""
-    real_climb = gdd_module.hill_climb_gdd
-    seeds = []
-
-    def climb(req):
-        seeds.append(req.seed)
-        return real_climb(req)
-
-    monkeypatch.setattr(gdd_module, "hill_climb_gdd", climb)
-    return seeds
 
 
 def tree(root) -> list:
@@ -275,31 +271,30 @@ class TestCacheDirIsIgnored:
     """``cache_dir`` is still accepted, because callers pass it, but no build
     reads or writes anything there: every call composes its design afresh."""
 
-    @pytest.mark.parametrize("n", [67, 55, 37])  # climbed 12^4 18^1, closed 18^3, Bose 12^3
+    @pytest.mark.parametrize("n", [67, 97, 37])  # 12^5 with a 7-point hole, 24^4, Bose 12^3
     def test_a_build_writes_nothing(self, tmp_path, n):
         assert certified_sts(n, seed=5, cache_dir=tmp_path) == certified_sts(n, seed=5)
         assert tree(tmp_path) == []
 
-    @pytest.mark.parametrize("kind", ["another seed's design", "broken JSON", "a directory"])
-    def test_a_file_at_the_old_cache_name_is_neither_read_nor_changed(self, tmp_path, monkeypatch, kind):
-        """Order 67 climbs.  Seed 1's design is a certified STS(67) too, so a
-        build that read the planted file would return it; every build climbs
-        seed 0 instead and leaves the file as it was."""
+    @pytest.mark.parametrize("kind", ["another design", "broken JSON", "a directory"])
+    def test_a_file_at_the_old_cache_name_is_neither_read_nor_changed(self, tmp_path, kind):
+        """The planted design is an STS(67) too, the built one with points 0
+        and 66 swapped, so a build that read the file would return it; every
+        build composes afresh and leaves the file as it was."""
         uncached = certified_sts(67)
         path = tmp_path / "sts-67-seed0-f4.json"
-        if kind == "another seed's design":
-            other = certified_sts(67, seed=1).design
-            assert other != uncached.design
+        if kind == "another design":
+            swap = {0: 66, 66: 0}
+            other = Design.from_blocks(67, [[swap.get(p, p) for p in blk] for blk in uncached.design.blocks])
+            assert other != uncached.design and validate_sts(other)
             DesignDocument(other, provenance=uncached.provenance).save(path)
         elif kind == "broken JSON":
             path.write_text("{ not json", encoding="utf-8")
         else:
             path.mkdir()
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-        seeds = count_climbs(monkeypatch)
         assert certified_sts(67, cache_dir=tmp_path) == uncached
         assert certified_sts(67, cache_dir=tmp_path) == uncached
-        assert seeds == [0, 0]
         assert tree(tmp_path) == [path.name]
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
@@ -310,16 +305,14 @@ class TestCacheDirIsIgnored:
         assert certified_psts(67, 3, cache_dir=blocker / "cache") == certified_psts(67, 3)
         assert tree(tmp_path) == ["file"]
 
-    def test_a_partial_system_builds_its_parent_afresh(self, tmp_path, monkeypatch):
+    def test_a_partial_system_builds_its_parent_afresh(self, tmp_path):
         uncached = certified_psts(67, 2)
-        seeds = count_climbs(monkeypatch)
         assert certified_psts(67, 2, cache_dir=tmp_path) == uncached
         assert certified_psts(67, 2, cache_dir=tmp_path) == uncached
-        assert seeds == [0, 0]
         assert tree(tmp_path) == []
 
 
-UNUSED_BLOCK_CASES =[(n, a) for n in (19, 25, 31, 37, 43, 49, 55, 79) for a in range((n - 1) // 3 + 1)]
+UNUSED_BLOCK_CASES = [(n, a) for n in (19, 25, 31, 37, 43, 49, 55, 67, 79, 103) for a in range((n - 1) // 3 + 1)]
 CRITERION_5_CASES = [(n, a) for n in (13, 19, 37) for a in range((n - 1) // 3 + 1)]
 NON_INT_CASES = [(13.0, 0, 0), (19, True, 0), (19, 2.0, 0), (True, 0, 0), ("19", 1, 0), (37.0, None, 0)] + [
     (103, None, "2"), (37, None, "2"), (103, None, 1.5), (37, None, True), (19, 2, "2"), (67, 2, 1.0)
@@ -369,8 +362,8 @@ class TestCertifiedPsts:
     def test_unused_blocks_go_and_the_certificate_stays(self, n, a, monkeypatch):
         """Every order but 13 has at least (n-1)/3 blocks in no entry:
         deleting them keeps the parent certificate and searches nothing.
-        Order 19 leaves an orbit unused, 55 and 79 their GDD blocks beside
-        18- and 24-group fills."""
+        Order 19 leaves an orbit unused, a composed order its GDD blocks,
+        beside one-point fills (37, 49) or 7-point holes (55, 67, 79, 103)."""
         monkeypatch.setattr(exact_cover, "_first_partition", no_search)
         parent = certified_sts(n)
         cd = certified_psts(n, a)
@@ -402,7 +395,7 @@ class TestCertifiedPsts:
     )
     def test_non_int_arguments_are_refused_first(self, n, a, seed, monkeypatch):
         """A non-int order, a or seed (float, bool, str) is a ValueError
-        before any build, at closed-form orders too, which read no seed."""
+        before any build, although no build reads the seed."""
 
         def no_build(*args, **kwargs):
             raise AssertionError("built a design")

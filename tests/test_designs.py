@@ -227,6 +227,15 @@ class TestVerifyCertificate:
         assert not rep
         assert rep.detail == "entry 0: class misses 1"
 
+    @pytest.mark.parametrize("key", ["5", 5.5, None, (5,)], ids=repr)
+    def test_a_key_that_is_not_an_int_fails_as_a_report(self, sts13, sts13_certificate, key):
+        """A certificate read from JSON by hand may be keyed by strings;
+        the report names the entry instead of ``sorted`` raising."""
+        entries = dict(sts13_certificate.entries)
+        entries[key] = entries.pop(5)
+        rep = verify_certificate(sts13, NonseqCertificate(entries))
+        assert (rep.ok, rep.category, rep.detail) == (False, "certificate", f"entry {key!r}: key is not an int point")
+
     def test_lowest_failing_entry_is_named(self, sts13, sts13_certificate):
         entries = dict(reversed(sts13_certificate.entries.items()))  # entry 9 is checked before 3 unless sorted
         for missed in (9, 3):

@@ -183,11 +183,11 @@ class TestNecessaryConditions:
         assert drawn == []
 
     def test_every_type_a_route_uses_passes(self):
-        """The paper's composed types and the masters they climb, and the
+        """Every composed type and the type a third its size, and the
         closed-form masters: Bose 3^u (odd u), an STS minus a point 2^u
         (u != 2 mod 3) and td3's 1^3."""
         for n in range(55, 1010, 6):
-            group_type = _composed_type(n)
+            group_type, _h = _composed_type(n)
             assert necessary_conditions(group_type), n
             climbed, _w = gdd_module._climbed_type(group_type)
             assert necessary_conditions(climbed), n
@@ -298,7 +298,7 @@ class TestBuildGdd:
         for u in range(3, 15):
             group_type = GroupType.of((g, u))
             closed = (u % 2 == 1 and g % 3 == 0) or u % 3 != 2
-            assert gdd_module.climbs(group_type) is not closed
+            assert (gdd_module._closed_form(group_type) is not None) is closed
             if closed:
                 built = build_gdd(GddRequest(group_type, seed=5))
                 assert built.seed is None
@@ -315,7 +315,7 @@ class TestBuildGdd:
         ids=lambda parts: "+".join(f"{s}^{c}" for s, c in parts),
     )
     def test_a_climbed_type_records_its_seed(self, parts):
-        assert gdd_module.climbs(GroupType.of(*parts))
+        assert gdd_module._closed_form(GroupType.of(*parts)) is None
         built = build_gdd(GddRequest(GroupType.of(*parts), seed=5))
         assert 5 <= built.seed < 5 + gdd_module.CLIMB_ATTEMPTS
 

@@ -30,7 +30,7 @@ from nonseq_sts import (
     verify_certificate,
 )
 
-from nonseq_sts import exact_cover
+from nonseq_sts import exact_cover, sequencing
 from nonseq_sts.exact_cover import _first_partition
 from oracles import admissible_by_enumeration, plain_sequence_search
 from reference_systems import STS7_BLOCKS
@@ -203,6 +203,19 @@ class TestFindAdmissibleSequence:
             find_admissible_sequence(sts7, node_budget=1)
         assert (info.value.used, info.value.budget) == (1, 1)
         assert str(info.value) == "sequence search exceeded its budget of 1 nodes"
+
+    @pytest.mark.parametrize("budget", [13.0, True, -1, "13", None], ids=repr)
+    def test_a_budget_that_is_not_an_int_of_at_least_0_is_refused_first(self, sts7, budget, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(sequencing, "_first_partition", no_search)
+        monkeypatch.setattr(sequencing, "_class_candidates", no_search)
+        with pytest.raises(ValueError, match="node_budget must be an int >= 0"):
+            find_admissible_sequence(sts7, node_budget=budget)
+
+    def test_a_budget_of_0_is_accepted(self):
+        assert find_admissible_sequence(Design.from_blocks(1, []), node_budget=0) == (0,)
 
     @pytest.mark.parametrize("policy", BOTH_POLICIES)
     def test_self_consistency(self, sts7, policy):
