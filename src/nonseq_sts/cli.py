@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from .constructions import certified_psts, certified_sts
-from .designs import validate_psts, validate_sts, verify_certificate
+from .designs import ComposedEntries, validate_psts, validate_sts, verify_certificate
 from .documents import DesignDocument
 from .exact_cover import BudgetExceededError
 from .sequencing import (
@@ -69,6 +69,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         cert_ok = bool(rep)
         _emit("CERTIFICATE", "ok" if rep else f"fail ({rep.detail})")
         _emit("ENTRIES", len(doc.certificate))
+        _emit("CERTIFICATE_FORM", "composed" if isinstance(doc.certificate.entries, ComposedEntries) else "flat")
     ok = bool(psts) and cert_ok
     _emit("VERDICT", "pass" if ok else "fail")
     return 0 if ok else 1

@@ -12,9 +12,10 @@ Larger orders are composed (``_compose``): a closed-form 3-GDD of type
 n = 1 (mod 12) and 7 otherwise, t = (n - h)/12.  Each group plus the hole
 is filled with an STS(g + h) whose hole carries a subsystem: the starter of
 order g + 1, or an STS(g + 7) with the Fano plane on its hole
-(``_HOLE_FILLS``).  Certificates compose from the fills' classes.  Nothing
-is trusted: every composed design is re-validated and every certificate
-re-verified before being returned.
+(``_HOLE_FILLS``).  The certificate is held as this structure
+(``ComposedEntries``), O(sum g^2) blocks.  Nothing is trusted: every
+composed design is re-validated and every certificate re-verified before
+being returned.
 
 A partial system deletes blocks that no certificate entry uses first (the
 GDD blocks, say) and keeps the parent entries that avoid them: no search.
@@ -28,6 +29,7 @@ from typing import Iterator
 from .designs import (
     AlmostParallelClass,
     Block,
+    ComposedEntries,
     Design,
     GroupType,
     NonseqCertificate,
@@ -36,7 +38,7 @@ from .designs import (
     verify_certificate,
 )
 from .differences import AbelianGroup, CyclicGroup, ProductGroup, complete_base_blocks, develop, translate_apc
-from .gdd import GddRequest, build_gdd, canonical_groups
+from .gdd import _closed_form, canonical_groups, inflate
 from .sequencing import CertificationError
 
 
@@ -210,34 +212,36 @@ def _composed_type(n: int) -> tuple[GroupType, int]:
 
 
 def _compose(group_type: GroupType, h: int) -> CertifiedDesign:
-    """Adjoin a hole of h points to the uniform GDD and fill each group G_i
-    plus the hole with ``_fill``.  With P_i the relabeled P, y in G_i takes
-    fill i's class missing y and every P_j, j != i; a hole point takes fill
-    0's class missing it and every P_j, j != 0.  This verifies the fills'
-    classes."""
+    """Adjoin a hole H of h points to the GDD ``inflate(master(), w)`` of
+    ``_closed_form`` and fill each group G_i plus H with ``_fill``.  The
+    certificate is ``ComposedEntries``: P_i is the relabeled P, and y in
+    G_i owns fill i's class missing y; a hole point owns fill 0's.
+
+    The GDD gets no check of its own: the fills cover exactly the pairs
+    inside each G_i + H, so if the whole is an STS (the final
+    ``validate_sts``), the GDD blocks cover each pair across two groups
+    once and no other pair: a GDD of the type."""
     g = group_type.parts[0][0]
     n = group_type.total_points + h
     fill, classes, part = _fill(g, h)
     inner = [blk for blk in fill if blk[0] < g]  # the blocks outside the hole
-    hole = list(range(n - h, n))
-    labels = [[*grp, *hole] for grp in canonical_groups(group_type)]  # increasing, so blocks stay sorted
+    hole = tuple(range(n - h, n))
+    groups = canonical_groups(group_type)
 
     def relabel(label, blks):
-        return frozenset((label[a], label[b], label[c]) for a, b, c in blks)
+        return ((label[a], label[b], label[c]) for a, b, c in blks)
 
-    parts = [relabel(label, part) for label in labels]
-    every = frozenset().union(*parts)
-    blocks = []
-    entries = {}
-    for i, label in enumerate(labels):  # group 0's fill brings the hole's blocks and classes
-        blocks.extend((label[a], label[b], label[c]) for a, b, c in (fill if i == 0 else inner))
-        others = every - parts[i]
+    blocks, parts, own = [], [], {}
+    for i, group in enumerate(groups):  # group 0's fill brings the hole's blocks and classes
+        label = (*group, *hole)  # increasing, so blocks stay sorted
+        blocks.extend(relabel(label, fill if i == 0 else inner))
+        parts.append(frozenset(relabel(label, part)))
         for y in range(g + h if i == 0 else g):
-            entries[label[y]] = AlmostParallelClass(relabel(label, classes[y]) | others, label[y])
-    cert = NonseqCertificate(entries)
+            own[label[y]] = i, frozenset(relabel(label, classes[y]))
+    cert = NonseqCertificate(ComposedEntries(hole, groups, tuple(parts), own))
 
-    gdd = build_gdd(GddRequest(group_type))
-    design = Design(n, tuple(sorted(blocks + list(gdd.design.blocks))))  # every triple is increasing
+    master, w = _closed_form(group_type)
+    design = Design(n, tuple(sorted(blocks + list(inflate(master(), w).design.blocks))))  # every triple is increasing
     rep = validate_sts(design)
     if not rep:
         raise RuntimeError(f"internal error: composed design of order {n} is invalid ({rep})")
@@ -272,8 +276,10 @@ def certified_psts(n: int, a: int, seed: int = 0, cache_dir=None) -> CertifiedDe
     ``certified_sts(n)``.  The first ``a`` blocks in sorted order go,
     blocks in no certificate entry first, and the parent entries that avoid
     them are kept, as classes of the smaller design: nothing is searched.
-    Every order but 13 has (n-1)/3 unused blocks and keeps every entry; 13
-    has one class per point, so a search could add none.  Under n-1 kept
+    Every order but 13 has (n-1)/3 unused blocks and keeps the parent
+    certificate, a composed one as its structure, which also names the
+    used blocks; 13 has one class per point, so a search could add none.
+    Under n-1 kept
     entries raise ``CertificationError``.  The result is re-validated and
     re-verified.  ``seed`` and ``cache_dir`` are accepted and ignored."""
     if type(n) is not int or type(a) is not int or type(seed) is not int:
@@ -281,10 +287,15 @@ def certified_psts(n: int, a: int, seed: int = 0, cache_dir=None) -> CertifiedDe
     if not 0 <= a <= (n - 1) // 3:
         raise ValueError(f"a must be between 0 and (n-1)/3 = {(n - 1) // 3}, got {a}")
     certified = certified_sts(n)
-    entries = certified.certificate.entries
-    used = frozenset().union(*(apc.blocks for apc in entries.values()))
+    cert = certified.certificate
+    entries = cert.entries
+    if isinstance(entries, ComposedEntries):
+        used = frozenset().union(*entries.parts, *(blks for _, blks in entries.own.values()))
+    else:
+        used = frozenset().union(*(apc.blocks for apc in entries.values()))
     removed = set(sorted(certified.design.blocks, key=used.__contains__)[:a])
-    cert = NonseqCertificate({p: apc for p, apc in entries.items() if removed.isdisjoint(apc.blocks)})
+    if not removed.isdisjoint(used):
+        cert = NonseqCertificate({p: apc for p, apc in entries.items() if removed.isdisjoint(apc.blocks)})
     if len(cert) < n - 1:
         raise CertificationError(p for p in range(n) if p not in cert.entries)
     design = Design(n, tuple(blk for blk in certified.design.blocks if blk not in removed))

@@ -29,11 +29,12 @@ names the first failure.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from operator import add, itemgetter, lt, mul, ne
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 Block = tuple[int, int, int]
 
@@ -213,13 +214,34 @@ class NonseqCertificate:
     A verified certificate witnesses that the design is nonsequenceable:
     any ordering of the points has either its first or its last point
     missed by some entry, and that entry's blocks partition the remaining
-    n-1 points, a proper segment.
+    n-1 points, a proper segment.  ``entries`` is a dict (the flat form)
+    or a ``ComposedEntries``.
     """
 
     entries: Mapping[int, AlmostParallelClass]
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+class ComposedEntries(Mapping):
+    """A composed certificate's entries as its structure: the hole H, the
+    groups G_i, ``parts[i]`` partitioning G_i into blocks, and ``own[y] =
+    (i, blocks)``, y's home group and a class partitioning (G_i + H) - {y}.
+    Entry y, own(y) and every ``parts[j]``, j != i, is built per lookup."""
+
+    def __init__(self, hole: tuple[int, ...], groups: tuple, parts: tuple, own: dict):
+        self.hole, self.groups, self.parts, self.own = hole, groups, parts, own
+
+    def __getitem__(self, y: int) -> AlmostParallelClass:
+        i, blocks = self.own[y]
+        return AlmostParallelClass(blocks.union(*self.parts[:i], *self.parts[i + 1 :]), y)
+
+    def __iter__(self):
+        return iter(self.own)
+
+    def __len__(self) -> int:
+        return len(self.own)
 
 
 def _pair_incidence(d: Design, gid: list[int] | None = None) -> tuple[ValidationReport, set[int]]:
@@ -353,20 +375,59 @@ def verify_apc(d: Design, apc: AlmostParallelClass) -> ValidationReport:
 
 
 def verify_certificate(d: Design, cert: NonseqCertificate) -> ValidationReport:
-    """Check that the certificate has >= n-1 entries, each a valid almost
-    parallel class of ``d`` missing exactly its key point.  A failure's
-    detail names the entry count, a key that is not an ``int``, or the
-    lowest failing entry and why it fails: ``entry k: class misses m`` or
-    ``entry k: <verify_apc detail>``."""
-    if len(cert.entries) < d.n - 1:
-        return ValidationReport.failed("certificate", f"{len(cert.entries)} entries, need at least {d.n - 1}")
-    for key in cert.entries:
+    """Check that n >= 2 (every sequence of fewer points is admissible) and
+    that the certificate has >= n-1 entries, each a valid almost parallel
+    class of ``d`` missing exactly its key point.  A failure's detail names
+    the order, the entry count, a key that is not an ``int``, or the lowest
+    failing entry and why it fails: ``entry k: class misses m`` or
+    ``entry k: <verify_apc detail>``.
+
+    A ``ComposedEntries`` is checked as its structure, in O(sum g_i^2): H
+    and the groups partition 0..n-1, each part is design blocks
+    partitioning its group, and each own(y) design blocks partitioning
+    (G_i + H) - {y}.  Then every entry is a class.  A failure names the
+    partition, ``part j`` or ``entry y``."""
+    entries = cert.entries
+    if d.n < 2:
+        return ValidationReport.failed("certificate", f"order {d.n} < 2: every sequence is admissible")
+    if len(entries) < d.n - 1:
+        return ValidationReport.failed("certificate", f"{len(entries)} entries, need at least {d.n - 1}")
+    for key in entries:
         if type(key) is not int:
             return ValidationReport.failed("certificate", f"entry {key!r}: key is not an int point")
-    for missed, apc in sorted(cert.entries.items()):
+    if isinstance(entries, ComposedEntries):
+        return _verify_composed(d, entries)
+    for missed, apc in sorted(entries.items()):
         if apc.missed != missed:
             return ValidationReport.failed("certificate", f"entry {missed}: class misses {apc.missed}")
         rep = verify_apc(d, apc)
         if not rep:
             return ValidationReport.failed("certificate", f"entry {missed}: {rep.detail}")
+    return ValidationReport.passed()
+
+
+def _verify_composed(d: Design, c: ComposedEntries) -> ValidationReport:
+    points = [*c.hole, *chain.from_iterable(c.groups)]
+    if len(points) != d.n or set(points) != set(range(d.n)):
+        return ValidationReport.failed("certificate", f"the hole and the groups do not partition 0..{d.n - 1}")
+    if len(c.parts) != len(c.groups):
+        return ValidationReport.failed("certificate", f"{len(c.parts)} parts for {len(c.groups)} groups")
+    claims = [(f"part {j}", part, set(c.groups[j])) for j, part in enumerate(c.parts)]
+    hole = set(c.hole)
+    for y, (i, own) in sorted(c.own.items()):
+        if type(i) is not int or not 0 <= i < len(c.groups) or y not in hole.union(c.groups[i]):
+            return ValidationReport.failed("certificate", f"entry {y}: {y} is in neither group {i!r} nor the hole")
+        claims.append((f"entry {y}", own, hole.union(c.groups[i]) - {y}))
+    for name, blocks, want in claims:
+        bad = next((blk for blk in blocks if blk not in d.block_set), None)
+        covered = set(chain.from_iterable(blocks))
+        if bad is not None:
+            why = f"{bad} is not a block of the design"
+        elif len(covered) != 3 * len(blocks):
+            why = "two of its blocks meet"
+        elif covered != want:
+            why = f"it covers {min(covered - want)}, outside its points" if covered - want else f"it misses {min(want - covered)}"
+        else:
+            continue
+        return ValidationReport.failed("certificate", f"{name}: {why}")
     return ValidationReport.passed()

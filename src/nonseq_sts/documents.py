@@ -14,25 +14,27 @@ Schema (version 1):
       "provenance": "base-case(13)"
     }
 
+A composed certificate (``ComposedEntries``) is an object instead, its
+structure: ``{"hole": [...], "groups": [{"points": [...], "part":
+[blocks]}, ...], "classes": [{"missed": y, "group": i, "blocks": [...]},
+...]}``.
+
 ``DesignDocument._fields`` is the one statement of this layout: the field
 order, the optional fields left out, and each list field's elements.
 ``to_dict`` collects it into a dict.  ``save`` streams it as one line per
 scalar field and one per element of each list field (block, label,
-certificate entry), an empty list written ``[]`` on its key's line.  The
-lines come straight from the design and the certificate, never through
-``to_dict``: blocks, which ``Design`` holds as sorted ``int`` triples,
-are written by one format string over the sorted block tuples, the text
-``json.dumps`` writes; any other line, a certificate entry too, is one
-``json.dumps``.  Indented files from older versions load the same.
+certificate entry, group), an empty list written ``[]`` on its key's line,
+and an object's fields after its key's line.  The lines come straight from
+the design and the certificate, never through ``to_dict``: blocks are
+written by one format string, the text ``json.dumps`` writes; any other
+line is one ``json.dumps``.
 
 Loading performs structural validation only (shapes, ranges, types, by
 the rule ``Design`` enforces); semantic validation is the verifiers' job so
 that a broken design can be loaded and then reported on; a certificate
 entry that lists a block twice is refused, as it would otherwise fold
 away.  Every JSON file is read by ``read_json`` and written by
-``replace_file``.  ``load`` pauses the cyclic garbage collector: the
-lists and tuples it allocates hold no cycles, yet at order 493 they set off
-about 350 collections per load.
+``replace_file``.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .designs import AlmostParallelClass, Design, NonseqCertificate
+from .designs import AlmostParallelClass, ComposedEntries, Design, NonseqCertificate
 
 SCHEMA_VERSION = 1
 
@@ -68,6 +70,10 @@ class _ListField(NamedTuple):
     plain: Optional[Callable[[Any], Any]] = None
 
 
+class _Object(list):
+    """An object field: its (key, value) pairs, values as in ``_fields``."""
+
+
 @dataclass
 class DesignDocument:
     design: Design
@@ -86,22 +92,23 @@ class DesignDocument:
         yield "blocks", _ListField(sorted(self.design.blocks), _BLOCK_LINE, list)
         if self.labels is not None:
             yield "labels", _ListField(self.labels)
-        if self.certificate is not None:
-            entries = sorted(self.certificate.entries.items())
-            yield "certificate", _ListField(
-                {"missed": missed, "blocks": [list(blk) for blk in sorted(apc.blocks)]} for missed, apc in entries
+        c = None if self.certificate is None else self.certificate.entries
+        if isinstance(c, ComposedEntries):
+            yield "certificate", _Object(
+                [
+                    ("hole", _ListField(c.hole)),
+                    ("groups", _ListField({"points": list(g), "part": _lists(p)} for g, p in zip(c.groups, c.parts))),
+                    ("classes", _ListField({"missed": y, "group": c.own[y][0], "blocks": _lists(c.own[y][1])} for y in sorted(c))),
+                ]
             )
+        elif c is not None:
+            yield "certificate", _ListField({"missed": y, "blocks": _lists(apc.blocks)} for y, apc in sorted(c.items()))
         yield "provenance", self.provenance
 
     def to_dict(self) -> dict:
         """The document as the JSON value ``save`` writes: ``_fields``
         collected, each list field into a list of plain elements."""
-        doc = {}
-        for key, value in self._fields():
-            if isinstance(value, _ListField):
-                value = list(value.elements if value.plain is None else map(value.plain, value.elements))
-            doc[key] = value
-        return doc
+        return _plain(self._fields())
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DesignDocument":
@@ -125,23 +132,10 @@ class DesignDocument:
             labels = tuple(raw)
 
         certificate = None
-        if "certificate" in doc:
-            entries = {}
-            for entry in _read_list(doc, "certificate"):
-                if not isinstance(entry, dict) or type(entry.get("missed")) is not int:
-                    raise DocumentError("certificate entries need an integer 'missed'")
-                missed = entry["missed"]
-                if not 0 <= missed < n:
-                    raise DocumentError(f"certificate entry misses point {missed}, outside 0..{n - 1}")
-                if missed in entries:
-                    raise DocumentError(f"duplicate certificate entry for point {missed}")
-                listed = [_read_block(blk, n) for blk in _read_list(entry, "blocks")]
-                blocks = frozenset(listed)
-                if len(blocks) != len(listed):  # refused, not folded away: no silent repair
-                    repeat = next(blk for blk, count in Counter(listed).items() if count > 1)
-                    raise DocumentError(f"certificate entry for point {missed} lists block {list(repeat)} twice")
-                entries[missed] = AlmostParallelClass(blocks, missed)
-            certificate = NonseqCertificate(entries)
+        if isinstance(doc.get("certificate"), dict):
+            certificate = NonseqCertificate(_read_composed(doc["certificate"], n))
+        elif "certificate" in doc:
+            certificate = NonseqCertificate(_read_classes(_read_list(doc, "certificate"), n))
 
         provenance = doc.get("provenance", "")
         if not isinstance(provenance, str):
@@ -160,10 +154,8 @@ class DesignDocument:
     @classmethod
     def load(cls, path: os.PathLike | str) -> "DesignDocument":
         """The document in the file at ``path``, read with the cyclic
-        collector paused: the loaded lists and tuples hold no cycles, yet
-        unpaused the seed-0 order-493 load runs about 320 gen-0, 30 gen-1
-        and 2 full collections (85 and 7 at order 253).  Only a pause this
-        load made is undone; the pause is process-wide, so a
+        collector paused: the loaded lists and tuples hold no cycles.  Only
+        a pause this load made is undone; the pause is process-wide, so a
         ``gc.disable()`` made by another thread during a load is undone
         when the load ends."""
         paused = gc.isenabled()
@@ -200,13 +192,30 @@ def replace_file(path: os.PathLike | str, chunks: Iterable[str]) -> None:
         raise
 
 
-def _document_lines(fields: Iterable[tuple[str, Any]]) -> Iterator[str]:
+def _plain(fields: Iterable[tuple[str, Any]]) -> dict:
+    doc = {}
+    for key, value in fields:
+        if isinstance(value, _ListField):
+            value = list(value.elements if value.plain is None else map(value.plain, value.elements))
+        doc[key] = _plain(value) if isinstance(value, _Object) else value
+    return doc
+
+
+def _lists(blocks) -> list:
+    return [list(blk) for blk in sorted(blocks)]
+
+
+def _document_lines(fields: Iterable[tuple[str, Any]], end: str = "\n}\n") -> Iterator[str]:
     """The JSON text of ``fields``, a line at a time: one per scalar field
-    and one per element of a list field, an empty list on its key's line."""
+    and one per element of a list field, an empty list on its key's line;
+    an object field's own fields follow its key's line."""
     sep = "{\n"
     for key, value in fields:
         head = f"{sep}{json.dumps(key)}: "
-        if isinstance(value, _ListField):
+        if isinstance(value, _Object):
+            yield head
+            yield from _document_lines(value, "\n}")
+        elif isinstance(value, _ListField):
             lines = map(value.encode, value.elements)
             first = next(lines, None)
             if first is None:
@@ -218,7 +227,7 @@ def _document_lines(fields: Iterable[tuple[str, Any]]) -> Iterator[str]:
         else:
             yield head + json.dumps(value)
         sep = ",\n"
-    yield "\n}\n"
+    yield end
 
 
 def _read_list(doc: dict, key: str) -> list:
@@ -226,6 +235,50 @@ def _read_list(doc: dict, key: str) -> list:
     if not isinstance(value, list):
         raise DocumentError(f"'{key}' must be a list")
     return value
+
+
+def _read_classes(entries: list, n: int, groups: Optional[int] = None) -> dict:
+    """Certificate entries by missed point: each an ``AlmostParallelClass``,
+    or of a composed certificate with ``groups`` groups, (group, blocks)."""
+    classes = {}
+    for entry in entries:
+        if not isinstance(entry, dict) or type(entry.get("missed")) is not int:
+            raise DocumentError("certificate entries need an integer 'missed'")
+        missed = entry["missed"]
+        if not 0 <= missed < n:
+            raise DocumentError(f"certificate entry misses point {missed}, outside 0..{n - 1}")
+        if missed in classes:
+            raise DocumentError(f"duplicate certificate entry for point {missed}")
+        blocks = _read_blocks(entry, "blocks", n, f"certificate entry for point {missed}")
+        home = entry.get("group")
+        if groups is not None and (type(home) is not int or not 0 <= home < groups):
+            raise DocumentError(f"certificate class for point {missed} names no group: {home!r}")
+        classes[missed] = AlmostParallelClass(blocks, missed) if groups is None else (home, blocks)
+    return classes
+
+
+def _read_blocks(doc: dict, key: str, n: int, name: str) -> frozenset:
+    listed = [_read_block(blk, n) for blk in _read_list(doc, key)]
+    blocks = frozenset(listed)
+    if len(blocks) != len(listed):  # refused, not folded away: no silent repair
+        repeat = next(blk for blk, count in Counter(listed).items() if count > 1)
+        raise DocumentError(f"{name} lists block {list(repeat)} twice")
+    return blocks
+
+
+def _read_composed(cert: dict, n: int) -> ComposedEntries:
+    """A composed certificate's fields, checked for shape and range only."""
+    hole, groups, parts = _read_list(cert, "hole"), [], []
+    for group in _read_list(cert, "groups"):
+        if not isinstance(group, dict):
+            raise DocumentError("certificate groups must be objects")
+        groups.append(tuple(_read_list(group, "points")))
+        parts.append(_read_blocks(group, "part", n, f"certificate group {len(parts)}"))
+    for points in (hole, *groups):
+        if not all(type(p) is int and 0 <= p < n for p in points):
+            raise DocumentError(f"certificate points must be ints in 0..{n - 1}")
+    own = _read_classes(_read_list(cert, "classes"), n, len(groups))
+    return ComposedEntries(tuple(hole), tuple(groups), tuple(parts), own)
 
 
 def _read_design(n: int, blocks: list) -> Design:

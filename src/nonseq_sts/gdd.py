@@ -379,8 +379,7 @@ def build_gdd(req: GddRequest) -> Gdd:
     ``seed`` is the seed that succeeded, and if none does, the
     BudgetExceededError sums ``used`` and ``budget``.
     The result is re-validated, and its groups must be ``canonical_groups``
-    of the type: callers lay fills out on that layout without reading
-    ``groups``.
+    of the type.
     """
     group_type = req.group_type
     route = _closed_form(group_type)

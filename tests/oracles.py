@@ -17,7 +17,7 @@ from itertools import combinations, count
 
 import numpy as np
 
-from nonseq_sts.designs import ValidationReport
+from nonseq_sts.designs import ComposedEntries, ValidationReport
 from nonseq_sts.documents import DocumentError
 from nonseq_sts.exact_cover import ExactCoverInstance, _Matrix
 
@@ -240,11 +240,19 @@ def read_block_plainly(blk, n: int) -> tuple[int, int, int]:
 def document_dict_plainly(doc) -> dict:
     """``DesignDocument.to_dict`` written out field by field: every block
     sorted, then the blocks; certificate entries by missed point, each
-    class's blocks sorted."""
+    class's blocks sorted.  A composed certificate is an object: the hole,
+    the groups with their parts, and each point's own class."""
     out: dict = {"schema": 1, "n": doc.design.n, "blocks": sorted(sorted(blk) for blk in doc.design.blocks)}
     if doc.labels is not None:
         out["labels"] = list(doc.labels)
-    if doc.certificate is not None:
+    c = None if doc.certificate is None else doc.certificate.entries
+    if isinstance(c, ComposedEntries):
+        out["certificate"] = {
+            "hole": list(c.hole),
+            "groups": [{"points": list(g), "part": sorted(map(list, p))} for g, p in zip(c.groups, c.parts)],
+            "classes": [{"missed": y, "group": c.own[y][0], "blocks": sorted(map(list, c.own[y][1]))} for y in sorted(c.own)],
+        }
+    elif c is not None:
         out["certificate"] = [
             {"missed": missed, "blocks": [list(blk) for blk in sorted(apc.blocks)]}
             for missed, apc in sorted(doc.certificate.entries.items())
@@ -253,14 +261,18 @@ def document_dict_plainly(doc) -> dict:
     return out
 
 
-def document_lines_by_dumps(doc: dict):
+def document_lines_by_dumps(doc: dict, end="\n}\n"):
     """``DesignDocument.save``'s text for ``doc``, its ``to_dict()`` built
     whole, a line at a time: one per scalar field and one per element of a
-    non-empty list field, each encoded by ``json.dumps``."""
+    non-empty list field, each encoded by ``json.dumps``; an object field's
+    own fields, so written, after its key's line."""
     sep = "{\n"
     for key, value in doc.items():
         head = f"{sep}{json.dumps(key)}: "
-        if isinstance(value, list) and value:
+        if isinstance(value, dict):
+            yield head
+            yield from document_lines_by_dumps(value, "\n}")
+        elif isinstance(value, list) and value:
             yield head + "["
             item_sep = "\n"
             for item in value:
@@ -270,7 +282,7 @@ def document_lines_by_dumps(doc: dict):
         else:
             yield head + json.dumps(value)
         sep = ",\n"
-    yield "\n}\n"
+    yield end
 
 
 def pair_incidence_by_loop(n: int, blocks, gid=None):
@@ -367,6 +379,8 @@ def verify_apc_by_loop(d, apc):
 
 
 def verify_certificate_by_loop(d, cert):
+    if d.n < 2:
+        return ValidationReport.failed("certificate", f"order {d.n} < 2: every sequence is admissible")
     if len(cert.entries) < d.n - 1:
         return ValidationReport.failed("certificate", f"{len(cert.entries)} entries, need at least {d.n - 1}")
     for missed, apc in sorted(cert.entries.items()):

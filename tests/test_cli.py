@@ -154,6 +154,43 @@ class TestVerify:
         assert kv["CERTIFICATE"] == f"fail (entry {missed}: (0, 1, 2) is not a block of the design)"
         assert kv["VERDICT"] == "fail"
 
+    @pytest.mark.parametrize("n,form", [(37, "composed"), (67, "composed"), (13, "flat"), (43, "flat")])
+    def test_verify_names_the_certificate_form(self, capsys, tmp_path, n, form):
+        out = tmp_path / f"sts-{n}.json"
+        assert main(["build", str(n), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ")[0] for line in lines] == [
+            "ORDER", "BLOCKS", "PSTS", "STS", "CERTIFICATE", "ENTRIES", "CERTIFICATE_FORM", "VERDICT"
+        ]
+        assert lines[4:] == ["CERTIFICATE: ok", f"ENTRIES: {n}", f"CERTIFICATE_FORM: {form}", "VERDICT: pass"]
+
+    def test_a_flat_document_of_a_composed_order_passes_as_flat(self, capsys):
+        fixture = Path(__file__).with_name("data") / "sts-37-flat.json"
+        code, kv = run_cli(capsys, "verify", fixture)
+        assert code == 0
+        assert (kv["STS"], kv["CERTIFICATE"], kv["ENTRIES"], kv["CERTIFICATE_FORM"]) == ("ok", "ok", "37", "flat")
+        assert kv["VERDICT"] == "pass"
+
+    @pytest.mark.parametrize(
+        "n,certificate,form",
+        [
+            (1, [], "flat"),
+            (0, [], "flat"),
+            (1, {"hole": [0], "groups": [], "classes": []}, "composed"),
+        ],
+    )
+    def test_an_order_under_2_fails_its_certificate(self, capsys, tmp_path, n, certificate, form):
+        """Every sequence of 0 or 1 points is admissible: such a design is
+        sequenceable, so no certificate passes."""
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"schema": 1, "n": n, "blocks": [], "certificate": certificate}))
+        code, kv = run_cli(capsys, "verify", path)
+        assert code == 1
+        assert kv["CERTIFICATE"] == f"fail (order {n} < 2: every sequence is admissible)"
+        assert kv["CERTIFICATE_FORM"] == form and kv["VERDICT"] == "fail"
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         assert main(["verify", str(tmp_path / "nope.json")]) == 2
 
@@ -380,6 +417,17 @@ class TestCertify:
         code, kv = run_cli(capsys, "certify", sts7_file, "--out", str(sts7_file) + ".out")
         assert code == 1
         assert kv["MISSING"] == "0 1 2 3 4 5 6"
+
+    def test_recertifying_a_composed_document_writes_it_flat(self, capsys, tmp_path):
+        path = tmp_path / "sts-37.json"
+        assert main(["build", "37", "--out", str(path)]) == 0
+        assert isinstance(json.loads(path.read_text())["certificate"], dict)
+        capsys.readouterr()
+        code, kv = run_cli(capsys, "certify", path)
+        assert code == 0 and kv["ENTRIES"] == "37"
+        assert isinstance(json.loads(path.read_text())["certificate"], list)
+        code, kv = run_cli(capsys, "verify", path)
+        assert code == 0 and kv["CERTIFICATE_FORM"] == "flat"
 
     def test_recertify_reduced_partial_system(self, capsys, tmp_path):
         out = tmp_path / "psts.json"

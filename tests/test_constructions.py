@@ -26,7 +26,7 @@ from nonseq_sts import (
 from nonseq_sts import constructions, exact_cover
 from nonseq_sts import gdd as gdd_module
 from nonseq_sts.constructions import BASE_ORDERS, _composed_type
-from nonseq_sts.designs import AlmostParallelClass
+from nonseq_sts.designs import AlmostParallelClass, ComposedEntries, Gdd
 
 from oracles import brute_force_apcs
 from reference_systems import BASES, EXPECTED_SIZES, apc_point_blocks
@@ -248,6 +248,40 @@ def test_a_fill_class_with_a_missing_block_is_refused(g, n, monkeypatch):
         certified_sts(n)
 
 
+@pytest.mark.parametrize("n", [37, 55])
+def test_a_gdd_with_one_block_swapped_is_refused(n, monkeypatch):
+    """``_compose`` takes its GDD unvalidated; the final ``validate_sts``
+    catches a GDD block with a point swapped for another of its group."""
+
+    def swapped(g, w):
+        built = gdd_module.inflate(g, w)
+        (a, b, c), *rest = built.design.blocks
+        d = c + 1 if (c + 1) % 12 else c - 1  # same group, so still transverse
+        blocks = tuple(sorted([(a, b, d), *rest]))
+        return Gdd(built.group_type, built.groups, Design(built.design.n, blocks))
+
+    monkeypatch.setattr(constructions, "inflate", swapped)
+    with pytest.raises(RuntimeError, match=f"composed design of order {n} is invalid"):
+        certified_sts(n)
+
+
+@pytest.mark.parametrize("n", [121, 115])
+def test_the_composed_path_expands_no_entry(n, tmp_path, monkeypatch):
+    """Build, partial system, save, load and verify read the structure:
+    an entry lookup anywhere on the way raises."""
+
+    def no_expansion(self, y):
+        raise AssertionError(f"entry {y} was expanded")
+
+    monkeypatch.setattr(ComposedEntries, "__getitem__", no_expansion)
+    for built in (certified_sts(n), certified_psts(n, (n - 1) // 3)):
+        assert type(built.certificate.entries) is ComposedEntries
+        DesignDocument(built.design, certificate=built.certificate, provenance=built.provenance).save(tmp_path / "d.json")
+        loaded = DesignDocument.load(tmp_path / "d.json")
+        assert type(loaded.certificate.entries) is ComposedEntries
+        assert validate_psts(loaded.design) and verify_certificate(loaded.design, loaded.certificate)
+
+
 @pytest.mark.skipif(os.environ.get("NONSEQ_STS_LONG") != "1", reason="long; set NONSEQ_STS_LONG=1 to run")
 def test_large_orders():
     cases = (
@@ -401,7 +435,7 @@ class TestCertifiedPsts:
             raise AssertionError("built a design")
 
         monkeypatch.setattr(constructions, "base_case", no_build)
-        monkeypatch.setattr(constructions, "build_gdd", no_build)
+        monkeypatch.setattr(constructions, "inflate", no_build)
         with pytest.raises(ValueError, match=r"must be (an int|ints), got"):
             certified_sts(n, seed=seed) if a is None else certified_psts(n, a, seed=seed)
 

@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from nonseq_sts import (
     AlmostParallelClass,
+    ComposedEntries,
     Design,
     DesignDocument,
     Gdd,
     GroupType,
     NonseqCertificate,
     base_case,
+    certified_psts,
+    certified_sts,
     validate_gdd,
     validate_psts,
     validate_sts,
@@ -245,6 +248,138 @@ class TestVerifyCertificate:
         rep = verify_certificate(sts13, NonseqCertificate(entries))
         assert not rep
         assert rep.detail == "entry 3: (0, 1, 2) is not a block of the design"
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_an_order_under_2_fails_in_either_form(self, n):
+        """Every sequence of 0 or 1 points is admissible, so no certificate
+        proves such a design nonsequenceable, not even an empty one."""
+        flat = NonseqCertificate({})
+        composed = NonseqCertificate(ComposedEntries(tuple(range(n)), (), (), {}))
+        for cert in (flat, composed):
+            rep = verify_certificate(Design(n, ()), cert)
+            assert (rep.ok, rep.category, rep.detail) == (False, "certificate", f"order {n} < 2: every sequence is admissible")
+
+
+# Every composed order up to 121: 1-point holes at 37, 49, 61, 73, 85, 97,
+# 109, 121 and 7-point holes at 55, 67, 79, 91, 103, 115.
+COMPOSED_ORDERS = [n for n in range(37, 122, 6) if n != 43]
+
+
+def flat(cert: NonseqCertificate) -> NonseqCertificate:
+    """The certificate with every entry expanded into a dict."""
+    return NonseqCertificate(dict(cert.entries.items()))
+
+
+def composed(n=37):
+    built = certified_sts(n)
+    return built.design, built.certificate.entries
+
+
+def mutated(c: ComposedEntries, **fields) -> NonseqCertificate:
+    parts = dict(hole=c.hole, groups=c.groups, parts=c.parts, own=c.own) | fields
+    return NonseqCertificate(ComposedEntries(**parts))
+
+
+class TestComposedCertificate:
+    @pytest.mark.parametrize("n", COMPOSED_ORDERS)
+    def test_the_structure_and_its_expansion_agree(self, n):
+        """The structured check against ``verify_certificate`` on the flat
+        expansion, on the STS and on its partial systems at a = 0, 1 and
+        (n-1)/3, which keep the parent's structure."""
+        for built in (certified_sts(n), *(certified_psts(n, a) for a in (0, 1, (n - 1) // 3))):
+            cert = built.certificate
+            assert type(cert.entries) is ComposedEntries and len(cert) == n
+            assert verify_certificate(built.design, cert)
+            assert verify_certificate(built.design, flat(cert))
+            assert flat(cert) == cert
+
+    def test_an_entry_is_its_own_class_and_every_other_part(self):
+        d, c = composed(55)
+        for y in (0, 11, 12, 48, 54):  # group 0, group 1, group 4 and hole points
+            i, own = c.own[y]
+            others = [p for j, p in enumerate(c.parts) if j != i]
+            assert c[y] == AlmostParallelClass(own.union(*others), y) and verify_apc(d, c[y])
+        assert c[48] is not c[48]  # built per lookup, kept by no one
+        assert list(c) == list(c.own) and len(c) == 55 and c.get(55) is None
+
+    def expect(self, d, cert, detail, expansion_fails=True):
+        rep = verify_certificate(d, cert)
+        assert (rep.ok, rep.category, rep.detail) == (False, "certificate", detail)
+        assert bool(verify_certificate(d, flat(cert))) is not expansion_fails
+
+    def test_a_block_moved_to_another_group(self):
+        d, c = composed()
+        moved = min(c.parts[1])
+        parts = (c.parts[0] | {moved}, c.parts[1] - {moved}, c.parts[2])
+        self.expect(d, mutated(c, parts=parts), f"part 0: it covers {moved[0]}, outside its points")
+
+    def test_a_part_missing_a_point(self):
+        d, c = composed()
+        dropped = min(c.parts[2])
+        parts = (*c.parts[:2], c.parts[2] - {dropped})
+        self.expect(d, mutated(c, parts=parts), f"part 2: it misses {dropped[0]}")
+
+    def test_a_class_covering_its_own_point(self):
+        d, c = composed()
+        own = dict(c.own)
+        own[5] = c.own[6]  # misses 6 and covers 5
+        self.expect(d, mutated(c, own=own), "entry 5: it covers 5, outside its points")
+
+    def test_a_class_using_a_non_block(self):
+        d, c = composed()
+        (a, b, x), (p, q, r) = sorted(c.own[5][1])[:2]
+        swapped = (c.own[5][1] - {(a, b, x), (p, q, r)}) | {tuple(sorted((a, b, r))), tuple(sorted((p, q, x)))}
+        assert len(swapped) == 4 and not swapped <= d.block_set
+        own = dict(c.own)
+        own[5] = 0, frozenset(swapped)
+        bad = min(blk for blk in swapped if blk not in d.block_set)
+        rep = verify_certificate(d, mutated(c, own=own))
+        assert not rep and rep.detail == f"entry 5: {bad} is not a block of the design"
+        assert not verify_certificate(d, flat(mutated(c, own=own)))
+
+    def test_a_class_filed_under_another_group(self):
+        d, c = composed()
+        own = dict(c.own)
+        own[5] = 1, c.own[5][1]
+        self.expect(d, mutated(c, own=own), "entry 5: 5 is in neither group 1 nor the hole")
+        own[5] = 3, c.own[5][1]  # no group 3
+        rep = verify_certificate(d, mutated(c, own=own))
+        assert not rep and rep.detail == "entry 5: 5 is in neither group 3 nor the hole"
+
+    def test_a_hole_point_listed_in_a_group(self):
+        """The expansion reads no group, so it still verifies; the
+        structure that claims it does not."""
+        d, c = composed()
+        groups = ((*c.groups[0], 36), *c.groups[1:])
+        self.expect(d, mutated(c, groups=groups), "the hole and the groups do not partition 0..36", False)
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            lambda g: (g[0][1:], g[1], g[2]),  # point 0 in no group
+            lambda g: (g[0], (0, *g[1]), g[2]),  # point 0 in two groups
+            lambda g: (g[0], g[1]),  # a whole group missing
+            lambda g: (g[0], g[1], (*g[2][:-1], 37)),  # a point outside 0..36
+        ],
+        ids=["uncovered", "twice", "short", "outside"],
+    )
+    def test_groups_that_are_not_a_partition(self, groups):
+        d, c = composed()
+        rep = verify_certificate(d, mutated(c, groups=groups(c.groups)))
+        assert (rep.ok, rep.detail) == (False, "the hole and the groups do not partition 0..36")
+
+    def test_a_deleted_block_that_a_part_uses(self):
+        d, c = composed()
+        gone = min(c.parts[1])
+        reduced = Design(d.n, tuple(blk for blk in d.blocks if blk != gone))
+        self.expect(reduced, NonseqCertificate(c), f"part 1: {gone} is not a block of the design")
+
+    def test_too_few_classes(self):
+        d, c = composed()
+        own = {y: c.own[y] for y in range(35)}
+        self.expect(d, mutated(c, own=own), "35 entries, need at least 36")
+        own[35] = c.own[35]
+        assert verify_certificate(d, mutated(c, own=own))  # n - 1 entries suffice
 
 
 def test_canonicalisation_never_changes_verdicts(sts13):

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import threading
 import tracemalloc
 
@@ -9,7 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonseq_sts import DesignDocument, DocumentError, base_case, certified_sts, validate_sts, verify_certificate
+from pathlib import Path
+
+from nonseq_sts import (
+    ComposedEntries,
+    DesignDocument,
+    DocumentError,
+    base_case,
+    certified_psts,
+    certified_sts,
+    validate_sts,
+    verify_certificate,
+)
 from nonseq_sts import designs
 from nonseq_sts import documents as documents_module
 from nonseq_sts.designs import AlmostParallelClass, Design, NonseqCertificate
@@ -570,3 +582,93 @@ def test_mutated_files_load_or_raise_document_error(tmp_path_factory, raw, data)
     except DocumentError:
         pass
     assert gc.isenabled() is enabled
+
+
+FLAT_37 = Path(__file__).with_name("data") / "sts-37-flat.json"
+
+
+def composed_doc(n=37, a=None) -> DesignDocument:
+    built = certified_sts(n) if a is None else certified_psts(n, a)
+    return DesignDocument(built.design, certificate=built.certificate, provenance=built.provenance)
+
+
+@pytest.mark.parametrize("n,a", [(37, None), (55, None), (103, None), (67, 22)])
+def test_a_composed_certificate_round_trips(tmp_path, n, a):
+    """The saved text is ``to_dict()`` line by line, as the oracle writes
+    it; the loaded certificate is composed and equal to the saved one."""
+    doc = composed_doc(n, a)
+    path = tmp_path / "composed.json"
+    doc.save(path)
+    text = path.read_text()
+    assert json.loads(text) == doc.to_dict() == document_dict_plainly(doc)
+    assert text == "".join(document_lines_by_dumps(doc.to_dict()))
+    loaded = DesignDocument.load(path)
+    assert type(loaded.certificate.entries) is ComposedEntries
+    assert loaded == doc and verify_certificate(loaded.design, loaded.certificate)
+    c = loaded.certificate.entries
+    assert (c.hole, c.groups, c.parts, c.own) == (doc.certificate.entries.hole, doc.certificate.entries.groups,
+                                                  doc.certificate.entries.parts, doc.certificate.entries.own)
+
+
+def test_one_line_per_group_and_per_class(tmp_path):
+    composed_doc().save(tmp_path / "sts-37.json")
+    lines = (tmp_path / "sts-37.json").read_text().splitlines()
+    start = lines.index('"certificate": {')
+    assert lines[start + 1 : start + 5] == ['"hole": [', "36", "],", '"groups": [']
+    assert [line.startswith('{"points": ') for line in lines[start + 5 : start + 8]] == [True] * 3
+    assert lines[start + 8 : start + 10] == ["],", '"classes": [']
+    assert [line.startswith('{"missed": ') for line in lines[start + 10 : start + 47]] == [True] * 37
+    assert lines[start + 47 :] == ["]", "},", '"provenance": "gdd-fill(n=37, type=3:12^3)"', "}"]
+
+
+def test_starter_certificates_stay_flat(doc13):
+    assert isinstance(doc13.to_dict()["certificate"], list)
+
+
+def test_a_flat_document_of_a_composed_order_loads_and_verifies():
+    """An order-37 document whose certificate lists every class in full, as
+    written before composed certificates had their own form."""
+    loaded = DesignDocument.load(FLAT_37)
+    built = certified_sts(37)
+    assert type(loaded.certificate.entries) is dict
+    assert verify_certificate(loaded.design, loaded.certificate)
+    assert loaded.design == built.design and loaded.certificate == built.certificate
+
+
+COMPOSED_FAULTS = {
+    "not an object or list": (lambda c: "composed", "'certificate' must be a list"),
+    "no hole": (lambda c: c.pop("hole"), "'hole' must be a list"),
+    "hole point outside": (lambda c: c.update(hole=[37]), "certificate points must be ints in 0..36"),
+    "hole point a bool": (lambda c: c.update(hole=[True]), "certificate points must be ints in 0..36"),
+    "groups not a list": (lambda c: c.update(groups={}), "'groups' must be a list"),
+    "group not an object": (lambda c: c["groups"].append([0, 1]), "certificate groups must be objects"),
+    "group points not ints": (lambda c: c["groups"][0]["points"].append("1"), "certificate points must be ints in 0..36"),
+    "no part": (lambda c: c["groups"][1].pop("part"), "'part' must be a list"),
+    "part block malformed": (lambda c: c["groups"][1]["part"].append([0, 1]), "must be a list of 3 integers"),
+    "part block repeated": (
+        lambda c: c["groups"][2]["part"].append(c["groups"][2]["part"][0]),
+        "certificate group 2 lists block [24, 29, 35] twice",
+    ),
+    "no classes": (lambda c: c.pop("classes"), "'classes' must be a list"),
+    "class without missed": (lambda c: c["classes"][0].pop("missed"), "integer 'missed'"),
+    "class missed outside": (lambda c: c["classes"][0].update(missed=40), "misses point 40, outside 0..36"),
+    "class repeated": (lambda c: c["classes"].append(c["classes"][3]), "duplicate certificate entry for point 3"),
+    "class group missing": (lambda c: c["classes"][4].pop("group"), "class for point 4 names no group: None"),
+    "class group outside": (lambda c: c["classes"][4].update(group=3), "class for point 4 names no group: 3"),
+    "class group a bool": (lambda c: c["classes"][4].update(group=False), "class for point 4 names no group: False"),
+    "class block repeated": (
+        lambda c: c["classes"][5]["blocks"].append(c["classes"][5]["blocks"][1]),
+        "certificate entry for point 5 lists block",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(COMPOSED_FAULTS))
+def test_malformed_composed_fields_are_document_errors(fault):
+    raw = composed_doc().to_dict()
+    mutate, message = COMPOSED_FAULTS[fault]
+    replaced = mutate(raw["certificate"])
+    if fault == "not an object or list":
+        raw["certificate"] = replaced
+    with pytest.raises(DocumentError, match=re.escape(message)):
+        DesignDocument.from_dict(raw)

@@ -512,13 +512,18 @@ class TestRecertifyFromKnownClasses:
         d = Design.from_blocks(n, (blk for blk in blocks if blk not in removed))
         assert certified_points(d, known=parent.certificate.entries) == certified_points(d)
 
-    def test_surviving_entries_are_kept(self):
+    def test_surviving_entries_are_kept(self, monkeypatch):
+        """A composed certificate builds each entry at its lookup, so a kept
+        entry is equal to the parent's, not the same object; it is not
+        searched."""
         parent, d = removal_design(37, 2)
+        searched = []
+        monkeypatch.setattr(sequencing, "find_apc", lambda d, p: searched.append(p) or exact_cover.find_apc(d, p))
         cert = certify_nonsequenceable(d, known=parent.certificate.entries)
         kept = {p for p, apc in parent.certificate.entries.items() if apc.blocks <= d.block_set}
-        assert len(kept) == 34
+        assert len(kept) == 34 and searched and not kept.intersection(searched)
         for p in kept:
-            assert cert.entries[p] is parent.certificate.entries[p]
+            assert cert.entries[p] == parent.certificate.entries[p]
         assert verify_certificate(d, cert)
 
     def test_invalid_known_classes_are_searched_afresh(self):
