@@ -415,14 +415,15 @@ def _verify_composed(d: Design, c: ComposedEntries) -> ValidationReport:
     claims = [(f"part {j}", part, set(c.groups[j])) for j, part in enumerate(c.parts)]
     hole = set(c.hole)
     for y, (i, own) in sorted(c.own.items()):
-        if type(i) is not int or not 0 <= i < len(c.groups) or y not in hole.union(c.groups[i]):
+        span = hole.union(c.groups[i]) if type(i) is int and 0 <= i < len(c.groups) else set()
+        if y not in span:
             return ValidationReport.failed("certificate", f"entry {y}: {y} is in neither group {i!r} nor the hole")
-        claims.append((f"entry {y}", own, hole.union(c.groups[i]) - {y}))
+        claims.append((f"entry {y}", own, span - {y}))
     for name, blocks, want in claims:
-        bad = next((blk for blk in blocks if blk not in d.block_set), None)
+        bad = set(blocks) - d.block_set
         covered = set(chain.from_iterable(blocks))
-        if bad is not None:
-            why = f"{bad} is not a block of the design"
+        if bad:
+            why = f"{min(bad)} is not a block of the design"
         elif len(covered) != 3 * len(blocks):
             why = "two of its blocks meet"
         elif covered != want:

@@ -202,7 +202,7 @@ def _plain(fields: Iterable[tuple[str, Any]]) -> dict:
 
 
 def _lists(blocks) -> list:
-    return [list(blk) for blk in sorted(blocks)]
+    return list(map(list, sorted(blocks)))
 
 
 def _document_lines(fields: Iterable[tuple[str, Any]], end: str = "\n}\n") -> Iterator[str]:
