@@ -237,6 +237,9 @@ class ComposedEntries(Mapping):
         i, blocks = self.own[y]
         return AlmostParallelClass(blocks.union(*self.parts[:i], *self.parts[i + 1 :]), y)
 
+    def __contains__(self, y) -> bool:
+        return y in self.own
+
     def __iter__(self):
         return iter(self.own)
 

@@ -280,6 +280,7 @@ def test_the_composed_path_expands_no_entry(n, tmp_path, monkeypatch):
         loaded = DesignDocument.load(tmp_path / "d.json")
         assert type(loaded.certificate.entries) is ComposedEntries
         assert validate_psts(loaded.design) and verify_certificate(loaded.design, loaded.certificate)
+        assert 0 in loaded.certificate.entries and n not in loaded.certificate.entries
 
 
 @pytest.mark.skipif(os.environ.get("NONSEQ_STS_LONG") != "1", reason="long; set NONSEQ_STS_LONG=1 to run")
